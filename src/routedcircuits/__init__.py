@@ -26,6 +26,7 @@ from .errors import (
     TypeMismatch,
     UnknownLabel,
     UnknownNode,
+    UsageError,
 )
 from .relations import (
     CPRelation,

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import relations as rel
-from . import routed_cpms as rcpm
-from . import routed_maps as rmap
 from .errors import InvalidSlice, InvariantViolation, TypeMismatch
 from .relations import Relation
 from .routed_cpms import RoutedCPM
@@ -72,23 +71,20 @@ class RoutedCircuit:
         object.__setattr__(self, "boxes", dict(self.boxes))
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
-        _validate_circuit(self)
+        producers, consumers, op_type = _validate_circuit(self)
+        object.__setattr__(self, "_producers", producers)
+        object.__setattr__(self, "_consumers", consumers)
+        object.__setattr__(self, "_op_type", op_type)
 
     # -- graph helpers -------------------------------------------------
 
     def producer_of(self, wire: str) -> str | None:
         """Box producing a wire, or None for circuit inputs."""
-        for box_id, box in self.boxes.items():
-            if wire in box.outputs:
-                return box_id
-        return None
+        return self._producers.get(wire)
 
     def consumer_of(self, wire: str) -> str | None:
         """Box consuming a wire, or None for circuit outputs."""
-        for box_id, box in self.boxes.items():
-            if wire in box.inputs:
-                return box_id
-        return None
+        return self._consumers.get(wire)
 
     def wire_ancestors(self, wire: str) -> set[str]:
         """All wires strictly upstream of ``wire``."""
@@ -106,7 +102,9 @@ class RoutedCircuit:
         return seen
 
 
-def _validate_circuit(circuit: RoutedCircuit) -> None:
+def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type]:
+    """Check the circuit; return its wire-to-producer and wire-to-consumer
+    maps (None at the circuit boundary) and the class of its box maps."""
     if circuit.mode not in ("pure", "cpm"):
         raise InvariantViolation(f"unknown circuit mode {circuit.mode!r}")
     expected_type = RoutedMap if circuit.mode == "pure" else RoutedCPM
@@ -117,27 +115,27 @@ def _validate_circuit(circuit: RoutedCircuit) -> None:
                 f"mode is {circuit.mode!r}"
             )
 
-    producers: dict[str, str] = {}
-    consumers: dict[str, str] = {}
+    producers: dict[str, str | None] = {}
+    consumers: dict[str, str | None] = {}
     for wire in circuit.input_wires:
         if wire in producers:
             raise InvariantViolation(f"wire {wire!r} listed as input twice")
-        producers[wire] = "<input>"
+        producers[wire] = None
     for wire in circuit.output_wires:
         if wire in consumers:
             raise InvariantViolation(f"wire {wire!r} listed as output twice")
-        consumers[wire] = "<output>"
+        consumers[wire] = None
     for box_id, box in circuit.boxes.items():
         for wire in box.outputs:
             if wire in producers:
                 raise InvariantViolation(
-                    f"wire {wire!r} has two producers ({producers[wire]}, {box_id})"
+                    f"wire {wire!r} has two producers ({producers[wire] or '<input>'}, {box_id})"
                 )
             producers[wire] = box_id
         for wire in box.inputs:
             if wire in consumers:
                 raise InvariantViolation(
-                    f"wire {wire!r} has two consumers ({consumers[wire]}, {box_id})"
+                    f"wire {wire!r} has two consumers ({consumers[wire] or '<output>'}, {box_id})"
                 )
             consumers[wire] = box_id
     for wire in circuit.wires:
@@ -149,10 +147,7 @@ def _validate_circuit(circuit: RoutedCircuit) -> None:
         if wire not in circuit.wires:
             raise InvariantViolation(f"wire {wire!r} has no declared space")
 
-    # acyclicity: Kahn over boxes
-    remaining = _foliation_layers(circuit, strict=False)
-    placed = sum(len(layer) for layer in remaining)
-    if placed != len(circuit.boxes):
+    if sum(map(len, _kahn_layers(circuit.input_wires, circuit.boxes))) != len(circuit.boxes):
         raise InvariantViolation("circuit graph contains a cycle")
 
     # box typing against the tensor of its wires' spaces
@@ -169,6 +164,7 @@ def _validate_circuit(circuit: RoutedCircuit) -> None:
                 f"box {box_id!r}: map codomain {box.op.codomain!r} does not match the "
                 f"tensor of its output wires {want_out!r}"
             )
+    return producers, consumers, expected_type
 
 
 class CircuitBuilder:
@@ -212,45 +208,71 @@ class CircuitBuilder:
 # -- foliation and evaluation ------------------------------------------
 
 
+def _kahn_layers(sources: Iterable[str], nodes: Mapping) -> list[list[str]]:
+    """Group the nodes of a wire graph into sequential layers.
+
+    ``nodes`` maps ids to objects with ``inputs`` and ``outputs`` wire
+    tuples.  A layer holds, sorted by id, every node whose input wires are
+    all available; nodes on a cycle are never placed.
+    """
+    available = set(sources)
+    pending = dict(nodes)
+    layers: list[list[str]] = []
+    while pending:
+        ready = sorted(n for n, node in pending.items() if set(node.inputs) <= available)
+        if not ready:
+            break
+        layers.append(ready)
+        for node_id in ready:
+            node = pending.pop(node_id)
+            available |= set(node.outputs)
+            available -= set(node.inputs)
+    return layers
+
+
+class _Step(NamedTuple):
+    """One layer of a foliation, with the wires around it."""
+
+    layer: list[str]
+    frontier: list[str]  # the open wires before the layer
+    inputs: list[str]  # wires the layer consumes, then the passthrough wires
+    outputs: list[str]  # wires the layer produces, then the passthrough wires
+    passthrough: list[str]  # open wires the layer does not touch, in frontier order
+
+
+def _walk(sources: Sequence[str], nodes: Mapping, layers: list[list[str]]) -> Iterator[_Step]:
+    """Follow the open wires of a wire graph through its layers."""
+    frontier = list(sources)
+    for layer in layers:
+        consumed = [w for n in layer for w in nodes[n].inputs]
+        passthrough = [w for w in frontier if w not in consumed]
+        outputs = [w for n in layer for w in nodes[n].outputs] + passthrough
+        yield _Step(layer, frontier, consumed + passthrough, outputs, passthrough)
+        frontier = outputs
+
+
 def _foliation_layers(
-    circuit: RoutedCircuit, box_order: Sequence[str] | None = None, strict: bool = True
+    circuit: RoutedCircuit, box_order: Sequence[str] | None = None
 ) -> list[list[str]]:
     """Group boxes into sequential layers (Kahn, stable box-id tiebreak).
 
     With ``box_order`` given, each layer holds exactly one box, in that
     order; the order must be topological.
     """
+    if box_order is None:
+        return _kahn_layers(circuit.input_wires, circuit.boxes)
+    if sorted(box_order) != sorted(circuit.boxes):
+        raise InvariantViolation("box_order must enumerate every box exactly once")
     available = set(circuit.input_wires)
-    pending = dict(circuit.boxes)
-    layers: list[list[str]] = []
-    if box_order is not None:
-        if sorted(box_order) != sorted(pending):
-            raise InvariantViolation("box_order must enumerate every box exactly once")
-        for box_id in box_order:
-            box = pending[box_id]
-            if not set(box.inputs) <= available:
-                raise InvariantViolation(
-                    f"box_order is not topological: {box_id!r} fires before its inputs"
-                )
-            layers.append([box_id])
-            available |= set(box.outputs)
-            available -= set(box.inputs)
-            del pending[box_id]
-        return layers
-    while pending:
-        ready = sorted(
-            box_id for box_id, box in pending.items() if set(box.inputs) <= available
-        )
-        if not ready:
-            if strict:
-                raise InvariantViolation("circuit graph contains a cycle")
-            break
-        layers.append(ready)
-        for box_id in ready:
-            available |= set(pending[box_id].outputs)
-            available -= set(pending[box_id].inputs)
-            del pending[box_id]
-    return layers
+    for box_id in box_order:
+        box = circuit.boxes[box_id]
+        if not set(box.inputs) <= available:
+            raise InvariantViolation(
+                f"box_order is not topological: {box_id!r} fires before its inputs"
+            )
+        available |= set(box.outputs)
+        available -= set(box.inputs)
+    return [[box_id] for box_id in box_order]
 
 
 def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> PartitionedSpace:
@@ -272,6 +294,23 @@ def _coordinate_table(spaces: Sequence[PartitionedSpace]) -> list[tuple[int, ...
     return table
 
 
+def _permutation_route(
+    circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
+) -> Relation:
+    """The route of the wire reordering from interface ``current`` to ``target``."""
+    spaces = [circuit.wires[w] for w in current]
+    positions = [current.index(w) for w in target]
+    domain = tensor_many(spaces).sector_labels
+    codomain = tensor_many([spaces[p] for p in positions]).sector_labels
+    matrix = np.zeros((domain.size, codomain.size), dtype=bool)
+    n = len(current)
+    for i, label in enumerate(domain):
+        parts = label if n != 1 else (label,)
+        permuted = tuple(parts[p] for p in positions)
+        matrix[i, codomain.position(permuted if n != 1 else permuted[0])] = True
+    return Relation(domain, codomain, matrix)
+
+
 def _permutation_map(
     circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
 ) -> BoxOp:
@@ -285,45 +324,17 @@ def _permutation_map(
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
     for x, raw in enumerate(dom_table):
         matrix[cod_index[tuple(raw[p] for p in positions)], x] = 1.0
-    route_matrix = np.zeros((domain.sector_labels.size, codomain.sector_labels.size), dtype=bool)
-    n = len(current)
-    for i, label in enumerate(domain.sector_labels):
-        parts = label if n != 1 else (label,)
-        permuted = tuple(parts[p] for p in positions)
-        target_label = permuted if n != 1 else permuted[0]
-        route_matrix[i, codomain.sector_labels.position(target_label)] = True
-    route = Relation(domain.sector_labels, codomain.sector_labels, route_matrix)
-    pure = RoutedMap(route, matrix, domain, codomain)
-    return pure if circuit.mode == "pure" else rcpm.lift_pure(pure)
+    route = _permutation_route(circuit, current, target)
+    return circuit._op_type.lift(RoutedMap(route, matrix, domain, codomain))
 
 
-def _layer_op(circuit: RoutedCircuit, layer: list[str], passthrough: list[str]) -> BoxOp:
+def _layer_op(circuit: RoutedCircuit, step: _Step) -> BoxOp:
     """Tensor the layer's boxes with identities, relabelled to wire form."""
-    in_wires = [w for b in layer for w in circuit.boxes[b].inputs] + passthrough
-    out_wires = [w for b in layer for w in circuit.boxes[b].outputs] + passthrough
-    if circuit.mode == "pure":
-        factors: list[BoxOp] = [circuit.boxes[b].op for b in layer]
-        factors += [RoutedMap.identity(circuit.wires[w]) for w in passthrough]
-        acc = factors[0]
-        for nxt in factors[1:]:
-            acc = rmap.tensor_map(acc, nxt)
-        return acc.relabel(
-            _interface_space(circuit, in_wires), _interface_space(circuit, out_wires)
-        )
-    factors = [circuit.boxes[b].op for b in layer]
-    factors += [RoutedCPM.identity(circuit.wires[w]) for w in passthrough]
-    acc = factors[0]
-    for nxt in factors[1:]:
-        acc = rcpm.tensor_cpm(acc, nxt)
-    return acc.relabel(
-        _interface_space(circuit, in_wires), _interface_space(circuit, out_wires)
+    factors = [circuit.boxes[b].op for b in step.layer]
+    factors += [circuit._op_type.identity(circuit.wires[w]) for w in step.passthrough]
+    return reduce(circuit._op_type.tensor, factors).relabel(
+        _interface_space(circuit, step.inputs), _interface_space(circuit, step.outputs)
     )
-
-
-def _compose_ops(circuit: RoutedCircuit, second: BoxOp, first: BoxOp) -> BoxOp:
-    if circuit.mode == "pure":
-        return rmap.compose(second, first)
-    return rcpm.compose(second, first)
 
 
 def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> BoxOp:
@@ -333,26 +344,22 @@ def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> 
     pins an explicit topological order; the result does not depend on the
     choice.
     """
-    frontier = list(circuit.input_wires)
     acc: BoxOp | None = None
 
-    def absorb(step: BoxOp) -> None:
+    def absorb(op: BoxOp) -> None:
         nonlocal acc
-        acc = step if acc is None else _compose_ops(circuit, step, acc)
+        acc = op if acc is None else op.compose(acc)
 
-    for layer in _foliation_layers(circuit, box_order):
-        consumed = [w for b in layer for w in circuit.boxes[b].inputs]
-        passthrough = [w for w in frontier if w not in consumed]
-        target = consumed + passthrough
-        if target != frontier:
-            absorb(_permutation_map(circuit, frontier, target))
-        absorb(_layer_op(circuit, layer, passthrough))
-        frontier = [w for b in layer for w in circuit.boxes[b].outputs] + passthrough
+    frontier = list(circuit.input_wires)
+    for step in _walk(circuit.input_wires, circuit.boxes, _foliation_layers(circuit, box_order)):
+        if step.inputs != step.frontier:
+            absorb(_permutation_map(circuit, step.frontier, step.inputs))
+        absorb(_layer_op(circuit, step))
+        frontier = step.outputs
     if frontier != list(circuit.output_wires):
         absorb(_permutation_map(circuit, frontier, circuit.output_wires))
     if acc is None:
-        identity = RoutedMap.identity(_interface_space(circuit, circuit.input_wires))
-        acc = identity if circuit.mode == "pure" else rcpm.lift_pure(identity)
+        return circuit._op_type.identity(_interface_space(circuit, circuit.input_wires))
     return acc
 
 
@@ -386,37 +393,14 @@ def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
     return op.route if circuit.mode == "pure" else rel.diagonal(op.route)
 
 
-def _layer_route(circuit: RoutedCircuit, layer: list[str], passthrough: list[str]) -> Relation:
-    in_wires = [w for b in layer for w in circuit.boxes[b].inputs] + passthrough
-    out_wires = [w for b in layer for w in circuit.boxes[b].outputs] + passthrough
-    parts = [_box_route(circuit, b) for b in layer]
-    parts += [
-        Relation.identity(circuit.wires[w].sector_labels) for w in passthrough
-    ]
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = rel.product(acc, nxt)
+def _layer_route(circuit: RoutedCircuit, step: _Step) -> Relation:
+    parts = [_box_route(circuit, b) for b in step.layer]
+    parts += [Relation.identity(circuit.wires[w].sector_labels) for w in step.passthrough]
     return Relation(
-        _interface_space(circuit, in_wires).sector_labels,
-        _interface_space(circuit, out_wires).sector_labels,
-        acc.matrix,
+        _interface_space(circuit, step.inputs).sector_labels,
+        _interface_space(circuit, step.outputs).sector_labels,
+        reduce(rel.product, parts).matrix,
     )
-
-
-def _permutation_route(
-    circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
-) -> Relation:
-    spaces = [circuit.wires[w] for w in current]
-    positions = [current.index(w) for w in target]
-    domain = tensor_many(spaces).sector_labels
-    codomain = tensor_many([spaces[p] for p in positions]).sector_labels
-    matrix = np.zeros((domain.size, codomain.size), dtype=bool)
-    n = len(current)
-    for i, label in enumerate(domain):
-        parts = label if n != 1 else (label,)
-        permuted = tuple(parts[p] for p in positions)
-        matrix[i, codomain.position(permuted if n != 1 else permuted[0])] = True
-    return Relation(domain, codomain, matrix)
 
 
 def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
@@ -432,45 +416,33 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
         raise InvariantViolation(
             f"mode {mode!r} does not apply to a {circuit.mode!r} circuit"
         )
-    frontier = list(circuit.input_wires)
     acc_route: Relation | None = None
     acc_boxes: tuple[str, ...] = ()
     checks: list[InterfaceCheck] = []
-    for position, layer in enumerate(_foliation_layers(circuit)):
-        consumed = [w for b in layer for w in circuit.boxes[b].inputs]
-        passthrough = [w for w in frontier if w not in consumed]
-        target = consumed + passthrough
-        if target != frontier and acc_route is not None:
-            acc_route = rel.compose(_permutation_route(circuit, frontier, target), acc_route)
-        layer_route = _layer_route(circuit, layer, passthrough)
+    layers = _foliation_layers(circuit)
+    for position, step in enumerate(_walk(circuit.input_wires, circuit.boxes, layers)):
+        layer_route = _layer_route(circuit, step)
         if acc_route is None:
             acc_route = layer_route
         else:
-            s = rel.practical_input_set(layer_route)
-            reachable = rel.image(
-                rel.compose(acc_route, rel.transpose(acc_route)), s
-            )
-            escaped_in = tuple(sorted(reachable - s, key=repr))
-            escaped_out: tuple = ()
-            if mode == "unitary":
-                t = rel.practical_output_set(acc_route)
-                back = rel.image(
-                    rel.compose(rel.transpose(layer_route), layer_route), t
-                )
-                escaped_out = tuple(sorted(back - t, key=repr))
+            if step.inputs != step.frontier:
+                permutation = _permutation_route(circuit, step.frontier, step.inputs)
+                acc_route = rel.compose(permutation, acc_route)
+            escaped_in, escaped_out = rel.escaped(acc_route, layer_route)
+            if mode != "unitary":
+                escaped_out = ()
             checks.append(
                 InterfaceCheck(
                     position=position,
                     upstream=acc_boxes,
-                    downstream=tuple(layer),
+                    downstream=tuple(step.layer),
                     passed=not escaped_in and not escaped_out,
                     escaped_inputs=escaped_in,
                     escaped_outputs=escaped_out,
                 )
             )
             acc_route = rel.compose(layer_route, acc_route)
-        acc_boxes += tuple(layer)
-        frontier = [w for b in layer for w in circuit.boxes[b].outputs] + passthrough
+        acc_boxes += tuple(step.layer)
     return CircuitReport(mode=mode, interfaces=tuple(checks))
 
 

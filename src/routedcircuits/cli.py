@@ -18,20 +18,16 @@ import numpy as np
 
 from . import relations as rel
 from .circuits import Slice, accessible_space, check_circuit, circuit_to_dot, evaluate
-from .errors import ParseError, RoutedError, SchemaError
+from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, parse
 from .iodag import (
+    _layer_corelations,
     compose_corelations,
     explain_improper,
     iodag_to_dot,
     lint,
-    node_corelation,
-    preprocessing,
-    product_corelations,
-    Corelation,
-    _family,
-    _node_layers,
     normalize,
+    preprocessing,
 )
 from .routed_cpms import is_practically_trace_preserving
 from .routed_maps import is_practical_isometry, is_practical_unitary
@@ -43,6 +39,15 @@ def _load(path: str) -> CircuitDocument:
 
 def _label_json(label):
     return rel.label_to_json(label)
+
+
+def _interface_json(check) -> dict:
+    return {
+        "position": check.position,
+        "downstream": list(check.downstream),
+        "escaped_inputs": [_label_json(l) for l in check.escaped_inputs],
+        "escaped_outputs": [_label_json(l) for l in check.escaped_outputs],
+    }
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -61,14 +66,7 @@ def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
             )
         report = check_circuit(doc.payload, wanted)
         interfaces = [
-            {
-                "position": check.position,
-                "downstream": list(check.downstream),
-                "passed": check.passed,
-                "escaped_inputs": [_label_json(l) for l in check.escaped_inputs],
-                "escaped_outputs": [_label_json(l) for l in check.escaped_outputs],
-            }
-            for check in report.interfaces
+            {**_interface_json(check), "passed": check.passed} for check in report.interfaces
         ]
         payload = {
             "command": "validate",
@@ -179,16 +177,7 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
     if doc.kind == "circuit":
         mode = "channel" if doc.payload.mode == "cpm" else "unitary"
         report = check_circuit(doc.payload, mode)
-        failures = [
-            {
-                "position": check.position,
-                "downstream": list(check.downstream),
-                "escaped_inputs": [_label_json(l) for l in check.escaped_inputs],
-                "escaped_outputs": [_label_json(l) for l in check.escaped_outputs],
-            }
-            for check in report.interfaces
-            if not check.passed
-        ]
+        failures = [_interface_json(check) for check in report.interfaces if not check.passed]
         payload = {
             "command": "explain",
             "file": os.path.basename(args.file),
@@ -200,17 +189,8 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
     g = normalize(doc.payload)
     lengths = dict(doc.interpretation.lengths) if doc.interpretation else None
     acc = preprocessing(g, lengths)
-    frontier = list(g.inputs)
     witnesses = []
-    for layer in _node_layers(g):
-        consumed = [w for n in layer for w in g.nodes[n].inputs]
-        passthrough = [w for w in frontier if w not in consumed]
-        parts = [node_corelation(g, n, lengths) for n in layer]
-        for wire in passthrough:
-            parts.append(Corelation.identity(_family(g, g.indices_on(wire), lengths)))
-        layer_corelation = parts[0]
-        for nxt in parts[1:]:
-            layer_corelation = product_corelations(layer_corelation, nxt)
+    for layer, layer_corelation in _layer_corelations(g, lengths):
         report = explain_improper(acc, layer_corelation)
         for witness in report.created_witnesses + report.deleted_witnesses:
             witnesses.append(
@@ -222,7 +202,6 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
                 }
             )
         acc = compose_corelations(layer_corelation, acc)
-        frontier = [w for n in layer for w in g.nodes[n].outputs] + passthrough
     payload = {
         "command": "explain",
         "file": os.path.basename(args.file),
@@ -332,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _load(args.file)
         code, payload = _HANDLERS[args.command](doc, args)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, UsageError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 2
     except RoutedError as exc:

@@ -80,6 +80,10 @@ class ParseError(RoutedError):
     """Input text is not valid JSON."""
 
 
+class UsageError(RoutedError):
+    """A setting such as the ROUTED_TOLERANCE environment variable is invalid."""
+
+
 class SchemaError(RoutedError):
     """A JSON document does not match the expected document structure.
 

@@ -9,13 +9,14 @@ error prefixed with the offending element's location.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import relations as rel
 from .circuits import Box, RoutedCircuit
-from .errors import ParseError, RoutedError, SchemaError
+from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .iodag import IODAG, Interpretation, IONode, Partition, expected_wire_labels
 from .relations import IndexSet
 from .routed_cpms import RoutedCPM
@@ -26,8 +27,19 @@ FORMAT_VERSION = "1"
 
 
 def default_tolerance() -> float:
-    """Route-following tolerance, overridable via ROUTED_TOLERANCE."""
-    return float(os.environ.get("ROUTED_TOLERANCE", "1e-9"))
+    """Route-following tolerance, overridable via ROUTED_TOLERANCE.
+
+    The variable must hold a finite number >= 0; anything else raises
+    UsageError naming it.
+    """
+    raw = os.environ.get("ROUTED_TOLERANCE", "1e-9")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise UsageError(f"ROUTED_TOLERANCE must be a finite number >= 0, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -311,6 +323,28 @@ def _interpretation_to_json(interp: Interpretation) -> dict:
 # -- documents ------------------------------------------------------------------
 
 
+class _Constant(str):
+    """A NaN or Infinity token met while decoding, kept to locate it."""
+
+
+def _non_finite(data, location: str = ""):
+    """(JSON pointer, token) of the first NaN or Infinity in decoded data."""
+    if isinstance(data, _Constant):
+        return location, str(data)
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return None
+    for key, value in items:
+        pointer = str(key).replace("~", "~0").replace("/", "~1")
+        found = _non_finite(value, f"{location}/{pointer}")
+        if found is not None:
+            return found
+    return None
+
+
 def parse(text_or_path: str) -> CircuitDocument:
     """Parse a document from JSON text or a path to a JSON file."""
     text = text_or_path
@@ -320,10 +354,19 @@ def parse(text_or_path: str) -> CircuitDocument:
                 text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {text_or_path!r}: {exc}") from None
+    constants: list[str] = []
+
+    def constant(token: str) -> str:
+        constants.append(token)
+        return _Constant(token)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    found = _non_finite(data) if constants else None
+    if found is not None:
+        raise SchemaError(f"non-finite number {found[1]} is not allowed", found[0])
     if not isinstance(data, dict) or not data:
         raise SchemaError("document must be a non-empty JSON object", "")
     version = _expect(data, "format_version", str, "")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import relations as rel
 from . import routed_maps as rmap
-from .circuits import CircuitBuilder, evaluate
+from .circuits import CircuitBuilder, _kahn_layers, _walk, evaluate
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -55,17 +56,8 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable]) -> "Partition":
-        blocks = [list(block) for block in blocks]
-        part = cls(x for block in blocks for x in block)
-        for block in blocks:
-            for other in block[1:]:
-                part.union(block[0], other)
-        return part
-
-    def copy(self) -> "Partition":
-        out = Partition(self.universe)
-        out._parent = dict(self._parent)
-        return out
+        blocks = [tuple(block) for block in blocks]
+        return cls((x for block in blocks for x in block), _partition_pairs(blocks))
 
     # -- union-find core ---------------------------------------------------
 
@@ -108,12 +100,7 @@ class Partition:
 
     def restrict(self, subset: Iterable) -> "Partition":
         subset = set(subset)
-        out = Partition(subset)
-        for block in self.blocks():
-            members = sorted(block & subset, key=_sort_key)
-            for other in members[1:]:
-                out.union(members[0], other)
-        return out
+        return Partition(subset, _partition_pairs(block & subset for block in self.blocks()))
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,6 +117,12 @@ class Partition:
         return f"Partition({rendered})"
 
 
+def _partition_pairs(blocks: Iterable[Iterable]) -> list[tuple]:
+    """Pairs joining each block's first member to the others:
+    ``Partition(universe, pairs)`` rebuilds the blocks from them."""
+    return [(members[0], other) for members in map(tuple, blocks) for other in members[1:]]
+
+
 def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) -> Partition:
     """Join two equivalence relations that coincide on a shared middle set.
 
@@ -144,13 +137,8 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
         raise IncompatibleRestrictions(
             "equivalence relations disagree on the shared middle set"
         )
-    out = Partition(rel1.universe | rel2.universe)
-    for part in (rel1, rel2):
-        for block in part.blocks():
-            members = sorted(block, key=_sort_key)
-            for other in members[1:]:
-                out.union(members[0], other)
-    return out
+    pairs = _partition_pairs(rel1.blocks()) + _partition_pairs(rel2.blocks())
+    return Partition(rel1.universe | rel2.universe, pairs)
 
 
 # -- index families and corelations ---------------------------------------
@@ -322,19 +310,15 @@ def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
         + _tag("B", first.codomain.names)
         + _tag("C", second.codomain.names)
     )
-    joined = Partition(universe)
-    for block in first.partition.blocks():
-        members = [
-            ("A", name) if side == "in" else ("B", name) for side, name in block
-        ]
-        for other in members[1:]:
-            joined.union(members[0], other)
-    for block in second.partition.blocks():
-        members = [
-            ("B", name) if side == "in" else ("C", name) for side, name in block
-        ]
-        for other in members[1:]:
-            joined.union(members[0], other)
+    blocks = [
+        [("A" if side == "in" else "B", name) for side, name in block]
+        for block in first.partition.blocks()
+    ] + [
+        [("B" if side == "in" else "C", name) for side, name in block]
+        for block in second.partition.blocks()
+    ]
+    joined = Partition(universe, _partition_pairs(blocks))
+
     def retag(element):
         zone, name = element
         return ("in", name) if zone == "A" else ("out", name)
@@ -356,29 +340,16 @@ def product_corelations(left: Corelation, right: Corelation) -> Corelation:
         raise InvariantViolation(f"parallel corelations share names {sorted(overlap)!r}")
     domain = IndexFamily({**left.domain.lengths, **right.domain.lengths})
     codomain = IndexFamily({**left.codomain.lengths, **right.codomain.lengths})
-    pairs = []
-    for part in (left.partition, right.partition):
-        for block in part.blocks():
-            members = sorted(block, key=_sort_key)
-            for other in members[1:]:
-                pairs.append((members[0], other))
+    pairs = _partition_pairs(left.partition.blocks()) + _partition_pairs(right.partition.blocks())
     return Corelation.from_pairs(domain, codomain, pairs)
 
 
 def transpose_corelation(matching: Corelation) -> Corelation:
     flipped = [
         tuple(("out" if side == "in" else "in", name) for side, name in pair)
-        for pair in _partition_pairs(matching.partition)
+        for pair in _partition_pairs(matching.partition.blocks())
     ]
     return Corelation.from_pairs(matching.codomain, matching.domain, flipped)
-
-
-def _partition_pairs(partition: Partition) -> list[tuple]:
-    pairs = []
-    for block in partition.blocks():
-        members = sorted(block, key=_sort_key)
-        pairs.extend((members[0], other) for other in members[1:])
-    return pairs
 
 
 # -- improper-composition witnesses ----------------------------------------
@@ -419,34 +390,24 @@ def explain_improper(first: Corelation, second: Corelation) -> ImproperMatchRepo
         raise InterfaceMismatch(
             f"cannot compose corelations: {first.codomain!r} != {second.domain!r}"
         )
-    middle = first.codomain.names
-    created: list[MatchWitness] = []
-    for block in first.created_blocks():
-        if first.length_of_block(block) < 2:
-            continue
-        reps = {name for _, name in block}
-        for x in sorted(reps):
-            for y in sorted(set(middle) - reps):
-                if second.partition.related(("in", x), ("in", y)):
-                    created.append(MatchWitness("created", block, (x, y)))
-                    break
-            else:
+    middle = set(first.codomain.names)
+
+    def witnesses(kind: str, owner: Corelation, blocks, other: Corelation, side: str):
+        found = []
+        for block in blocks:
+            if owner.length_of_block(block) < 2:
                 continue
-            break
-    deleted: list[MatchWitness] = []
-    for block in second.deleted_blocks():
-        if second.length_of_block(block) < 2:
-            continue
-        reps = {name for _, name in block}
-        for x in sorted(reps):
-            for y in sorted(set(middle) - reps):
-                if first.partition.related(("out", x), ("out", y)):
-                    deleted.append(MatchWitness("deleted", block, (x, y)))
+            reps = {name for _, name in block}
+            for x, y in itertools.product(sorted(reps), sorted(middle - reps)):
+                if other.partition.related((side, x), (side, y)):
+                    found.append(MatchWitness(kind, block, (x, y)))
                     break
-            else:
-                continue
-            break
-    return ImproperMatchReport(tuple(created), tuple(deleted))
+        return tuple(found)
+
+    return ImproperMatchReport(
+        witnesses("created", first, first.created_blocks(), second, "in"),
+        witnesses("deleted", second, second.deleted_blocks(), first, "out"),
+    )
 
 
 # -- indexed open DAGs -------------------------------------------------------
@@ -489,7 +450,9 @@ class IODAG:
         object.__setattr__(self, "nodes", dict(self.nodes))
         object.__setattr__(self, "placement", dict(self.placement))
         object.__setattr__(self, "empty_nodes", frozenset(self.empty_nodes))
-        _validate_iodag(self)
+        producers, consumers = _validate_iodag(self)
+        object.__setattr__(self, "_producers", producers)
+        object.__setattr__(self, "_consumers", consumers)
 
     # -- lookups --------------------------------------------------------
 
@@ -515,16 +478,10 @@ class IODAG:
         return tuple(n for wire in self.outputs for n in self.indices_on(wire))
 
     def producer_of(self, wire: str) -> str | None:
-        for node_id, node in self.nodes.items():
-            if wire in node.outputs:
-                return node_id
-        return None
+        return self._producers.get(wire)
 
     def consumer_of(self, wire: str) -> str | None:
-        for node_id, node in self.nodes.items():
-            if wire in node.inputs:
-                return node_id
-        return None
+        return self._consumers.get(wire)
 
     def __eq__(self, other) -> bool:
         """Structural equality on the nose; see :func:`iodag_isomorphic`."""
@@ -546,7 +503,8 @@ class IODAG:
         )
 
 
-def _validate_iodag(g: IODAG) -> None:
+def _validate_iodag(g: IODAG) -> tuple[dict, dict]:
+    """Check the graph; return its wire-to-producer and wire-to-consumer maps."""
     wire_list = list(g.inputs) + list(g.inner_edges) + list(g.outputs)
     if len(set(wire_list)) != len(wire_list):
         raise InvariantViolation("wire ids are not pairwise distinct")
@@ -582,16 +540,8 @@ def _validate_iodag(g: IODAG) -> None:
         if wire in consumers:
             raise InvariantViolation(f"output wire {wire!r} is consumed by {consumers[wire]!r}")
 
-    # acyclicity (Kahn over nodes)
-    available = set(g.inputs)
-    pending = dict(g.nodes)
-    while pending:
-        ready = [n for n, node in pending.items() if set(node.inputs) <= available]
-        if not ready:
-            raise InvariantViolation("indexed graph contains a cycle")
-        for node_id in ready:
-            available |= set(pending[node_id].outputs)
-            del pending[node_id]
+    if sum(map(len, _kahn_layers(g.inputs, g.nodes))) != len(g.nodes):
+        raise InvariantViolation("indexed graph contains a cycle")
 
     for name, wire in g.placement.items():
         if wire not in wires:
@@ -611,6 +561,7 @@ def _validate_iodag(g: IODAG) -> None:
             raise InvariantViolation(
                 f"empty node {node_id!r} has no index bijection between its wires"
             )
+    return producers, consumers
 
 
 def _empty_node_pairing(g: IODAG, node_id: str) -> list[tuple[str, str]] | None:
@@ -792,11 +743,7 @@ def _relabel(g: IODAG, wire_map: dict, node_map: dict, name_map: dict) -> IODAG:
         return name_map.get(x, x)
 
     placement = {i(name): w(wire) for name, wire in g.placement.items()}
-    pairs = [
-        (i(a), i(b))
-        for block in g.equivalence.blocks()
-        for a, b in zip(sorted(block), sorted(block)[1:])
-    ]
+    pairs = [(i(a), i(b)) for a, b in _partition_pairs(g.equivalence.blocks())]
     return IODAG(
         inputs=tuple(w(x) for x in g.inputs),
         outputs=tuple(w(x) for x in g.outputs),
@@ -891,12 +838,9 @@ def par_compose_iodag(first: IODAG, second: IODAG) -> IODAG:
     """Parallel composition: disjoint union, renaming clashes in ``second``."""
     second = _avoid_collisions(second, first, set(), set())
     placement = {**first.placement, **second.placement}
-    pairs = [
-        (a, b)
-        for g in (first, second)
-        for block in g.equivalence.blocks()
-        for a, b in zip(sorted(block), sorted(block)[1:])
-    ]
+    pairs = _partition_pairs(first.equivalence.blocks()) + _partition_pairs(
+        second.equivalence.blocks()
+    )
     return IODAG(
         inputs=first.inputs + second.inputs,
         outputs=first.outputs + second.outputs,
@@ -920,48 +864,11 @@ def _family(g: IODAG, names: Iterable[str], lengths: Mapping[str, int] | None) -
     return IndexFamily({n: lengths[n] for n in names})
 
 
-def node_corelation(
-    g: IODAG, node_id: str, lengths: Mapping[str, int] | None = None
+def _matching_corelation(
+    g: IODAG, in_names: Sequence[str], out_names: Sequence[str], lengths: Mapping[str, int] | None
 ) -> Corelation:
-    """The corelation between a node's incoming and outgoing index families.
-
-    Names are related exactly when the graph's equivalence matches them.
-    Without explicit lengths every index gets length 2, the smallest size
-    at which matching is a real constraint.
-    """
-    if node_id not in g.nodes:
-        raise UnknownNode(f"no node {node_id!r}")
-    incoming = g.incoming_indices(node_id)
-    outgoing = g.outgoing_indices(node_id)
-    domain = _family(g, incoming, lengths)
-    codomain = _family(g, outgoing, lengths)
-    tagged = _tag("in", incoming) + _tag("out", outgoing)
-    pairs = [
-        (x, y)
-        for x, y in itertools.combinations(tagged, 2)
-        if g.equivalence.related(x[1], y[1])
-    ]
-    return Corelation.from_pairs(domain, codomain, pairs)
-
-
-def preprocessing(g: IODAG, lengths: Mapping[str, int] | None = None) -> Corelation:
-    """The input-matching corelation: names related whenever the graph's
-    equivalence relates them among the global inputs."""
-    names = g.input_index_names()
-    family = _family(g, names, lengths)
-    tagged = _tag("in", names) + _tag("out", names)
-    pairs = [
-        (x, y)
-        for x, y in itertools.combinations(tagged, 2)
-        if g.equivalence.related(x[1], y[1])
-    ]
-    return Corelation.from_pairs(family, family, pairs)
-
-
-def total_corelation(g: IODAG, lengths: Mapping[str, int] | None = None) -> Corelation:
-    """The boundary-to-boundary corelation induced by the graph's classes."""
-    in_names = g.input_index_names()
-    out_names = g.output_index_names()
+    """The corelation relating two name lists wherever the graph's
+    equivalence matches the names."""
     tagged = _tag("in", in_names) + _tag("out", out_names)
     pairs = [
         (x, y)
@@ -973,18 +880,46 @@ def total_corelation(g: IODAG, lengths: Mapping[str, int] | None = None) -> Core
     )
 
 
-def _node_layers(g: IODAG) -> list[list[str]]:
-    available = set(g.inputs)
-    pending = dict(g.nodes)
-    layers = []
-    while pending:
-        ready = sorted(n for n, node in pending.items() if set(node.inputs) <= available)
-        layers.append(ready)
-        for node_id in ready:
-            available |= set(pending[node_id].outputs)
-            available -= set(pending[node_id].inputs)
-            del pending[node_id]
-    return layers
+def node_corelation(
+    g: IODAG, node_id: str, lengths: Mapping[str, int] | None = None
+) -> Corelation:
+    """The corelation between a node's incoming and outgoing index families.
+
+    Names are related exactly when the graph's equivalence matches them.
+    Without explicit lengths every index gets length 2, the smallest size
+    at which matching is a real constraint.
+    """
+    if node_id not in g.nodes:
+        raise UnknownNode(f"no node {node_id!r}")
+    return _matching_corelation(
+        g, g.incoming_indices(node_id), g.outgoing_indices(node_id), lengths
+    )
+
+
+def preprocessing(g: IODAG, lengths: Mapping[str, int] | None = None) -> Corelation:
+    """The input-matching corelation: names related whenever the graph's
+    equivalence relates them among the global inputs."""
+    names = g.input_index_names()
+    return _matching_corelation(g, names, names, lengths)
+
+
+def total_corelation(g: IODAG, lengths: Mapping[str, int] | None = None) -> Corelation:
+    """The boundary-to-boundary corelation induced by the graph's classes."""
+    return _matching_corelation(g, g.input_index_names(), g.output_index_names(), lengths)
+
+
+def _layer_corelations(
+    g: IODAG, lengths: Mapping[str, int] | None
+) -> Iterator[tuple[list[str], Corelation]]:
+    """Each node layer of a normalized graph with its corelation: the
+    layer's node corelations beside identities on the passthrough wires."""
+    for step in _walk(g.inputs, g.nodes, _kahn_layers(g.inputs, g.nodes)):
+        parts = [node_corelation(g, n, lengths) for n in step.layer]
+        parts += [
+            Corelation.identity(_family(g, g.indices_on(wire), lengths))
+            for wire in step.passthrough
+        ]
+        yield step.layer, reduce(product_corelations, parts)
 
 
 def compose_corelations_by_layers(
@@ -997,27 +932,12 @@ def compose_corelations_by_layers(
     well-indexed graph) and the per-step gate verdicts at the bar level.
     """
     g = normalize(g)
-    frontier = list(g.inputs)
     acc = preprocessing(g, lengths)
     gates: list[bool] = []
-    for layer in _node_layers(g):
-        consumed = [w for n in layer for w in g.nodes[n].inputs]
-        passthrough = [w for w in frontier if w not in consumed]
-        parts = [node_corelation(g, n, lengths) for n in layer]
-        for wire in passthrough:
-            family = _family(g, g.indices_on(wire), lengths)
-            parts.append(Corelation.identity(family))
-        layer_corelation = parts[0]
-        for nxt in parts[1:]:
-            layer_corelation = product_corelations(layer_corelation, nxt)
-        gate = (
-            rel.is_proper_for_isometries(bar(acc), bar(layer_corelation))
-            if mode == "iso"
-            else rel.is_proper_for_unitaries(bar(acc), bar(layer_corelation))
-        )
-        gates.append(gate)
+    proper = rel.is_proper_for_isometries if mode == "iso" else rel.is_proper_for_unitaries
+    for _, layer_corelation in _layer_corelations(g, lengths):
+        gates.append(proper(bar(acc), bar(layer_corelation)))
         acc = compose_corelations(layer_corelation, acc)
-        frontier = [w for n in layer for w in g.nodes[n].outputs] + passthrough
     return acc, gates
 
 

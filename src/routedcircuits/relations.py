@@ -205,27 +205,40 @@ def image(relation: Relation, subset: Iterable[Label]) -> frozenset:
     return frozenset(l for l, hit in zip(relation.codomain.labels, mask) if hit)
 
 
-def is_proper_for_isometries(first: Relation, second: Relation) -> bool:
-    """Route-level gate for composing isometry-like maps, ``second ∘ first``.
+def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
+    """Labels breaking the route-level properness gate of ``second ∘ first``.
 
-    The practical input set of the downstream route must absorb its own
-    image under ``first ∘ firstᵀ``.
+    The input side holds the labels that the image of the downstream
+    practical input set under ``first ∘ firstᵀ`` adds to that set; the
+    output side mirrors it on the upstream practical output set under
+    ``secondᵀ ∘ second``.  Isometry-like composition is proper when the
+    input side is empty, unitary-like composition when both are.  Both
+    sides come sorted by ``repr``.
     """
     if first.codomain != second.domain:
         raise DomainMismatch(
             f"cannot gate: interface {first.codomain!r} != {second.domain!r}"
         )
     s = practical_input_set(second)
-    return image(compose(first, transpose(first)), s) <= s
+    t = practical_output_set(first)
+    inputs = image(compose(first, transpose(first)), s) - s
+    outputs = image(compose(transpose(second), second), t) - t
+    return tuple(sorted(inputs, key=repr)), tuple(sorted(outputs, key=repr))
+
+
+def is_proper_for_isometries(first: Relation, second: Relation) -> bool:
+    """Route-level gate for composing isometry-like maps, ``second ∘ first``.
+
+    The practical input set of the downstream route must absorb its own
+    image under ``first ∘ firstᵀ``.
+    """
+    return not escaped(first, second)[0]
 
 
 def is_proper_for_unitaries(first: Relation, second: Relation) -> bool:
     """Route-level gate for unitary-like maps: the isometry condition plus
     the mirror condition on the upstream practical output set."""
-    if not is_proper_for_isometries(first, second):
-        return False
-    t = practical_output_set(first)
-    return image(compose(transpose(second), second), t) <= t
+    return escaped(first, second) == ((), ())
 
 
 # -- completely positive relations ------------------------------------
@@ -380,10 +393,6 @@ def is_proper_for_channels(first: CPRelation, second: CPRelation) -> bool:
     practical input set of the downstream diagonal must absorb its own
     image under the upstream ``diag ∘ diagᵀ``.
     """
-    if first.base_codomain != second.base_domain:
-        raise DomainMismatch(
-            f"cannot gate: interface {first.base_codomain!r} != {second.base_domain!r}"
-        )
     return is_proper_for_isometries(diagonal(first), diagonal(second))
 
 

@@ -16,22 +16,18 @@ from typing import Sequence
 import numpy as np
 
 from . import relations as rel
-from .errors import (
-    DomainMismatch,
-    ImproperComposition,
-    NotFullDecoherence,
-    RouteViolation,
-    ShapeMismatch,
+from .errors import DomainMismatch, NotFullDecoherence, RouteViolation, ShapeMismatch
+from .relations import CPRelation, Label
+from .routed_maps import (
+    DEFAULT_TOLERANCE,
+    RoutedMap,
+    _check_numbers,
+    _relabelled_spaces,
+    _require_proper,
+    _tensor_flat,
+    follows,
 )
-from .relations import CPRelation, IndexSet, Label, Relation
-from .routed_maps import DEFAULT_TOLERANCE, RoutedMap, follows
-from .spaces import (
-    PartitionedSpace,
-    flatten_product_labels,
-    subset_projector,
-    tensor,
-    tensor_matrix,
-)
+from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
 
 
 def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -57,7 +53,13 @@ def _choi_block_excess(
     domain: PartitionedSpace,
     codomain: PartitionedSpace,
 ) -> float:
-    """Largest Choi entry sitting on a coherence block the route forbids."""
+    """Largest Choi entry sitting on a coherence block the route forbids,
+    after checking that the operators and the route are typed by the spaces."""
+    shape = (codomain.total_dim, domain.total_dim)
+    if any(k.shape != shape for k in kraus):
+        raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
+    if route.base_domain != domain.sector_labels or route.base_codomain != codomain.sector_labels:
+        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
     d_in, d_out = domain.total_dim, codomain.total_dim
     choi = choi_matrix(kraus).reshape(d_out, d_in, d_out, d_in)
     worst = 0.0
@@ -87,14 +89,6 @@ def follows_cp(
 ) -> bool:
     """Whether the channel's forbidden Choi blocks all vanish within ``tol``."""
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    shape = (codomain.total_dim, domain.total_dim)
-    if any(k.shape != shape for k in kraus):
-        raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
-    if (
-        route.base_domain != domain.sector_labels
-        or route.base_codomain != codomain.sector_labels
-    ):
-        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
     return _choi_block_excess(kraus, route, domain, codomain) <= tol
 
 
@@ -115,16 +109,7 @@ class RoutedCPM:
         for k in kraus:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        shape = (self.codomain.total_dim, self.domain.total_dim)
-        if any(k.shape != shape for k in kraus):
-            raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
-        if (
-            self.route.base_domain != self.domain.sector_labels
-            or self.route.base_codomain != self.codomain.sector_labels
-        ):
-            raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+        _check_numbers(self.tolerance, kraus, "Kraus operators")
         excess = _choi_block_excess(kraus, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
             raise RouteViolation(
@@ -159,18 +144,26 @@ class RoutedCPM:
     def identity(cls, space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> "RoutedCPM":
         return lift_pure(RoutedMap.identity(space, tolerance))
 
+    @classmethod
+    def lift(cls, pure: RoutedMap) -> "RoutedCPM":
+        """The routed CP map acting as ``pure``; see :func:`lift_pure`."""
+        return lift_pure(pure)
+
+    def compose(self, first: "RoutedCPM") -> "RoutedCPM":
+        """``self ∘ first``; see :func:`compose`."""
+        return compose(self, first)
+
+    def tensor(self, right: "RoutedCPM") -> "RoutedCPM":
+        """``self ⊗ right``; see :func:`tensor_cpm`."""
+        return tensor_cpm(self, right)
+
     def relabel(
         self,
         domain: PartitionedSpace | None = None,
         codomain: PartitionedSpace | None = None,
     ) -> "RoutedCPM":
         """Rename sector labels without touching coordinates."""
-        domain = domain if domain is not None else self.domain
-        codomain = codomain if codomain is not None else self.codomain
-        if domain.sector_dims != self.domain.sector_dims:
-            raise ShapeMismatch("relabelled domain changes sector dimensions")
-        if codomain.sector_dims != self.codomain.sector_dims:
-            raise ShapeMismatch("relabelled codomain changes sector dimensions")
+        domain, codomain = _relabelled_spaces(self, domain, codomain)
         route = CPRelation(domain.sector_labels, codomain.sector_labels, self.route.matrix)
         return RoutedCPM(route, self.kraus, domain, codomain, self.tolerance)
 
@@ -220,19 +213,7 @@ def tensor_cpm(left: RoutedCPM, right: RoutedCPM) -> RoutedCPM:
 
 def tensor_cpms_flat(channels: list[RoutedCPM]) -> RoutedCPM:
     """Left-fold tensor with labels flattened to one component per factor."""
-    if not channels:
-        return RoutedCPM.identity(PartitionedSpace.trivial())
-    acc = channels[0]
-    for nxt in channels[1:]:
-        acc = tensor_cpm(acc, nxt)
-    if len(channels) == 1:
-        return acc
-    dom_labels = flatten_product_labels(acc.domain.sector_labels.labels, len(channels))
-    cod_labels = flatten_product_labels(acc.codomain.sector_labels.labels, len(channels))
-    return acc.relabel(
-        PartitionedSpace(IndexSet(dom_labels), acc.domain.sector_dims),
-        PartitionedSpace(IndexSet(cod_labels), acc.codomain.sector_dims),
-    )
+    return _tensor_flat(channels, RoutedCPM)
 
 
 def dagger_cpm(channel: RoutedCPM) -> RoutedCPM:
@@ -268,16 +249,7 @@ def checked_compose_channel(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
         raise DomainMismatch(
             f"cannot compose channels: {first.codomain!r} != {second.domain!r}"
         )
-    first_diag = rel.diagonal(first.route)
-    s = rel.practical_input_set(rel.diagonal(second.route))
-    escaped = rel.image(rel.compose(first_diag, rel.transpose(first_diag)), s) - s
-    if escaped:
-        raise ImproperComposition(
-            f"composition is improper for channels: labels {sorted(escaped, key=repr)} "
-            "escape the downstream practical input set",
-            side="input",
-            witness=sorted(escaped, key=repr),
-        )
+    _require_proper(rel.diagonal(first.route), rel.diagonal(second.route), "channels", False)
     return compose(second, first)
 
 
@@ -291,16 +263,6 @@ def kraus_follow_diagonal(channel: RoutedCPM, tol: float | None = None) -> bool:
     )
 
 
-def _is_full_decoherence(route: CPRelation) -> bool:
-    nk = route.base_domain.size
-    nl = route.base_codomain.size
-    off = ~(
-        np.eye(nk, dtype=bool)[:, :, None, None]
-        & np.eye(nl, dtype=bool)[None, None, :, :]
-    )
-    return not (route.matrix & off).any()
-
-
 def adapted_kraus_decomposition(
     channel: RoutedCPM,
 ) -> list[tuple[Label, Label, list[np.ndarray]]]:
@@ -312,7 +274,7 @@ def adapted_kraus_decomposition(
     ``rho -> P_l C(P_k rho P_k) P_l``.  The union of all pieces reproduces
     the channel's Choi matrix.
     """
-    if not _is_full_decoherence(channel.route):
+    if channel.route != rel.full_decoherence(rel.diagonal(channel.route)):
         raise NotFullDecoherence(
             "adapted decompositions only exist for fully decohering routes"
         )
@@ -326,12 +288,7 @@ def adapted_kraus_decomposition(
                 continue
             rows = channel.codomain.sector_slice(l)
             blocks = [op[rows, cols] for op in channel.kraus]
-            bd = blocks[0].size
-            block_choi = np.zeros((bd, bd), dtype=complex)
-            for b in blocks:
-                v = b.reshape(bd)
-                block_choi += np.outer(v, v.conj())
-            eigvals, eigvecs = np.linalg.eigh(block_choi)
+            eigvals, eigvecs = np.linalg.eigh(choi_matrix(blocks))
             ops = []
             cutoff = max(channel.tolerance, 1e-12) * max(1.0, float(eigvals.max(initial=0.0)))
             for value, vec in zip(eigvals, eigvecs.T):

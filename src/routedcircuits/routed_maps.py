@@ -10,22 +10,54 @@ compose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Iterable
 
 import numpy as np
 
 from . import relations as rel
-from .errors import DomainMismatch, ImproperComposition, RouteViolation, ShapeMismatch
-from .relations import IndexSet, Relation
-from .spaces import PartitionedSpace, flatten_product_labels, subset_projector, tensor, tensor_matrix
+from .errors import (
+    DomainMismatch,
+    ImproperComposition,
+    InvariantViolation,
+    RouteViolation,
+    ShapeMismatch,
+)
+from .relations import Relation
+from .spaces import PartitionedSpace, subset_projector, tensor, tensor_many, tensor_matrix
 
 DEFAULT_TOLERANCE = 1e-9
+
+
+def _check_numbers(tolerance: float, arrays: Iterable[np.ndarray], what: str) -> None:
+    """Reject a negative or non-finite tolerance and non-finite entries.
+
+    The route checks take maxima of entry magnitudes, which a NaN would
+    silently pass, so finiteness is settled first, once per object.  An
+    array's sum is NaN or infinite exactly when one of its entries is,
+    unless the entries come within a factor of the array's size of the
+    largest float, where no map can be composed anyway.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    if not all(np.isfinite(a.sum()) for a in arrays):
+        raise InvariantViolation(f"non-finite entries in the {what}")
 
 
 def _forbidden_block_excess(
     matrix: np.ndarray, route: Relation, domain: PartitionedSpace, codomain: PartitionedSpace
 ) -> float:
-    """Largest entry magnitude sitting on a block the route forbids."""
+    """Largest entry magnitude sitting on a block the route forbids, after
+    checking that the matrix and the route are typed by the spaces."""
+    if matrix.shape != (codomain.total_dim, domain.total_dim):
+        raise ShapeMismatch(
+            f"matrix shape {matrix.shape} does not match spaces "
+            f"({codomain.total_dim}, {domain.total_dim})"
+        )
+    if route.domain != domain.sector_labels or route.codomain != codomain.sector_labels:
+        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
     worst = 0.0
     for k in domain.sector_labels:
         cols = domain.sector_slice(k)
@@ -46,15 +78,7 @@ def follows(
     tol: float = DEFAULT_TOLERANCE,
 ) -> bool:
     """Whether every forbidden sector block of ``matrix`` is within ``tol`` of zero."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (codomain.total_dim, domain.total_dim):
-        raise ShapeMismatch(
-            f"matrix shape {matrix.shape} does not match spaces "
-            f"({codomain.total_dim}, {domain.total_dim})"
-        )
-    if route.domain != domain.sector_labels or route.codomain != codomain.sector_labels:
-        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
-    return _forbidden_block_excess(matrix, route, domain, codomain) <= tol
+    return _forbidden_block_excess(np.asarray(matrix), route, domain, codomain) <= tol
 
 
 def follows_by_reconstruction(
@@ -90,18 +114,7 @@ class RoutedMap:
         matrix = np.array(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        if matrix.shape != (self.codomain.total_dim, self.domain.total_dim):
-            raise ShapeMismatch(
-                f"matrix shape {matrix.shape} does not match spaces "
-                f"({self.codomain.total_dim}, {self.domain.total_dim})"
-            )
-        if (
-            self.route.domain != self.domain.sector_labels
-            or self.route.codomain != self.codomain.sector_labels
-        ):
-            raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+        _check_numbers(self.tolerance, (matrix,), "matrix")
         excess = _forbidden_block_excess(matrix, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
             raise RouteViolation(
@@ -137,6 +150,19 @@ class RoutedMap:
             f"route weight {int(self.route.matrix.sum())})"
         )
 
+    @classmethod
+    def lift(cls, pure: "RoutedMap") -> "RoutedMap":
+        """The routed map acting as ``pure``: ``pure`` itself."""
+        return pure
+
+    def compose(self, first: "RoutedMap") -> "RoutedMap":
+        """``self ∘ first``; see :func:`compose`."""
+        return compose(self, first)
+
+    def tensor(self, right: "RoutedMap") -> "RoutedMap":
+        """``self ⊗ right``; see :func:`tensor_map`."""
+        return tensor_map(self, right)
+
     def relabel(
         self,
         domain: PartitionedSpace | None = None,
@@ -146,14 +172,21 @@ class RoutedMap:
 
         The replacement spaces must have the same sector dimension lists.
         """
-        domain = domain if domain is not None else self.domain
-        codomain = codomain if codomain is not None else self.codomain
-        if domain.sector_dims != self.domain.sector_dims:
-            raise ShapeMismatch("relabelled domain changes sector dimensions")
-        if codomain.sector_dims != self.codomain.sector_dims:
-            raise ShapeMismatch("relabelled codomain changes sector dimensions")
+        domain, codomain = _relabelled_spaces(self, domain, codomain)
         route = Relation(domain.sector_labels, codomain.sector_labels, self.route.matrix)
         return RoutedMap(route, self.matrix, domain, codomain, self.tolerance)
+
+
+def _relabelled_spaces(op, domain: PartitionedSpace | None, codomain: PartitionedSpace | None):
+    """The spaces ``op.relabel`` moves to: missing ones default to the
+    current spaces, and none may change the sector dimensions."""
+    domain = domain if domain is not None else op.domain
+    codomain = codomain if codomain is not None else op.codomain
+    if domain.sector_dims != op.domain.sector_dims:
+        raise ShapeMismatch("relabelled domain changes sector dimensions")
+    if codomain.sector_dims != op.codomain.sector_dims:
+        raise ShapeMismatch("relabelled codomain changes sector dimensions")
+    return domain, codomain
 
 
 def compose(second: RoutedMap, first: RoutedMap) -> RoutedMap:
@@ -185,21 +218,22 @@ def tensor_map(left: RoutedMap, right: RoutedMap) -> RoutedMap:
     )
 
 
+def _tensor_flat(ops: list, kind: type):
+    """Left-fold tensor of maps or channels of one ``kind``, with labels
+    flattened to one component per factor."""
+    if not ops:
+        return kind.identity(PartitionedSpace.trivial())
+    acc = reduce(kind.tensor, ops)
+    if len(ops) == 1:
+        return acc
+    return acc.relabel(
+        tensor_many([op.domain for op in ops]), tensor_many([op.codomain for op in ops])
+    )
+
+
 def tensor_maps_flat(maps: list[RoutedMap]) -> RoutedMap:
     """Left-fold tensor with labels flattened to one component per factor."""
-    if not maps:
-        return RoutedMap.identity(PartitionedSpace.trivial())
-    acc = maps[0]
-    for nxt in maps[1:]:
-        acc = tensor_map(acc, nxt)
-    if len(maps) == 1:
-        return acc
-    dom_labels = flatten_product_labels(acc.domain.sector_labels.labels, len(maps))
-    cod_labels = flatten_product_labels(acc.codomain.sector_labels.labels, len(maps))
-    return acc.relabel(
-        PartitionedSpace(IndexSet(dom_labels), acc.domain.sector_dims),
-        PartitionedSpace(IndexSet(cod_labels), acc.codomain.sector_dims),
-    )
+    return _tensor_flat(maps, RoutedMap)
 
 
 def dagger(routed: RoutedMap) -> RoutedMap:
@@ -245,31 +279,29 @@ def checked_compose(second: RoutedMap, first: RoutedMap, mode: str = "none") -> 
         raise DomainMismatch(
             f"cannot compose maps: {first.codomain!r} != {second.domain!r}"
         )
-    if mode in ("isometry", "unitary"):
-        s = rel.practical_input_set(second.route)
-        escaped = (
-            rel.image(rel.compose(first.route, rel.transpose(first.route)), s) - s
-        )
-        if escaped:
-            raise ImproperComposition(
-                f"composition is improper for {mode} maps: labels {sorted(escaped, key=repr)} "
-                "escape the downstream practical input set",
-                side="input",
-                witness=sorted(escaped, key=repr),
-            )
-    if mode == "unitary":
-        t = rel.practical_output_set(first.route)
-        escaped = (
-            rel.image(rel.compose(rel.transpose(second.route), second.route), t) - t
-        )
-        if escaped:
-            raise ImproperComposition(
-                f"composition is improper for unitary maps: labels {sorted(escaped, key=repr)} "
-                "escape the upstream practical output set",
-                side="output",
-                witness=sorted(escaped, key=repr),
-            )
+    if mode != "none":
+        _require_proper(first.route, second.route, f"{mode} maps", mode == "unitary")
     return compose(second, first)
+
+
+def _require_proper(first: Relation, second: Relation, kind: str, both_sides: bool) -> None:
+    """Raise ImproperComposition with the labels escaping the gate of
+    ``second ∘ first``; the output side counts only with ``both_sides``."""
+    inputs, outputs = rel.escaped(first, second)
+    if inputs:
+        raise ImproperComposition(
+            f"composition is improper for {kind}: labels {list(inputs)} "
+            "escape the downstream practical input set",
+            side="input",
+            witness=inputs,
+        )
+    if both_sides and outputs:
+        raise ImproperComposition(
+            f"composition is improper for {kind}: labels {list(outputs)} "
+            "escape the upstream practical output set",
+            side="output",
+            witness=outputs,
+        )
 
 
 def routed_map_to_json(routed: RoutedMap, domain_name: str, codomain_name: str) -> dict:

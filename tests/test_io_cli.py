@@ -265,3 +265,32 @@ class TestGoldenOutputs:
             encoding="utf-8",
         ) as handle:
             assert result.stdout == handle.read()
+
+
+class TestToleranceVariable:
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc", "-1"])
+    def test_invalid_value_exits_two_naming_the_variable(self, value):
+        result = run_cli(
+            "validate", bundled_path("two_trajectories.json"), env={"ROUTED_TOLERANCE": value}
+        )
+        assert result.returncode == 2
+        payload = json.loads(result.stdout)
+        assert "ROUTED_TOLERANCE" in payload["error"]
+        assert payload["kind"] == "UsageError"
+
+
+class TestExplainIndexedGraphs:
+    def test_figure1c_has_one_deleted_witness(self):
+        result = run_cli("explain", bundled_path("figure1c.json"))
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["witnesses"] == [
+            {"class": ["in:kB"], "kind": "deleted", "layer": ["v2"], "pair": ["kB", "kA"]}
+        ]
+
+    def test_figure1d_has_two_created_witnesses(self):
+        result = run_cli("explain", bundled_path("figure1d.json"))
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["witnesses"] == [
+            {"class": ["out:kA"], "kind": "created", "layer": ["w3"], "pair": ["kA", "kB"]},
+            {"class": ["out:kB"], "kind": "created", "layer": ["w3"], "pair": ["kB", "kA"]},
+        ]
