@@ -13,8 +13,10 @@ that justifies it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import InvalidSlice, InvariantViolation, TypeMismatch
 from .relations import Relation
 from .routed_cpms import RoutedCPM
 from .routed_maps import RoutedMap
-from .spaces import PartitionedSpace, tensor_many
+from .spaces import PartitionedSpace, kron_to_canonical, tensor_many
 
 BoxOp = Union[RoutedMap, RoutedCPM]
 
@@ -67,8 +69,8 @@ class RoutedCircuit:
     mode: str = "pure"
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", dict(self.wires))
-        object.__setattr__(self, "boxes", dict(self.boxes))
+        object.__setattr__(self, "wires", MappingProxyType(dict(self.wires)))
+        object.__setattr__(self, "boxes", MappingProxyType(dict(self.boxes)))
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
         producers, consumers, op_type = _validate_circuit(self)
@@ -279,19 +281,10 @@ def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> Partiti
     return tensor_many([circuit.wires[w] for w in wire_ids])
 
 
-def _coordinate_table(spaces: Sequence[PartitionedSpace]) -> list[tuple[int, ...]]:
-    """Canonical tensor coordinate -> tuple of raw per-factor coordinates."""
-    per_factor = []
-    for space in spaces:
-        coords = []
-        for r in space.sector_ranges():
-            coords.append(list(range(r.offset, r.offset + r.dim)))
-        per_factor.append(coords)
-    table: list[tuple[int, ...]] = []
-    for sector_choice in itertools.product(*per_factor):
-        for raw in itertools.product(*sector_choice):
-            table.append(raw)
-    return table
+def _transposition(sizes: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+    """For each row-major index of an array of shape ``sizes`` with axis
+    ``positions[i]`` moved to place ``i``, the row-major index it had before."""
+    return np.arange(math.prod(sizes)).reshape(sizes).transpose(positions).ravel()
 
 
 def _permutation_route(
@@ -303,11 +296,8 @@ def _permutation_route(
     domain = tensor_many(spaces).sector_labels
     codomain = tensor_many([spaces[p] for p in positions]).sector_labels
     matrix = np.zeros((domain.size, codomain.size), dtype=bool)
-    n = len(current)
-    for i, label in enumerate(domain):
-        parts = label if n != 1 else (label,)
-        permuted = tuple(parts[p] for p in positions)
-        matrix[i, codomain.position(permuted if n != 1 else permuted[0])] = True
+    source = _transposition([s.sector_labels.size for s in spaces], positions)
+    matrix[source, np.arange(codomain.size)] = True
     return Relation(domain, codomain, matrix)
 
 
@@ -317,13 +307,12 @@ def _permutation_map(
     """The wire-reordering map from interface ``current`` to ``target``."""
     spaces = [circuit.wires[w] for w in current]
     positions = [current.index(w) for w in target]
+    permuted = [spaces[p] for p in positions]
     domain = tensor_many(spaces)
-    codomain = tensor_many([spaces[p] for p in positions])
-    dom_table = _coordinate_table(spaces)
-    cod_index = {raw: i for i, raw in enumerate(_coordinate_table([spaces[p] for p in positions]))}
+    codomain = tensor_many(permuted)
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
-    for x, raw in enumerate(dom_table):
-        matrix[cod_index[tuple(raw[p] for p in positions)], x] = 1.0
+    source = _transposition([s.total_dim for s in spaces], positions)
+    matrix[kron_to_canonical(*permuted), kron_to_canonical(*spaces)[source]] = 1.0
     route = _permutation_route(circuit, current, target)
     return circuit._op_type.lift(RoutedMap(route, matrix, domain, codomain))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .relations import IndexSet, Relation
 from .routed_maps import RoutedMap
-from .spaces import PartitionedSpace, tensor_many
+from .spaces import PartitionedSpace, subset_projector, tensor_many
 
 
 def _sort_key(value):
@@ -148,18 +149,16 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
 class IndexFamily:
     """A finite set of index names, each with the number of values it takes."""
 
-    lengths: Mapping[str, int]
+    lengths: Mapping[str, int]  # read-only
+    names: tuple[str, ...]  # sorted
 
     def __init__(self, lengths: Mapping[str, int]):
         lengths = dict(lengths)
         for name, length in lengths.items():
             if length < 1:
                 raise InvariantViolation(f"index {name!r} has length {length} < 1")
-        object.__setattr__(self, "lengths", lengths)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.lengths))
+        object.__setattr__(self, "lengths", MappingProxyType(lengths))
+        object.__setattr__(self, "names", tuple(sorted(lengths)))
 
     def length(self, name: str) -> int:
         return self.lengths[name]
@@ -447,8 +446,8 @@ class IODAG:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "inner_edges", tuple(self.inner_edges))
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        object.__setattr__(self, "placement", dict(self.placement))
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "placement", MappingProxyType(dict(self.placement)))
         object.__setattr__(self, "empty_nodes", frozenset(self.empty_nodes))
         producers, consumers = _validate_iodag(self)
         object.__setattr__(self, "_producers", producers)
@@ -1038,15 +1037,13 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
         for block in g.equivalence.blocks()
         if len(block & input_names) > 1
     ]
-    route = np.zeros((labels.size, labels.size), dtype=bool)
-    diag = np.zeros(space.total_dim)
-    for i, label in enumerate(labels):
+    matched = []
+    for label in labels:
         values = _assignment(g, g.inputs, label)
         if all(len({values[n] for n in group}) == 1 for group in classes):
-            route[i, i] = True
-            diag[space.sector_slice(label)] = 1.0
-    matrix = np.diag(diag).astype(complex)
-    return RoutedMap(Relation(labels, labels, route), matrix, space, space)
+            matched.append(label)
+    route = Relation.from_pairs(labels, labels, [(label, label) for label in matched])
+    return RoutedMap(route, subset_projector(space, matched), space, space)
 
 
 def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:

@@ -31,12 +31,22 @@ from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
 
 
 def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix of ``rho -> sum_i K rho K^dag``, rows indexed (out, in)."""
+    """Choi matrix of ``rho -> sum_i K rho K^dag``, rows indexed (out, in).
+
+    The vectorised operators are multiplied in chunks of at most ``d`` of
+    them, so the temporaries besides the result stay within its size, and
+    a list shorter than ``d`` costs no second ``d x d`` array at all.
+    """
     d = kraus[0].size
-    out = np.zeros((d, d), dtype=complex)
-    for k in kraus:
-        v = np.asarray(k, dtype=complex).reshape(d)
-        out += np.outer(v, v.conj())
+    out = None
+    for start in range(0, len(kraus), d):
+        chunk = kraus[start : start + d]
+        vectors = np.array([np.asarray(k, dtype=complex).reshape(d) for k in chunk])
+        part = vectors.T @ vectors.conj()
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 
@@ -54,7 +64,12 @@ def _choi_block_excess(
     codomain: PartitionedSpace,
 ) -> float:
     """Largest Choi entry sitting on a coherence block the route forbids,
-    after checking that the operators and the route are typed by the spaces."""
+    after checking that the operators and the route are typed by the spaces.
+
+    One pass per codomain sector of the first output index, as in
+    :func:`routed_maps._forbidden_block_excess`; the mask of each pass
+    covers the remaining three indices.
+    """
     shape = (codomain.total_dim, domain.total_dim)
     if any(k.shape != shape for k in kraus):
         raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
@@ -62,21 +77,16 @@ def _choi_block_excess(
         raise ShapeMismatch("route is not typed by the given spaces' sector labels")
     d_in, d_out = domain.total_dim, codomain.total_dim
     choi = choi_matrix(kraus).reshape(d_out, d_in, d_out, d_in)
-    worst = 0.0
     forbidden = ~route.matrix
-    for (ki, ki2, li, li2) in np.argwhere(forbidden):
-        k = domain.sector_labels.labels[ki]
-        k2 = domain.sector_labels.labels[ki2]
-        l = codomain.sector_labels.labels[li]
-        l2 = codomain.sector_labels.labels[li2]
-        block = choi[
-            codomain.sector_slice(l),
-            domain.sector_slice(k),
-            codomain.sector_slice(l2),
-            domain.sector_slice(k2),
-        ]
-        if block.size:
-            worst = max(worst, float(np.abs(block).max()))
+    coords = np.ix_(domain.sector_index, codomain.sector_index, domain.sector_index)
+    worst = 0.0
+    for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
+        if not forbidden[:, :, l, :].any():
+            continue
+        # mask[k, l2, k2]: the connection k -> l may not be coherent with k2 -> l2
+        mask = forbidden[:, :, l, :].transpose(0, 2, 1)[coords]
+        band = np.abs(choi[offset : offset + dim])
+        worst = max(worst, float(band.max(where=mask, initial=0.0)))
     return worst
 
 

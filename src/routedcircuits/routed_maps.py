@@ -50,7 +50,12 @@ def _forbidden_block_excess(
     matrix: np.ndarray, route: Relation, domain: PartitionedSpace, codomain: PartitionedSpace
 ) -> float:
     """Largest entry magnitude sitting on a block the route forbids, after
-    checking that the matrix and the route are typed by the spaces."""
+    checking that the matrix and the route are typed by the spaces.
+
+    One pass per codomain sector: the largest magnitude in its band of
+    rows, over the columns whose sector the route does not send there.  A
+    band is the largest temporary; no mask of the whole matrix is made.
+    """
     if matrix.shape != (codomain.total_dim, domain.total_dim):
         raise ShapeMismatch(
             f"matrix shape {matrix.shape} does not match spaces "
@@ -58,15 +63,13 @@ def _forbidden_block_excess(
         )
     if route.domain != domain.sector_labels or route.codomain != codomain.sector_labels:
         raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+    forbidden_columns = ~route.matrix[domain.sector_index]
     worst = 0.0
-    for k in domain.sector_labels:
-        cols = domain.sector_slice(k)
-        for l in codomain.sector_labels:
-            if route.relates(k, l):
-                continue
-            block = matrix[codomain.sector_slice(l), cols]
-            if block.size:
-                worst = max(worst, float(np.abs(block).max()))
+    for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
+        columns = forbidden_columns[:, l]
+        if columns.any():
+            band = np.abs(matrix[offset : offset + dim])
+            worst = max(worst, float(band.max(where=columns, initial=0.0)))
     return worst
 
 

@@ -9,6 +9,8 @@ the raw Kronecker basis to the sector-contiguous one.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +35,7 @@ class PartitionedSpace:
 
     sector_labels: IndexSet
     sector_dims: tuple[int, ...]
+    sector_offsets: tuple[int, ...]  # first coordinate of each sector
 
     def __init__(self, sector_labels: IndexSet, sector_dims: Iterable[int]):
         sector_dims = tuple(int(d) for d in sector_dims)
@@ -44,6 +47,8 @@ class PartitionedSpace:
             raise InvariantViolation(f"sector dims must be >= 1, got {sector_dims}")
         object.__setattr__(self, "sector_labels", sector_labels)
         object.__setattr__(self, "sector_dims", sector_dims)
+        offsets = tuple(itertools.accumulate(sector_dims[:-1], initial=0))
+        object.__setattr__(self, "sector_offsets", offsets)
 
     @classmethod
     def trivial(cls, dim: int = 1) -> "PartitionedSpace":
@@ -77,41 +82,40 @@ class PartitionedSpace:
     def dim_of(self, label: Label) -> int:
         return self.sector_dims[self.sector_labels.position(label)]
 
+    @property
+    def sector_index(self) -> np.ndarray:
+        """The sector position of every coordinate."""
+        return np.repeat(np.arange(len(self.sector_dims)), self.sector_dims)
+
     def sector_range(self, label: Label) -> SectorRange:
         pos = self.sector_labels.position(label)
-        return SectorRange(label, sum(self.sector_dims[:pos]), self.sector_dims[pos])
+        return SectorRange(label, self.sector_offsets[pos], self.sector_dims[pos])
 
     def sector_ranges(self) -> list[SectorRange]:
-        out, offset = [], 0
-        for label, dim in zip(self.sector_labels, self.sector_dims):
-            out.append(SectorRange(label, offset, dim))
-            offset += dim
-        return out
+        return [
+            SectorRange(label, offset, dim)
+            for label, offset, dim in zip(self.sector_labels, self.sector_offsets, self.sector_dims)
+        ]
 
     def sector_slice(self, label: Label) -> slice:
         r = self.sector_range(label)
         return slice(r.offset, r.offset + r.dim)
 
     def sector_of_coordinate(self, coord: int) -> Label:
-        for r in self.sector_ranges():
-            if r.offset <= coord < r.offset + r.dim:
-                return r.label
-        raise UnknownLabel(f"coordinate {coord} outside space of dim {self.total_dim}")
+        if not 0 <= coord < self.total_dim:
+            raise UnknownLabel(f"coordinate {coord} outside space of dim {self.total_dim}")
+        return self.sector_labels.labels[self.sector_index[coord]]
 
 
 def projector(space: PartitionedSpace, label: Label) -> np.ndarray:
     """The 0/1 diagonal projector onto one sector."""
-    diag = np.zeros(space.total_dim)
-    diag[space.sector_slice(label)] = 1.0
-    return np.diag(diag).astype(complex)
+    return subset_projector(space, [label])
 
 
 def subset_projector(space: PartitionedSpace, labels: Iterable[Label]) -> np.ndarray:
     """Projector onto the direct sum of the given sectors."""
-    diag = np.zeros(space.total_dim)
-    for label in labels:
-        diag[space.sector_slice(label)] = 1.0
-    return np.diag(diag).astype(complex)
+    positions = [space.sector_labels.position(label) for label in labels]
+    return np.diag(np.isin(space.sector_index, positions)).astype(complex)
 
 
 def operator_partition_projector(
@@ -151,21 +155,22 @@ def tensor(left: PartitionedSpace, right: PartitionedSpace) -> PartitionedSpace:
     return PartitionedSpace(labels, dims)
 
 
-def kron_to_canonical(left: PartitionedSpace, right: PartitionedSpace) -> np.ndarray:
-    """Index map sending raw Kronecker coordinates to tensor(left, right) ones.
+def kron_to_canonical(*spaces: PartitionedSpace) -> np.ndarray:
+    """Index map sending raw Kronecker coordinates to canonical tensor ones.
 
-    ``perm[i * dim(right) + j]`` is the canonical coordinate of basis vector
-    ``e_i (x) e_j``.
+    ``perm[r]`` is the coordinate, in the sector-contiguous basis of
+    ``tensor_many(spaces)``, of the basis vector whose row-major Kronecker
+    coordinate is ``r``.  Sectors come in row-major order of their label
+    tuples, and coordinates inside one sector keep their row-major order,
+    so the canonical order is a stable sort of the raw coordinates by their
+    row-major sector keys.
     """
-    dim_r = right.total_dim
-    perm = np.empty(left.total_dim * dim_r, dtype=np.intp)
-    offset = 0
-    for lrange in left.sector_ranges():
-        for rrange in right.sector_ranges():
-            for a in range(lrange.dim):
-                row = (lrange.offset + a) * dim_r + rrange.offset
-                perm[row : row + rrange.dim] = offset + a * rrange.dim + np.arange(rrange.dim)
-            offset += lrange.dim * rrange.dim
+    keys = np.zeros(1, dtype=np.intp)
+    for space in spaces:
+        keys = (keys[:, None] * space.sector_labels.size + space.sector_index).ravel()
+    order = np.argsort(keys, kind="stable")
+    perm = np.empty_like(order)
+    perm[order] = np.arange(order.size)
     return perm
 
 
@@ -186,41 +191,21 @@ def tensor_matrix(
     return result
 
 
-def flatten_product_labels(labels: Sequence[Label], arity: int) -> tuple[Label, ...]:
-    """Flatten left-fold pair labels ((a, b), c) into flat tuples (a, b, c).
-
-    ``arity`` is the number of factors the fold combined; component labels
-    are kept opaque (a component may itself be a tuple-valued user label).
-    """
-    if arity == 1:
-        return tuple(labels)
-
-    def flatten(label: Label) -> tuple:
-        parts = [label]
-        for _ in range(arity - 1):
-            head = parts.pop(0)
-            parts = list(head) + parts
-        return tuple(parts)
-
-    return tuple(flatten(label) for label in labels)
-
-
 def tensor_many(spaces: Sequence[PartitionedSpace]) -> PartitionedSpace:
     """n-ary tensor with flat per-factor label tuples.
 
     Returns the trivial space for no factors and the factor itself for one;
     otherwise sector labels are tuples with one component per factor, in
     row-major order, matching a left fold of :func:`tensor` coordinatewise.
+    Component labels stay opaque: a component may itself be a tuple.
     """
     if not spaces:
         return PartitionedSpace.trivial()
     if len(spaces) == 1:
         return spaces[0]
-    acc = spaces[0]
-    for nxt in spaces[1:]:
-        acc = tensor(acc, nxt)
-    labels = flatten_product_labels(acc.sector_labels.labels, len(spaces))
-    return PartitionedSpace(IndexSet(labels), acc.sector_dims)
+    labels = itertools.product(*(space.sector_labels for space in spaces))
+    dims = itertools.product(*(space.sector_dims for space in spaces))
+    return PartitionedSpace(IndexSet(labels), (math.prod(d) for d in dims))
 
 
 def space_to_json(space: PartitionedSpace, name: str = "") -> dict:
