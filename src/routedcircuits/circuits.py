@@ -1,13 +1,15 @@
 """Routed circuits: DAGs of routed maps or routed CP maps on typed wires.
 
-Evaluation picks a topological foliation, tensors each layer (padding
-pass-through wires with identity maps) and composes the layers; soundness
-of the underlying frameworks makes the result independent of the chosen
-foliation, which is also checked by tests.  Analysis passes work on the
-routes alone: properness gating of every sequential interface, and the
-accessible-space computation for slices, implemented both as the
-index-summation recipe and as the insertion-of-test-relations definition
-that justifies it.
+Evaluation contracts the box maps along their wires, and the box routes
+the same way, one box at a time in the order of a topological foliation:
+the running operator keeps one axis per open wire, so wires a box does not
+touch are left alone and reordering wires only relabels axes.  The result
+is built, and checked against its route, once.  Soundness of the
+underlying frameworks makes it independent of the chosen foliation, which
+is also checked by tests.  Analysis passes work on the routes alone:
+properness gating of every sequential interface, and the accessible-space
+computation for slices, implemented both as the index-summation recipe and
+as the insertion-of-test-relations definition that justifies it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 from . import relations as rel
 from .errors import InvalidSlice, InvariantViolation, TypeMismatch
-from .relations import Relation
+from .relations import CPRelation, Relation
 from .routed_cpms import RoutedCPM
-from .routed_maps import RoutedMap
+from .routed_maps import DEFAULT_TOLERANCE, RoutedMap
 from .spaces import PartitionedSpace, kron_to_canonical, tensor_many
 
 BoxOp = Union[RoutedMap, RoutedCPM]
@@ -281,75 +283,184 @@ def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> Partiti
     return tensor_many([circuit.wires[w] for w in wire_ids])
 
 
-def _transposition(sizes: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """For each row-major index of an array of shape ``sizes`` with axis
-    ``positions[i]`` moved to place ``i``, the row-major index it had before."""
-    return np.arange(math.prod(sizes)).reshape(sizes).transpose(positions).ravel()
+# Axis labels of the running arrays besides the wires: the interface the
+# walk starts from, and the Kraus operator index.
+_INPUT, _KRAUS = object(), object()
+
+
+def _contract(array: np.ndarray, axes: list, factors: Iterable, boolean: bool = False):
+    """Contract boxes, one at a time, into an array with labelled axes.
+
+    Each factor is ``(table, head, tail)``: the table's trailing axes,
+    labelled ``tail``, are summed against the array's axes of the same
+    labels, and its leading axes, labelled ``head``, take their place at
+    the front.  Axes no factor names are left alone.  A ``_KRAUS`` head axis
+    is merged into the array's own, the new operator index outermost.  With
+    ``boolean`` the entries are 0/1 and every contraction is thresholded
+    back to 0/1, so sums of products count paths without overflowing.
+    Returns the array and its axis labels.
+    """
+    for table, head, tail in factors:
+        positions = [axes.index(a) for a in tail]
+        array = np.tensordot(table, array, (list(range(len(head), table.ndim)), positions))
+        axes = list(head) + [a for a in axes if a not in tail]
+        if boolean:
+            np.minimum(array, 1, out=array)
+        if head[:1] == [_KRAUS]:
+            old = axes.index(_KRAUS, 1)
+            array = np.moveaxis(array, old, 1)
+            array = array.reshape(-1, *array.shape[2:])
+            del axes[old]
+    return array, axes
+
+
+def _contracted_route(
+    circuit: RoutedCircuit,
+    sources: Sequence[str],
+    box_ids: Sequence[str],
+    targets: Sequence[str],
+    copies: int,
+) -> np.ndarray:
+    """The boolean route matrix of the boxes, applied in order, from the
+    interface ``sources`` to ``targets``.
+
+    Each wire carries ``copies`` sector axes: one for plain routes, indexed
+    ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.
+    """
+
+    def size(wire):
+        return circuit.wires[wire].sector_labels.size
+
+    def labels(wires):  # a wire of one sector needs no axis
+        return [(w, c) for c in range(copies) for w in wires if size(w) > 1]
+
+    def sizes(wires):
+        return [size(w) for w in wires if size(w) > 1] * copies
+
+    def count(wires):
+        return math.prod(map(size, wires))
+
+    # [inputs..., outputs...] <-> [outputs..., inputs...]: one swap both ways
+    swap = [*range(copies, 2 * copies), *range(copies)]
+    factors = []
+    for box in (circuit.boxes[b] for b in box_ids):
+        table = box.op.route.matrix.transpose(swap).astype(np.float32)
+        table = table.reshape(sizes(box.outputs) + sizes(box.inputs))
+        factors.append((table, labels(box.outputs), labels(box.inputs)))
+    inputs = [(_INPUT, c) for c in range(copies)]
+    start = np.eye(count(sources) ** copies, dtype=np.float32)
+    start = start.reshape(sizes(sources) + [count(sources)] * copies)
+    array, axes = _contract(start, labels(sources) + inputs, factors, boolean=True)
+    array = array.transpose([axes.index(a) for a in labels(targets) + inputs])
+    shape = [count(targets)] * copies + [count(sources)] * copies
+    return array.reshape(shape).transpose(swap) > 0
+
+
+def _contracted_operators(
+    circuit: RoutedCircuit,
+    sources: Sequence[str],
+    box_ids: Sequence[str],
+    targets: Sequence[str],
+) -> np.ndarray:
+    """The ``(count, d_out, d_in)`` operator stack of the boxes, applied in
+    order, from the interface ``sources`` to ``targets``.
+
+    The running array keeps one axis per open wire in that wire's own
+    basis; a box's matrix or Kraus operators leave the canonical basis of
+    its interfaces once, through :func:`kron_to_canonical`.  The input axis
+    stays canonical throughout, and the output axes are scattered into the
+    canonical order at the end.
+    """
+
+    def wide(wires):  # a wire of dimension 1 needs no axis
+        return [w for w in wires if circuit.wires[w].total_dim > 1]
+
+    def dims(wires):
+        return [circuit.wires[w].total_dim for w in wide(wires)]
+
+    def to_kron(wires):
+        return kron_to_canonical(*(circuit.wires[w] for w in wires))
+
+    factors = []
+    for box in (circuit.boxes[b] for b in box_ids):
+        op = box.op
+        stack = op.kraus_stack if isinstance(op, RoutedCPM) else op.matrix[None]
+        table = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
+        table = table.reshape(-1, *dims(box.outputs), *dims(box.inputs))
+        if len(table) == 1:
+            factors.append((table[0], wide(box.outputs), wide(box.inputs)))
+        else:
+            factors.append((table, [_KRAUS, *wide(box.outputs)], wide(box.inputs)))
+    d_in = math.prod(dims(sources))
+    start = np.eye(d_in, dtype=complex)[to_kron(sources)].reshape(1, *dims(sources), d_in)
+    array, axes = _contract(start, [_KRAUS, *wide(sources), _INPUT], factors)
+    array = array.transpose([axes.index(a) for a in [_KRAUS, *wide(targets), _INPUT]])
+    kron = array.reshape(len(array), -1, d_in)
+    stack = np.empty_like(kron)
+    stack[:, to_kron(targets)] = kron
+    return stack
+
+
+def _contracted(
+    circuit: RoutedCircuit,
+    sources: Sequence[str],
+    box_ids: Sequence[str],
+    targets: Sequence[str],
+) -> BoxOp:
+    """The routed map (or CP map) of the boxes, applied in order, from the
+    interface ``sources`` to ``targets``.
+
+    Its tolerance is the largest of the boxes'.  The result is built, and
+    so checked against its route, once.
+    """
+    pure = circuit.mode == "pure"
+    domain = _interface_space(circuit, sources)
+    codomain = _interface_space(circuit, targets)
+    matrix = _contracted_route(circuit, sources, box_ids, targets, 1 if pure else 2)
+    route_type = Relation if pure else CPRelation
+    route = route_type(domain.sector_labels, codomain.sector_labels, matrix)
+    stack = _contracted_operators(circuit, sources, box_ids, targets)
+    tolerance = max(
+        (circuit.boxes[b].op.tolerance for b in box_ids), default=DEFAULT_TOLERANCE
+    )
+    return circuit._op_type(route, stack[0] if pure else stack, domain, codomain, tolerance)
 
 
 def _permutation_route(
     circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
 ) -> Relation:
     """The route of the wire reordering from interface ``current`` to ``target``."""
-    spaces = [circuit.wires[w] for w in current]
-    positions = [current.index(w) for w in target]
-    domain = tensor_many(spaces).sector_labels
-    codomain = tensor_many([spaces[p] for p in positions]).sector_labels
-    matrix = np.zeros((domain.size, codomain.size), dtype=bool)
-    source = _transposition([s.sector_labels.size for s in spaces], positions)
-    matrix[source, np.arange(codomain.size)] = True
-    return Relation(domain, codomain, matrix)
+    return Relation(
+        _interface_space(circuit, current).sector_labels,
+        _interface_space(circuit, target).sector_labels,
+        _contracted_route(circuit, current, (), target, 1),
+    )
 
 
 def _permutation_map(
     circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
 ) -> BoxOp:
     """The wire-reordering map from interface ``current`` to ``target``."""
-    spaces = [circuit.wires[w] for w in current]
-    positions = [current.index(w) for w in target]
-    permuted = [spaces[p] for p in positions]
-    domain = tensor_many(spaces)
-    codomain = tensor_many(permuted)
-    matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
-    source = _transposition([s.total_dim for s in spaces], positions)
-    matrix[kron_to_canonical(*permuted), kron_to_canonical(*spaces)[source]] = 1.0
-    route = _permutation_route(circuit, current, target)
-    return circuit._op_type.lift(RoutedMap(route, matrix, domain, codomain))
-
-
-def _layer_op(circuit: RoutedCircuit, step: _Step) -> BoxOp:
-    """Tensor the layer's boxes with identities, relabelled to wire form."""
-    factors = [circuit.boxes[b].op for b in step.layer]
-    factors += [circuit._op_type.identity(circuit.wires[w]) for w in step.passthrough]
-    return reduce(circuit._op_type.tensor, factors).relabel(
-        _interface_space(circuit, step.inputs), _interface_space(circuit, step.outputs)
-    )
+    return _contracted(circuit, current, (), target)
 
 
 def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> BoxOp:
     """Compose the whole circuit into one routed map (or routed CP map).
 
-    The foliation is the deterministic Kahn layering unless ``box_order``
-    pins an explicit topological order; the result does not depend on the
-    choice.
+    The boxes are contracted one at a time into a running array with one
+    axis per open wire, and their routes likewise into a running boolean
+    array; no identity is tensored onto the wires a box leaves alone, and a
+    change of wire order only relabels axes.  The foliation is the
+    deterministic Kahn layering unless ``box_order`` pins an explicit
+    topological order; the result does not depend on the choice.  In CPM
+    mode the Kraus operators come in the order of composing the layers: the
+    last layer's index outermost, and inside a layer, the box order.
     """
-    acc: BoxOp | None = None
-
-    def absorb(op: BoxOp) -> None:
-        nonlocal acc
-        acc = op if acc is None else op.compose(acc)
-
-    frontier = list(circuit.input_wires)
-    for step in _walk(circuit.input_wires, circuit.boxes, _foliation_layers(circuit, box_order)):
-        if step.inputs != step.frontier:
-            absorb(_permutation_map(circuit, step.frontier, step.inputs))
-        absorb(_layer_op(circuit, step))
-        frontier = step.outputs
-    if frontier != list(circuit.output_wires):
-        absorb(_permutation_map(circuit, frontier, circuit.output_wires))
-    if acc is None:
-        return circuit._op_type.identity(_interface_space(circuit, circuit.input_wires))
-    return acc
+    layers = _foliation_layers(circuit, box_order)
+    # boxes of one layer commute; taken last to first, each new operator
+    # index lands outermost, which leaves the first box's index outermost
+    order = [box_id for layer in layers for box_id in reversed(layer)]
+    return _contracted(circuit, circuit.input_wires, order, circuit.output_wires)
 
 
 # -- route-level analysis ----------------------------------------------

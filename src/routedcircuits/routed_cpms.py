@@ -5,7 +5,9 @@ may stay coherent.  Route-following is decided on Choi-matrix blocks: the
 defining condition is linear in the input state, so vanishing of the
 forbidden Choi blocks is both finite and complete.  Channel equality
 elsewhere in the package is likewise Choi comparison; Kraus lists are never
-minimised.
+minimised.  A channel stores its operators as one read-only
+``(count, d_out, d_in)`` array, which composition, tensoring and the Choi
+matrix work on whole.
 """
 
 from __future__ import annotations
@@ -30,31 +32,34 @@ from .routed_maps import (
 from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
 
 
-def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix of ``rho -> sum_i K rho K^dag``, rows indexed (out, in).
+def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
+    """The operators as one ``(count, d_out, d_in)`` complex array.
 
-    The vectorised operators are multiplied in chunks of at most ``d`` of
-    them, so the temporaries besides the result stay within its size, and
-    a list shorter than ``d`` costs no second ``d x d`` array at all.
+    Without ``copy``, a stacked complex array comes back as it is.
     """
-    d = kraus[0].size
-    out = None
-    for start in range(0, len(kraus), d):
-        chunk = kraus[start : start + d]
-        vectors = np.array([np.asarray(k, dtype=complex).reshape(d) for k in chunk])
-        part = vectors.T @ vectors.conj()
-        if out is None:
-            out = part
-        else:
-            out += part
-    return out
+    convert = np.array if copy else np.asarray
+    try:
+        stack = convert(kraus, dtype=complex)
+    except ValueError:
+        raise ShapeMismatch("Kraus operators must all have the same shape") from None
+    if not len(stack):
+        raise ShapeMismatch("a routed CP map needs at least one Kraus operator")
+    if stack.ndim != 3:
+        raise ShapeMismatch(f"Kraus operators must be matrices, got a stack of shape {stack.shape}")
+    return stack
+
+
+def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Choi matrix of ``rho -> sum_i K rho K^dag``, rows indexed (out, in):
+    one product of the vectorised operators with their conjugates."""
+    stack = _stacked(kraus)
+    vectors = stack.reshape(len(stack), -1)
+    return vectors.T @ vectors.conj()
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    out = np.zeros((kraus[0].shape[0], kraus[0].shape[0]), dtype=complex)
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    stack = _stacked(kraus)
+    return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def _choi_block_excess(
@@ -70,8 +75,9 @@ def _choi_block_excess(
     :func:`routed_maps._forbidden_block_excess`; the mask of each pass
     covers the remaining three indices.
     """
+    kraus = _stacked(kraus)
     shape = (codomain.total_dim, domain.total_dim)
-    if any(k.shape != shape for k in kraus):
+    if kraus.shape[1:] != shape:
         raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
     if route.base_domain != domain.sector_labels or route.base_codomain != codomain.sector_labels:
         raise ShapeMismatch("route is not typed by the given spaces' sector labels")
@@ -98,13 +104,17 @@ def follows_cp(
     tol: float = DEFAULT_TOLERANCE,
 ) -> bool:
     """Whether the channel's forbidden Choi blocks all vanish within ``tol``."""
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
     return _choi_block_excess(kraus, route, domain, codomain) <= tol
 
 
 @dataclass(frozen=True, eq=False)
 class RoutedCPM:
-    """A CP map (as a Kraus list) together with the coherence route it follows."""
+    """A CP map (as a Kraus list) together with the coherence route it follows.
+
+    ``kraus`` may be given as a sequence of operators or as one stacked
+    array; it is kept as a tuple of read-only views into ``kraus_stack``,
+    the operators stacked along a leading axis.
+    """
 
     route: CPRelation
     kraus: tuple[np.ndarray, ...] = field(repr=False)
@@ -113,14 +123,12 @@ class RoutedCPM:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        kraus = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not kraus:
-            raise ShapeMismatch("a routed CP map needs at least one Kraus operator")
-        for k in kraus:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", kraus)
-        _check_numbers(self.tolerance, kraus, "Kraus operators")
-        excess = _choi_block_excess(kraus, self.route, self.domain, self.codomain)
+        stack = _stacked(self.kraus, copy=True)
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
+        _check_numbers(self.tolerance, (stack,), "Kraus operators")
+        excess = _choi_block_excess(stack, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
             raise RouteViolation(
                 f"channel has Choi weight {excess:.3e} on a forbidden coherence block "
@@ -134,8 +142,7 @@ class RoutedCPM:
             and self.route == other.route
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and len(self.kraus) == len(other.kraus)
-            and all(np.array_equal(a, b) for a, b in zip(self.kraus, other.kraus))
+            and np.array_equal(self.kraus_stack, other.kraus_stack)
         )
 
     def __repr__(self) -> str:
@@ -145,23 +152,14 @@ class RoutedCPM:
         )
 
     def choi(self) -> np.ndarray:
-        return choi_matrix(self.kraus)
+        return choi_matrix(self.kraus_stack)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self.kraus, rho)
+        return apply_channel(self.kraus_stack, rho)
 
     @classmethod
     def identity(cls, space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> "RoutedCPM":
         return lift_pure(RoutedMap.identity(space, tolerance))
-
-    @classmethod
-    def lift(cls, pure: RoutedMap) -> "RoutedCPM":
-        """The routed CP map acting as ``pure``; see :func:`lift_pure`."""
-        return lift_pure(pure)
-
-    def compose(self, first: "RoutedCPM") -> "RoutedCPM":
-        """``self ∘ first``; see :func:`compose`."""
-        return compose(self, first)
 
     def tensor(self, right: "RoutedCPM") -> "RoutedCPM":
         """``self ⊗ right``; see :func:`tensor_cpm`."""
@@ -175,14 +173,14 @@ class RoutedCPM:
         """Rename sector labels without touching coordinates."""
         domain, codomain = _relabelled_spaces(self, domain, codomain)
         route = CPRelation(domain.sector_labels, codomain.sector_labels, self.route.matrix)
-        return RoutedCPM(route, self.kraus, domain, codomain, self.tolerance)
+        return RoutedCPM(route, self.kraus_stack, domain, codomain, self.tolerance)
 
 
 def lift_pure(routed: RoutedMap) -> RoutedCPM:
     """The conjugation channel of a routed map, with the fully coherent route."""
     return RoutedCPM(
         rel.full_coherence(routed.route),
-        (routed.matrix,),
+        routed.matrix[None],
         routed.domain,
         routed.codomain,
         routed.tolerance,
@@ -190,15 +188,16 @@ def lift_pure(routed: RoutedMap) -> RoutedCPM:
 
 
 def compose(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
-    """Sequential composition: routes compose, Kraus lists multiply pairwise."""
+    """Sequential composition: routes compose, Kraus lists multiply pairwise,
+    ``second``'s operator index outermost."""
     if first.codomain != second.domain:
         raise DomainMismatch(
             f"cannot compose channels: {first.codomain!r} != {second.domain!r}"
         )
-    kraus = tuple(l @ k for l in second.kraus for k in first.kraus)
+    kraus = second.kraus_stack[:, None] @ first.kraus_stack[None]
     return RoutedCPM(
         rel.cp_compose(second.route, first.route),
-        kraus,
+        kraus.reshape(-1, *kraus.shape[2:]),
         first.domain,
         second.codomain,
         max(first.tolerance, second.tolerance),
@@ -206,15 +205,19 @@ def compose(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
 
 
 def tensor_cpm(left: RoutedCPM, right: RoutedCPM) -> RoutedCPM:
-    """Parallel composition in the canonical tensor bases."""
-    kraus = tuple(
-        tensor_matrix(a, b, left.domain, right.domain, left.codomain, right.codomain)
-        for a in left.kraus
-        for b in right.kraus
+    """Parallel composition in the canonical tensor bases, ``left``'s operator
+    index outermost."""
+    kraus = tensor_matrix(
+        left.kraus_stack[:, None],
+        right.kraus_stack[None],
+        left.domain,
+        right.domain,
+        left.codomain,
+        right.codomain,
     )
     return RoutedCPM(
         rel.cp_product(left.route, right.route),
-        kraus,
+        kraus.reshape(-1, *kraus.shape[2:]),
         tensor(left.domain, right.domain),
         tensor(left.codomain, right.codomain),
         max(left.tolerance, right.tolerance),
@@ -230,7 +233,7 @@ def dagger_cpm(channel: RoutedCPM) -> RoutedCPM:
     """Adjoint channel: Kraus-wise dagger with the transposed route."""
     return RoutedCPM(
         rel.cp_transpose(channel.route),
-        tuple(k.conj().T for k in channel.kraus),
+        channel.kraus_stack.conj().transpose(0, 2, 1),
         channel.codomain,
         channel.domain,
         channel.tolerance,
@@ -244,7 +247,8 @@ def is_practically_trace_preserving(channel: RoutedCPM, tol: float | None = None
     p = subset_projector(
         channel.domain, rel.practical_input_set(rel.diagonal(channel.route))
     )
-    gram = sum(k.conj().T @ k for k in channel.kraus)
+    stack = channel.kraus_stack
+    gram = np.einsum("kji,kjl->il", stack.conj(), stack)
     sandwich = p @ gram @ p
     return float(np.abs(sandwich - p).max(initial=0.0)) <= tol
 
@@ -268,9 +272,7 @@ def kraus_follow_diagonal(channel: RoutedCPM, tol: float | None = None) -> bool:
     route.  Holds for every valid routed CP map; this is the cross-check."""
     tol = channel.tolerance if tol is None else tol
     diag = rel.diagonal(channel.route)
-    return all(
-        follows(k, diag, channel.domain, channel.codomain, tol) for k in channel.kraus
-    )
+    return follows(channel.kraus_stack, diag, channel.domain, channel.codomain, tol)
 
 
 def adapted_kraus_decomposition(
@@ -297,14 +299,14 @@ def adapted_kraus_decomposition(
             if not diag.relates(k, l):
                 continue
             rows = channel.codomain.sector_slice(l)
-            blocks = [op[rows, cols] for op in channel.kraus]
+            blocks = channel.kraus_stack[:, rows, cols]
             eigvals, eigvecs = np.linalg.eigh(choi_matrix(blocks))
             ops = []
             cutoff = max(channel.tolerance, 1e-12) * max(1.0, float(eigvals.max(initial=0.0)))
             for value, vec in zip(eigvals, eigvecs.T):
                 if value <= cutoff:
                     continue
-                small = np.sqrt(value) * vec.reshape(blocks[0].shape)
+                small = np.sqrt(value) * vec.reshape(blocks.shape[1:])
                 full = np.zeros((d_out, d_in), dtype=complex)
                 full[rows, cols] = small
                 ops.append(full)
@@ -318,9 +320,7 @@ def discard(space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> Ro
     codomain = PartitionedSpace.trivial()
     n = space.sector_labels.size
     route_matrix = np.eye(n, dtype=bool).reshape(n, n, 1, 1)
-    kraus = tuple(
-        np.eye(space.total_dim, dtype=complex)[i : i + 1, :] for i in range(space.total_dim)
-    )
+    kraus = np.eye(space.total_dim, dtype=complex)[:, None, :]
     return RoutedCPM(
         CPRelation(space.sector_labels, codomain.sector_labels, route_matrix),
         kraus,

@@ -55,8 +55,10 @@ def _forbidden_block_excess(
     One pass per codomain sector: the largest magnitude in its band of
     rows, over the columns whose sector the route does not send there.  A
     band is the largest temporary; no mask of the whole matrix is made.
+    A stack of matrices, with ``matrix`` of shape ``(count, rows, columns)``,
+    is checked as a whole.
     """
-    if matrix.shape != (codomain.total_dim, domain.total_dim):
+    if matrix.shape[-2:] != (codomain.total_dim, domain.total_dim):
         raise ShapeMismatch(
             f"matrix shape {matrix.shape} does not match spaces "
             f"({codomain.total_dim}, {domain.total_dim})"
@@ -68,7 +70,7 @@ def _forbidden_block_excess(
     for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
         columns = forbidden_columns[:, l]
         if columns.any():
-            band = np.abs(matrix[offset : offset + dim])
+            band = np.abs(matrix[..., offset : offset + dim, :])
             worst = max(worst, float(band.max(where=columns, initial=0.0)))
     return worst
 
@@ -80,7 +82,8 @@ def follows(
     codomain: PartitionedSpace,
     tol: float = DEFAULT_TOLERANCE,
 ) -> bool:
-    """Whether every forbidden sector block of ``matrix`` is within ``tol`` of zero."""
+    """Whether every forbidden sector block of ``matrix`` (or of every matrix
+    of a ``(count, rows, columns)`` stack) is within ``tol`` of zero."""
     return _forbidden_block_excess(np.asarray(matrix), route, domain, codomain) <= tol
 
 
@@ -117,6 +120,8 @@ class RoutedMap:
         matrix = np.array(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        if matrix.ndim != 2:
+            raise ShapeMismatch(f"a routed map needs a matrix, got shape {matrix.shape}")
         _check_numbers(self.tolerance, (matrix,), "matrix")
         excess = _forbidden_block_excess(matrix, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
@@ -152,15 +157,6 @@ class RoutedMap:
             f"RoutedMap({self.domain!r} -> {self.codomain!r}, "
             f"route weight {int(self.route.matrix.sum())})"
         )
-
-    @classmethod
-    def lift(cls, pure: "RoutedMap") -> "RoutedMap":
-        """The routed map acting as ``pure``: ``pure`` itself."""
-        return pure
-
-    def compose(self, first: "RoutedMap") -> "RoutedMap":
-        """``self ∘ first``; see :func:`compose`."""
-        return compose(self, first)
 
     def tensor(self, right: "RoutedMap") -> "RoutedMap":
         """``self ⊗ right``; see :func:`tensor_map`."""

@@ -182,12 +182,18 @@ def tensor_matrix(
     codomain_left: PartitionedSpace,
     codomain_right: PartitionedSpace,
 ) -> np.ndarray:
-    """Kronecker product of two maps, in the canonical tensor bases."""
-    kron = np.kron(matrix_left, matrix_right)
+    """Kronecker product of two maps, in the canonical tensor bases.
+
+    Leading axes broadcast, so stacks of matrices give stacks of products.
+    """
+    matrix_left, matrix_right = np.asarray(matrix_left), np.asarray(matrix_right)
+    kron = matrix_left[..., :, None, :, None] * matrix_right[..., None, :, None, :]
+    rows = matrix_left.shape[-2] * matrix_right.shape[-2]
+    kron = kron.reshape(*kron.shape[:-4], rows, -1)
     out_perm = kron_to_canonical(codomain_left, codomain_right)
     in_perm = kron_to_canonical(domain_left, domain_right)
     result = np.empty_like(kron)
-    result[np.ix_(out_perm, in_perm)] = kron
+    result[..., out_perm[:, None], in_perm] = kron
     return result
 
 

@@ -1,0 +1,256 @@
+"""Per-wire contraction in ``circuits.evaluate`` against the layered engine
+kept in ``layered_oracle``, and the wide circuit the layered engine could
+not evaluate in reasonable time."""
+
+from __future__ import annotations
+
+import math
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from routedcircuits import CircuitBuilder
+from routedcircuits.circuits import evaluate
+from routedcircuits.errors import RouteViolation
+from routedcircuits.relations import Relation
+from routedcircuits.routed_cpms import RoutedCPM
+from routedcircuits.routed_maps import DEFAULT_TOLERANCE, RoutedMap
+from routedcircuits.sampling import (
+    random_block_diagonal_unitary,
+    random_coherent_cpm,
+    random_decohered_cpm,
+    random_matrix_following,
+    random_relation,
+    random_space,
+)
+from routedcircuits.spaces import PartitionedSpace, tensor_many
+
+from layered_oracle import evaluate_layered
+
+#: largest interface dimension the generator builds; the layered engine
+#: checks the Choi matrix of every lifted layer, quartic in it
+MAX_INTERFACE = {"pure": 64, "cpm": 16}
+MAX_KRAUS = 64
+
+
+def random_box(mode: str, domain, codomain, rng, draw, max_kraus: int):
+    """A box map with a nonzero route, a tolerance below, at or above the
+    default (the result's tolerance is the largest box tolerance) and at
+    most ``max_kraus`` Kraus operators."""
+    while True:
+        route = random_relation(domain.sector_labels, codomain.sector_labels, rng, 0.7)
+        if route.matrix.any():
+            break
+    tolerance = draw(st.sampled_from([1e-12, DEFAULT_TOLERANCE, 1e-6]))
+    if mode == "pure":
+        matrix = random_matrix_following(route, domain, codomain, rng)
+        return RoutedMap(route, matrix, domain, codomain, tolerance)
+    op = None
+    if draw(st.booleans()):
+        op = random_decohered_cpm(route, domain, codomain, rng, ops_per_block=1)
+    if op is None or len(op.kraus) > max_kraus:
+        count = draw(st.integers(1, min(2, max_kraus)))
+        op = random_coherent_cpm(route, domain, codomain, rng, count=count)
+    return RoutedCPM(op.route, op.kraus_stack, domain, codomain, tolerance)
+
+
+@st.composite
+def circuits(draw, mode: str):
+    """A random circuit and a random topological order of its boxes.
+
+    Boxes take zero to two open wires, in any order (so wires cross), and
+    make zero to two; the wires no box takes pass through, and the circuit
+    lists its inputs and outputs in random orders.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spaces: dict[str, PartitionedSpace] = {}
+
+    def dim(wires) -> int:
+        return math.prod(spaces[w].total_dim for w in wires)
+
+    def sample_spaces(count: int, others) -> list[PartitionedSpace]:
+        while True:
+            drawn = [random_space(rng, max_sectors=2, max_dim=2) for _ in range(count)]
+            if dim(others) * math.prod(s.total_dim for s in drawn) <= MAX_INTERFACE[mode]:
+                return drawn
+
+    def new_wires(drawn) -> list[str]:
+        names = [f"w{len(spaces) + i}" for i in range(len(drawn))]
+        spaces.update(zip(names, drawn))
+        return names
+
+    inputs = new_wires(sample_spaces(draw(st.integers(0, 3)), []))
+    frontier = list(inputs)
+    boxes = {}
+    kraus = 1  # the result's Kraus count, kept small for the layered engine
+    for b in range(draw(st.integers(0, 5))):
+        taken = draw(st.permutations(frontier))[: draw(st.integers(0, min(2, len(frontier))))]
+        frontier = [w for w in frontier if w not in taken]
+        made = new_wires(sample_spaces(draw(st.integers(0, 2)), frontier))
+        domain = tensor_many([spaces[w] for w in taken])
+        codomain = tensor_many([spaces[w] for w in made])
+        op = random_box(mode, domain, codomain, rng, draw, MAX_KRAUS // kraus)
+        kraus *= 1 if mode == "pure" else len(op.kraus)
+        boxes[f"b{b}"] = (taken, made, op)
+        frontier += made
+
+    builder = CircuitBuilder(mode)
+    for wire, space in spaces.items():
+        builder.wire(wire, space)
+    for box_id, (taken, made, op) in boxes.items():
+        builder.box(box_id, taken, made, op)
+    builder.inputs(*draw(st.permutations(inputs))).outputs(*draw(st.permutations(frontier)))
+
+    available, order = set(inputs), []
+    while len(order) < len(boxes):
+        ready = [b for b in boxes if b not in order and set(boxes[b][0]) <= available]
+        box_id = draw(st.sampled_from(ready))
+        available = (available - set(boxes[box_id][0])) | set(boxes[box_id][1])
+        order.append(box_id)
+    return builder.build(), order
+
+
+def operators(op) -> np.ndarray:
+    return op.matrix[None] if isinstance(op, RoutedMap) else op.kraus_stack
+
+
+def assert_matches_layered(circuit, box_order=None) -> None:
+    """Routes, spaces and Kraus count and order exactly; the tolerance is
+    the largest box tolerance, where the layered engine also takes the
+    default of the identities and permutations it builds; entries
+    within ``4 (n + 1) D eps S``, for ``n`` boxes on interfaces of dimension
+    at most ``D``, where ``S`` is the product over the boxes of their
+    largest operator Frobenius norm, a bound on every entry of the
+    elementwise-absolute product.  Each engine rounds a product of ``n + 1``
+    factors with inner dimension at most ``D`` within half of that; the
+    identities and permutations the layered engine adds are exact."""
+    new = evaluate(circuit, box_order)
+    old = evaluate_layered(circuit, box_order)
+    assert type(new) is type(old)
+    assert new.route == old.route
+    assert new.domain == old.domain and new.codomain == old.codomain
+    tolerances = [box.op.tolerance for box in circuit.boxes.values()]
+    assert new.tolerance == max(tolerances, default=DEFAULT_TOLERANCE)
+    assert old.tolerance in (new.tolerance, max(new.tolerance, DEFAULT_TOLERANCE))
+    got, want = operators(new), operators(old)
+    assert got.shape == want.shape
+    scale = math.prod(
+        float(np.linalg.norm(operators(box.op), axis=(1, 2)).max())
+        for box in circuit.boxes.values()
+    )
+    bound = 4 * (len(circuit.boxes) + 1) * MAX_INTERFACE[circuit.mode] * np.finfo(float).eps
+    assert float(np.abs(got - want).max(initial=0.0)) <= bound * scale
+
+
+class TestAgainstLayeredEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(circuits("pure"))
+    def test_pure(self, drawn):
+        circuit, order = drawn
+        assert_matches_layered(circuit)
+        assert_matches_layered(circuit, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits("cpm"))
+    def test_cpm(self, drawn):
+        circuit, order = drawn
+        assert_matches_layered(circuit)
+        assert_matches_layered(circuit, order)
+
+    def test_empty_circuits(self):
+        space = PartitionedSpace.from_dims([0, 1], [1, 2])
+        other = PartitionedSpace.trivial(2)
+        for mode in ("pure", "cpm"):
+            builder = CircuitBuilder(mode).wire("a", space).wire("b", other)
+            assert_matches_layered(builder.inputs("a", "b").outputs("b", "a").build())
+            assert_matches_layered(CircuitBuilder(mode).build())
+            builder = CircuitBuilder(mode).wire("a", space)
+            assert_matches_layered(builder.inputs("a").outputs("a").build())
+
+
+def test_more_open_wires_than_array_axes():
+    """Wires of one sector and dimension 1 take no axis: with seventy of
+    them crossing beside a state on two real wires (past numpy's 64 axes,
+    where the layered engine fails), the result is that of the circuit
+    without them."""
+    rng = np.random.default_rng(70)
+    space = PartitionedSpace.from_dims([0, 1], [1, 2])
+    trivial = PartitionedSpace.trivial()
+    route = Relation.full(trivial.sector_labels, tensor_many([space, space]).sector_labels)
+    flags = [f"f{i}" for i in range(70)]
+    for mode in ("pure", "cpm"):
+        op = random_coherent_cpm(route, trivial, tensor_many([space, space]), rng, count=2)
+        if mode == "pure":
+            op = RoutedMap(route, op.kraus[0], op.domain, op.codomain)
+        results = []
+        for extra in ([], flags):
+            builder = CircuitBuilder(mode).wire("a", space).wire("b", space)
+            for wire in extra:
+                builder.wire(wire, trivial)
+            builder.box("prep", [], ["a", "b"], op)
+            builder.inputs(*extra).outputs("b", *reversed(extra), "a")
+            results.append(evaluate(builder.build()))
+        bare, flagged = results
+        assert np.array_equal(operators(flagged), operators(bare))
+        assert np.array_equal(flagged.route.matrix, bare.route.matrix)
+        assert flagged.codomain.sector_dims == bare.codomain.sector_dims
+
+
+def test_wide_diagonal_circuit():
+    """Nine wires of two dimension-1 sectors, three layers of random
+    sector-preserving unitaries: a 512 x 512 diagonal, whose entries are the
+    products of each wire's phases (the layered engine took minutes)."""
+    rng = np.random.default_rng(9)
+    wires, layers = 9, 3
+    space = PartitionedSpace.from_dims([0, 1], [1, 1])
+    builder = CircuitBuilder("pure")
+    phases = []
+    for j in range(wires):
+        for t in range(layers + 1):
+            builder.wire(f"w{j}_{t}", space)
+        line = np.ones(2, dtype=complex)
+        for t in range(layers):
+            u = random_block_diagonal_unitary(space, rng)
+            builder.box(f"u{j}_{t}", [f"w{j}_{t}"], [f"w{j}_{t + 1}"], u)
+            line = line * np.diag(u.matrix)
+        phases.append(line)
+    builder.inputs(*(f"w{j}_0" for j in range(wires)))
+    builder.outputs(*(f"w{j}_{layers}" for j in range(wires)))
+    result = evaluate(builder.build())
+    # dimension-1 sectors: canonical coordinates are the row-major bits
+    expected = reduce(np.kron, phases)
+    assert result.matrix.shape == (2**wires, 2**wires)
+    # each entry multiplies wires * layers phases, each product within 2 eps
+    bound = 2 * wires * layers * np.finfo(float).eps
+    assert np.abs(result.matrix - np.diag(expected)).max() <= bound
+    assert result.route == Relation.identity(result.domain.sector_labels)
+
+
+def test_tolerance_below_the_default():
+    """Boxes checked at 1e-12 on one wire, beside a passthrough wire the
+    circuit also reorders.  With exact boxes the circuit evaluates, checked
+    at 1e-12, where the layered engine's identities and permutations raised
+    its tolerance to the default.  Boxes that each carry forbidden weight
+    just under 1e-12 compose to about twice that: the result is rejected
+    at the largest box tolerance, where the layered engine accepted it."""
+    space = PartitionedSpace.from_dims([0, 1], [1, 1])
+    route = Relation.identity(space.sector_labels)
+    for noise, rejected in ((0.0, False), (0.9e-12, True)):
+        matrix = np.array([[1.0, 0.0], [noise, 1.0]], dtype=complex)
+        op = RoutedMap(route, matrix, space, space, 1e-12)
+        builder = CircuitBuilder("pure").wire("a0", space).wire("a1", space).wire("a2", space)
+        builder.wire("b", PartitionedSpace.trivial(2))
+        builder.box("u", ["a0"], ["a1"], op).box("v", ["a1"], ["a2"], op)
+        circuit = builder.inputs("a0", "b").outputs("b", "a2").build()
+        old = evaluate_layered(circuit)
+        assert old.tolerance == DEFAULT_TOLERANCE
+        if rejected:
+            with pytest.raises(RouteViolation, match="1.8"):
+                evaluate(circuit)
+            continue
+        new = evaluate(circuit)
+        assert new.tolerance == 1e-12
+        assert new.route == old.route and np.array_equal(new.matrix, old.matrix)
