@@ -9,7 +9,11 @@ underlying frameworks makes it independent of the chosen foliation, which
 is also checked by tests.  Analysis passes work on the routes alone:
 properness gating of every sequential interface, and the accessible-space
 computation for slices, implemented both as the index-summation recipe and
-as the insertion-of-test-relations definition that justifies it.
+as the insertion-of-test-relations definition that justifies it.  Both sum
+a product of the boxes' boolean route tables, every box included (a part
+of the circuit not connected to the slice still counts: if its routes
+vanish, so does every slice), in an order planned once, greedily, before
+any array is touched; insertion runs one plan for all its candidates.
 """
 
 from __future__ import annotations
@@ -582,55 +586,96 @@ class AccessibleSpace:
 
 
 def _factor_tables(circuit: RoutedCircuit) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """One boolean table per box, with one axis per touched wire."""
+    """One boolean table per box, with one axis per touched wire; a wire of
+    one sector needs no axis."""
+    sizes = _slice_sizes(circuit)
     tables = []
     for box_id in sorted(circuit.boxes):
         box = circuit.boxes[box_id]
-        route = _box_route(circuit, box_id)
-        shape = tuple(circuit.wires[w].sector_labels.size for w in box.inputs) + tuple(
-            circuit.wires[w].sector_labels.size for w in box.outputs
-        )
-        table = route.matrix.reshape(shape) if shape else route.matrix.reshape(())
-        tables.append((box.inputs + box.outputs, table))
+        wires = tuple(w for w in box.inputs + box.outputs if sizes[w] > 1)
+        table = _box_route(circuit, box_id).matrix.reshape([sizes[w] for w in wires])
+        tables.append((wires, table))
     return tables
 
 
-def _eliminate(
-    factors: list[tuple[tuple[str, ...], np.ndarray]],
-    keep: Sequence[str],
-    sizes: Mapping[str, int],
-) -> np.ndarray:
-    """Sum a product of boolean tables over all variables not in ``keep``."""
-    factors = [(vars_, table.astype(bool)) for vars_, table in factors]
-    to_eliminate = sorted(
-        {v for vars_, _ in factors for v in vars_ if v not in keep}
-    )
-    for victim in to_eliminate:
-        touching = [f for f in factors if victim in f[0]]
-        rest = [f for f in factors if victim not in f[0]]
-        union_vars = sorted({v for vars_, _ in touching for v in vars_})
-        joint = np.ones(tuple(sizes[v] for v in union_vars), dtype=bool)
-        for vars_, table in touching:
-            expand = table
-            # move the table's axes into the union's axis order
-            order = sorted(range(len(vars_)), key=lambda i: union_vars.index(vars_[i]))
-            expand = np.transpose(expand, order)
-            shape = [
-                sizes[v] if v in vars_ else 1 for v in union_vars
-            ]
-            expand = expand.reshape(shape)
-            joint = joint & expand
-        axis = union_vars.index(victim)
-        reduced = joint.any(axis=axis)
-        new_vars = tuple(v for v in union_vars if v != victim)
-        factors = rest + [(new_vars, reduced)]
-    # join what is left onto the keep axes
-    result = np.ones(tuple(sizes[v] for v in keep), dtype=bool)
-    for vars_, table in factors:
-        order = sorted(range(len(vars_)), key=lambda i: keep.index(vars_[i]))
-        table = np.transpose(table, order)
-        shape = [sizes[v] if v in vars_ else 1 for v in keep]
-        result = result & table.reshape(shape)
+class _Plan(NamedTuple):
+    """A planned elimination; see :func:`_elimination_plan`."""
+
+    loads: list  # per table: the axis order that sorts its variables, or None
+    steps: list  # (operand slots, their broadcast shapes, the axes summed out)
+    left: list  # (slot, broadcast shape onto the keep axes) of what no step took
+    keep_shape: tuple[int, ...]
+
+
+def _elimination_plan(
+    signatures: Sequence[Sequence[str]], keep: Sequence[str], sizes: Mapping[str, int]
+) -> _Plan:
+    """Plan summing a product of boolean tables over every variable not in
+    ``keep``; table ``i`` has one axis per variable of ``signatures[i]``.
+
+    The order is greedy: next comes the variable whose joint, over the
+    tables that touch it, is smallest (ties to the earliest variable).  A
+    step joins those tables, and every other table that fits inside their
+    joint, and sums out every variable no table outside the step touches.
+    Variables are numbered, ``keep`` first, and every table keeps its axes
+    in that order, so a join is a reshape and a broadcast.  The plan
+    depends only on the signatures, so tables of the same signatures can
+    share it.
+    """
+    rank = {v: i for i, v in enumerate(dict.fromkeys(itertools.chain(keep, *signatures)))}
+    dims = [sizes[v] for v in rank]
+    loads, vars_of = [], []
+    touching: list[set[int]] = [set() for _ in rank]
+    for slot, signature in enumerate(signatures):
+        ids = [rank[v] for v in signature]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        loads.append(None if order == list(range(len(ids))) else order)
+        vars_of.append(frozenset(ids))
+        for i in ids:
+            touching[i].add(slot)
+
+    def joint(v):
+        union = frozenset().union(*map(vars_of.__getitem__, touching[v]))
+        return math.prod(map(dims.__getitem__, union)), v, union
+
+    cost = {v: joint(v) for v in range(len(keep), len(rank))}
+    steps = []
+    while cost:
+        _, victim, union = min(cost.values())
+        # every table inside the joint comes along at no extra size
+        near = set().union(*map(touching.__getitem__, union))
+        joined = {s for s in near if vars_of[s] <= union}
+        operands = sorted(joined)
+        axes = sorted(union)
+        gone = [u for u in axes if u in cost and touching[u] <= joined]
+        shapes = [[dims[u] if u in vars_of[s] else 1 for u in axes] for s in operands]
+        steps.append((operands, shapes, tuple(axes.index(u) for u in gone)))
+        slot = len(vars_of)
+        vars_of.append(union.difference(gone))
+        for u in gone:
+            del cost[u]
+        for u in vars_of[slot]:
+            touching[u] = touching[u].difference(operands) | {slot}
+            if u in cost:
+                cost[u] = joint(u)
+    used = {s for operands, _, _ in steps for s in operands}
+    left = [
+        (s, [dims[i] if i in vars_of[s] else 1 for i in range(len(keep))])
+        for s in range(len(vars_of))
+        if s not in used
+    ]
+    return _Plan(loads, steps, left, tuple(dims[: len(keep)]))
+
+
+def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Carry out ``plan`` on boolean tables of the signatures it was made for."""
+    slots = [t if order is None else t.transpose(order) for t, order in zip(tables, plan.loads)]
+    for operands, shapes, axes in plan.steps:
+        joint = reduce(np.logical_and, [slots[s].reshape(sh) for s, sh in zip(operands, shapes)])
+        slots.append(np.logical_or.reduce(joint, axis=axes))
+    result = np.ones(plan.keep_shape, dtype=bool)
+    for slot, shape in plan.left:
+        result = result & slots[slot].reshape(shape)
     return result
 
 
@@ -639,46 +684,35 @@ def _slice_sizes(circuit: RoutedCircuit) -> dict[str, int]:
 
 
 def _accessible_by_recipe(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
-    """Index-summation recipe: contract every route transitively connected to
-    the slice, summing out all indices except the slice's."""
-    tables = _factor_tables(circuit)
-    connected: set[str] = set(cut.wires)
-    active: list[tuple[tuple[str, ...], np.ndarray]] = []
-    changed = True
-    remaining = list(tables)
-    while changed:
-        changed = False
-        for factor in list(remaining):
-            if set(factor[0]) & connected:
-                active.append(factor)
-                remaining.remove(factor)
-                connected |= set(factor[0])
-                changed = True
-    return _eliminate(active, cut.wires, _slice_sizes(circuit))
+    """Index-summation recipe: contract every route, summing out all indices
+    except the slice's."""
+    factors = _factor_tables(circuit)
+    plan = _elimination_plan([v for v, _ in factors], cut.wires, _slice_sizes(circuit))
+    return _run_plan(plan, [t for _, t in factors])
 
 
 def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     """Defining test: fix the slice sectors to a candidate tuple and ask
-    whether the whole relation-level circuit still relates anything."""
-    tables = _factor_tables(circuit)
+    whether the whole relation-level circuit still relates anything.
+
+    Every pinned network has the same signatures, so one plan serves all
+    candidates.  Each table's slice axes are moved to the front once, and
+    a candidate pins them by indexing.
+    """
+    position = {w: i for i, w in enumerate(cut.wires)}
+    moved, pins, signatures = [], [], []
+    for vars_, table in _factor_tables(circuit):
+        pinned = [i for i, v in enumerate(vars_) if v in position]
+        free = [i for i, v in enumerate(vars_) if v not in position]
+        moved.append(table.transpose(pinned + free))
+        pins.append([position[vars_[i]] for i in pinned])
+        signatures.append([vars_[i] for i in free])
     sizes = _slice_sizes(circuit)
-    shape = tuple(sizes[w] for w in cut.wires)
-    out = np.zeros(shape, dtype=bool)
-    for candidate in itertools.product(*map(range, shape)):
-        pinned: list[tuple[tuple[str, ...], np.ndarray]] = []
-        for vars_, table in tables:
-            picked = table
-            kept_vars = []
-            for axis_pos, v in enumerate(vars_):
-                if v in cut.wires:
-                    picked = np.take(
-                        picked, candidate[cut.wires.index(v)], axis=len(kept_vars)
-                    )
-                else:
-                    kept_vars.append(v)
-            pinned.append((tuple(kept_vars), picked))
-        total = _eliminate(pinned, (), sizes)
-        out[candidate] = bool(total)
+    plan = _elimination_plan(signatures, (), sizes)
+    out = np.zeros([sizes[w] for w in cut.wires], dtype=bool)
+    for candidate in np.ndindex(out.shape):
+        pinned = [t[(*map(candidate.__getitem__, pin), ...)] for t, pin in zip(moved, pins)]
+        out[candidate] = _run_plan(plan, pinned)
     return out
 
 
@@ -687,7 +721,7 @@ def accessible_space(
 ) -> AccessibleSpace:
     """Sector tuples of the slice that the circuit's routes can populate.
 
-    ``algorithm`` 'recipe' contracts the connected routes and sums out the
+    ``algorithm`` 'recipe' contracts every route and sums out the
     non-slice indices; 'insertion' pins each candidate tuple at the slice
     and tests the end-to-end relation for vanishing.  Both return the same
     set.  CPM circuits are analysed through the routes' diagonals.

@@ -4,7 +4,8 @@ Subcommands mirror the library passes: validate (properness gating or
 well-indexedness linting), eval (compose and certify), accessible (slice
 analysis), explain (improper-composition witnesses) and export-dot.
 Reports are JSON by default; --human renders them as text.  Exit codes:
-0 pass, 1 validation failure, 2 usage or parse error.
+0 pass, 1 validation failure, 2 usage or parse error (a --slice that is
+not an antichain of known wires is a usage error).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import relations as rel
 from .circuits import Slice, accessible_space, check_circuit, circuit_to_dot, evaluate
-from .errors import ParseError, RoutedError, SchemaError, UsageError
+from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, parse
 from .iodag import (
     _layer_corelations,
@@ -158,6 +159,8 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
     if doc.kind != "circuit":
         raise SchemaError("accessible applies to circuit documents")
     wires = tuple(w.strip() for w in args.slice.split(",") if w.strip())
+    if not wires:
+        raise InvalidSlice(f"--slice {args.slice!r} names no wire")
     cut = Slice(wires)
     recipe = accessible_space(doc.payload, cut, algorithm="recipe")
     oracle = accessible_space(doc.payload, cut, algorithm="insertion")
@@ -311,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _load(args.file)
         code, payload = _HANDLERS[args.command](doc, args)
-    except (ParseError, SchemaError, UsageError) as exc:
+    except (ParseError, SchemaError, UsageError, InvalidSlice) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 2
     except RoutedError as exc:

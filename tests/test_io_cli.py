@@ -294,3 +294,25 @@ class TestExplainIndexedGraphs:
             {"class": ["out:kA"], "kind": "created", "layer": ["w3"], "pair": ["kA", "kB"]},
             {"class": ["out:kB"], "kind": "created", "layer": ["w3"], "pair": ["kB", "kA"]},
         ]
+
+
+class TestSliceUsageErrors:
+    """A --slice that is not an antichain of known wires is a usage error:
+    exit 2, with the JSON error naming the slice problem."""
+
+    @pytest.mark.parametrize(
+        "wires, message",
+        [
+            ("A,nope", "unknown wire 'nope'"),
+            ("A,A", "slice repeats wires"),
+            ("A,A2", "not an antichain"),
+            (",", "names no wire"),
+        ],
+    )
+    def test_exit_two(self, wires, message):
+        result = run_cli("accessible", bundled_path("two_trajectories.json"), "--slice", wires)
+        assert result.returncode == 2
+        payload = json.loads(result.stdout)
+        assert message in payload["error"]
+        assert payload["kind"] == "InvalidSlice"
+
