@@ -1,23 +1,25 @@
 """Routed circuits: DAGs of routed maps or routed CP maps on typed wires.
 
-Evaluation contracts the box maps along their wires, and the box routes
-the same way, one box at a time in the order of a topological foliation:
-the running operator keeps one axis per open wire, so wires a box does not
-touch are left alone and reordering wires only relabels axes.  The result
-is built, and checked against its route, once.  Soundness of the
-underlying frameworks makes it independent of the chosen foliation, which
-is also checked by tests.  Analysis passes work on the routes alone:
-properness gating of every sequential interface, and the accessible-space
-computation for slices, implemented both as the index-summation recipe and
-as the insertion-of-test-relations definition that justifies it.  Both sum
-a product of the boxes' boolean route tables, every box included (a part
-of the circuit not connected to the slice still counts: if its routes
-vanish, so does every slice), in an order planned once, greedily, before
-any array is touched; insertion runs one plan for all its candidates.
+Evaluation contracts a tensor network, one table per box with an axis per
+wire it touches, pairwise in a greedy order planned before any array is
+touched: the box maps as complex tables and the box routes as boolean
+ones.  Wires a box does not touch get no identity, and reordering wires
+only relabels axes.  The result is built, and checked against its route,
+once.  Soundness of the underlying frameworks makes it independent of the
+chosen foliation, which is also checked by tests.  Analysis passes work on
+the routes alone: properness gating of every sequential interface, and the
+accessible-space computation for slices, implemented both as the
+index-summation recipe and as the insertion-of-test-relations definition
+that justifies it.  Both sum a product of the boxes' boolean route tables,
+every box included (a part of the circuit not connected to the slice still
+counts: if its routes vanish, so does every slice), in an order planned
+once, greedily, before any array is touched; insertion runs one plan for
+all its candidates.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -287,35 +289,100 @@ def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> Partiti
     return tensor_many([circuit.wires[w] for w in wire_ids])
 
 
-# Axis labels of the running arrays besides the wires: the interface the
-# walk starts from, and the Kraus operator index.
+# Axis labels of the networks besides the wires: the interface a network
+# starts from, and the Kraus operator index of a box.
 _INPUT, _KRAUS = object(), object()
 
 
-def _contract(array: np.ndarray, axes: list, factors: Iterable, boolean: bool = False):
-    """Contract boxes, one at a time, into an array with labelled axes.
+class _Contraction(NamedTuple):
+    """A planned pairwise contraction; see :func:`_contraction_plan`."""
 
-    Each factor is ``(table, head, tail)``: the table's trailing axes,
-    labelled ``tail``, are summed against the array's axes of the same
-    labels, and its leading axes, labelled ``head``, take their place at
-    the front.  Axes no factor names are left alone.  A ``_KRAUS`` head axis
-    is merged into the array's own, the new operator index outermost.  With
-    ``boolean`` the entries are 0/1 and every contraction is thresholded
-    back to 0/1, so sums of products count paths without overflowing.
-    Returns the array and its axis labels.
+    steps: list  # (slot, slot, their axis orders, count of summed axes, result shape)
+    result: list  # the axis order taking the last slot to the result
+    batch: list  # the batch labels of the result's first axis, outermost first
+
+
+def _contraction_plan(
+    signatures: Sequence[Sequence], open_labels: Sequence, sizes: Mapping
+) -> _Contraction:
+    """Plan contracting tables pairwise; table ``i`` has one axis per label
+    of ``signatures[i]``, and the result one per label of ``open_labels``.
+
+    A label on two tables is summed.  Any other label on one table is a
+    batch label (a Kraus index), at most one per table; a pair's batch
+    axes merge into one, the first table's outermost, and the result leads
+    with that axis if there is one.  The next pair is the pair sharing a
+    label whose result is smallest, ties to the lowest table indices, from
+    a heap over neighbouring pairs; parts left disconnected are joined by
+    outer products in table order.  Each pair is laid out for one
+    ``np.tensordot`` (free axes, batch axis, summed axes against summed
+    axes, batch axis, free axes), so merging batch axes is a reshape.
     """
-    for table, head, tail in factors:
-        positions = [axes.index(a) for a in tail]
-        array = np.tensordot(table, array, (list(range(len(head), table.ndim)), positions))
-        axes = list(head) + [a for a in axes if a not in tail]
+    holders: dict = {}
+    for slot, signature in enumerate(signatures):
+        for label in signature:
+            holders.setdefault(label, []).append(slot)
+    batch = {label for label, at in holders.items() if len(at) == 1} - set(open_labels)
+    axes = [[_KRAUS if label in batch else label for label in s] for s in signatures]
+    batches = [[label for label in s if label in batch] for s in signatures]
+    labels = [set(s) for s in signatures]
+    steps, alive = [], set(range(len(signatures)))
+    size_of = sizes.__getitem__
+
+    def size(a, b):
+        return math.prod(map(size_of, labels[a] ^ labels[b]))
+
+    def join(a, b):
+        shared = labels[a] & labels[b]
+        free_a = [x for x in axes[a] if x not in shared and x is not _KRAUS]
+        free_b = [x for x in axes[b] if x not in shared and x is not _KRAUS]
+        summed = [x for x in axes[a] if x in shared]
+        order_a = free_a + [_KRAUS] * bool(batches[a]) + summed
+        order_b = summed + [_KRAUS] * bool(batches[b]) + free_b
+        batches.append(batches[a] + batches[b])
+        axes.append(free_a + [_KRAUS] * bool(batches[-1]) + free_b)
+        labels.append(labels[a] ^ labels[b])
+        count = math.prod(map(size_of, batches[-1]))
+        shape = tuple([count if x is _KRAUS else sizes[x] for x in axes[-1]])
+        orders = [*map(axes[a].index, order_a)], [*map(axes[b].index, order_b)]
+        steps.append((a, b, *orders, len(summed), shape))
+        alive.difference_update((a, b))
+        alive.add(len(axes) - 1)
+        return len(axes) - 1
+
+    heap = sorted({(size(*at), *at) for at in holders.values() if len(at) == 2})
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a in alive and b in alive:
+            slot = join(a, b)
+            neighbours = set()
+            for label in labels[slot]:
+                at = holders[label]
+                if len(at) == 2:  # the new slot takes the place of a or b
+                    other = at[0] if at[1] in (a, b) else at[1]
+                    holders[label] = (other, slot)
+                    neighbours.add(other)
+            for other in sorted(neighbours):
+                heapq.heappush(heap, (size(other, slot), other, slot))
+    last = reduce(join, sorted(alive))
+    result = [_KRAUS] * bool(batches[last]) + list(open_labels)
+    return _Contraction(steps, [axes[last].index(x) for x in result], batches[last])
+
+
+def _run_contraction(
+    plan: _Contraction, tables: Sequence[np.ndarray], boolean: bool = False
+) -> np.ndarray:
+    """Carry out ``plan`` on tables of the signatures it was made for.  With
+    ``boolean`` the entries are 0/1, and every product is thresholded back
+    to 0/1, so sums of products count paths without overflowing."""
+    slots = list(tables)
+    for a, b, order_a, order_b, summed, shape in plan.steps:
+        out = np.tensordot(slots[a].transpose(order_a), slots[b].transpose(order_b), summed)
         if boolean:
-            np.minimum(array, 1, out=array)
-        if head[:1] == [_KRAUS]:
-            old = axes.index(_KRAUS, 1)
-            array = np.moveaxis(array, old, 1)
-            array = array.reshape(-1, *array.shape[2:])
-            del axes[old]
-    return array, axes
+            np.minimum(out, 1, out=out)
+        slots[a] = slots[b] = None
+        slots.append(out.reshape(shape))
+    return slots[-1].transpose(plan.result)
 
 
 def _contracted_route(
@@ -331,31 +398,28 @@ def _contracted_route(
     Each wire carries ``copies`` sector axes: one for plain routes, indexed
     ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.
     """
-
-    def size(wire):
-        return circuit.wires[wire].sector_labels.size
+    sizes = {(w, c): space.sector_labels.size for w, space in circuit.wires.items()
+             for c in range(copies)}
 
     def labels(wires):  # a wire of one sector needs no axis
-        return [(w, c) for c in range(copies) for w in wires if size(w) > 1]
-
-    def sizes(wires):
-        return [size(w) for w in wires if size(w) > 1] * copies
+        return [(w, c) for c in range(copies) for w in wires if sizes[w, 0] > 1]
 
     def count(wires):
-        return math.prod(map(size, wires))
+        return math.prod(sizes[w, 0] for w in wires)
 
+    inputs = [(_INPUT, c) for c in range(copies)]
+    sizes.update(dict.fromkeys(inputs, count(sources)))
+    start = np.eye(count(sources) ** copies, dtype=np.float32)
+    signatures = [labels(sources) + inputs]
+    tables = [start.reshape([sizes[x] for x in signatures[0]])]
     # [inputs..., outputs...] <-> [outputs..., inputs...]: one swap both ways
     swap = [*range(copies, 2 * copies), *range(copies)]
-    factors = []
     for box in (circuit.boxes[b] for b in box_ids):
+        signatures.append(labels(box.outputs) + labels(box.inputs))
         table = box.op.route.matrix.transpose(swap).astype(np.float32)
-        table = table.reshape(sizes(box.outputs) + sizes(box.inputs))
-        factors.append((table, labels(box.outputs), labels(box.inputs)))
-    inputs = [(_INPUT, c) for c in range(copies)]
-    start = np.eye(count(sources) ** copies, dtype=np.float32)
-    start = start.reshape(sizes(sources) + [count(sources)] * copies)
-    array, axes = _contract(start, labels(sources) + inputs, factors, boolean=True)
-    array = array.transpose([axes.index(a) for a in labels(targets) + inputs])
+        tables.append(table.reshape([sizes[x] for x in signatures[-1]]))
+    plan = _contraction_plan(signatures, labels(targets) + inputs, sizes)
+    array = _run_contraction(plan, tables, boolean=True)
     shape = [count(targets)] * copies + [count(sources)] * copies
     return array.reshape(shape).transpose(swap) > 0
 
@@ -369,40 +433,45 @@ def _contracted_operators(
     """The ``(count, d_out, d_in)`` operator stack of the boxes, applied in
     order, from the interface ``sources`` to ``targets``.
 
-    The running array keeps one axis per open wire in that wire's own
-    basis; a box's matrix or Kraus operators leave the canonical basis of
-    its interfaces once, through :func:`kron_to_canonical`.  The input axis
-    stays canonical throughout, and the output axes are scattered into the
-    canonical order at the end.
+    The network has a start table, the identity from one canonical input
+    axis onto the source wires, and one table per box, with an axis per
+    wire in that wire's own basis and one per Kraus index.  A box's
+    operators leave the canonical basis of its interfaces through
+    :func:`kron_to_canonical`, the identity on one wire.  The Kraus order is
+    that of composing the boxes one at a time, the last box's index
+    outermost, whatever order the plan contracts them in.
     """
+    sizes = {w: space.total_dim for w, space in circuit.wires.items()}
 
     def wide(wires):  # a wire of dimension 1 needs no axis
-        return [w for w in wires if circuit.wires[w].total_dim > 1]
-
-    def dims(wires):
-        return [circuit.wires[w].total_dim for w in wide(wires)]
+        return [w for w in wires if sizes[w] > 1]
 
     def to_kron(wires):
         return kron_to_canonical(*(circuit.wires[w] for w in wires))
 
-    factors = []
+    sizes[_INPUT] = d_in = math.prod(sizes[w] for w in sources)
+    signatures = [[*wide(sources), _INPUT]]
+    start = np.eye(d_in, dtype=complex)[to_kron(sources)]
+    tables = [start.reshape([sizes[x] for x in signatures[0]])]
+    kraus = []
     for box in (circuit.boxes[b] for b in box_ids):
-        op = box.op
-        stack = op.kraus_stack if isinstance(op, RoutedCPM) else op.matrix[None]
-        table = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
-        table = table.reshape(-1, *dims(box.outputs), *dims(box.inputs))
-        if len(table) == 1:
-            factors.append((table[0], wide(box.outputs), wide(box.inputs)))
-        else:
-            factors.append((table, [_KRAUS, *wide(box.outputs)], wide(box.inputs)))
-    d_in = math.prod(dims(sources))
-    start = np.eye(d_in, dtype=complex)[to_kron(sources)].reshape(1, *dims(sources), d_in)
-    array, axes = _contract(start, [_KRAUS, *wide(sources), _INPUT], factors)
-    array = array.transpose([axes.index(a) for a in [_KRAUS, *wide(targets), _INPUT]])
-    kron = array.reshape(len(array), -1, d_in)
-    stack = np.empty_like(kron)
-    stack[:, to_kron(targets)] = kron
-    return stack
+        stack = box.op.kraus_stack if isinstance(box.op, RoutedCPM) else box.op.matrix[None]
+        if len(box.inputs) > 1 or len(box.outputs) > 1:
+            stack = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
+        signatures.append([*wide(box.outputs), *wide(box.inputs)])
+        if len(stack) > 1:
+            kraus.append((_KRAUS, len(kraus)))
+            sizes[kraus[-1]] = len(stack)
+            signatures[-1].insert(0, kraus[-1])
+        tables.append(stack.reshape([sizes[x] for x in signatures[-1]]))
+    plan = _contraction_plan(signatures, [*wide(targets), _INPUT], sizes)
+    array = _run_contraction(plan, tables)
+    order = np.zeros(1, dtype=np.intp)  # the plan's Kraus index of each operator
+    for label in reversed(kraus):
+        stride = math.prod(sizes[x] for x in plan.batch[plan.batch.index(label) + 1 :])
+        order = (order[:, None] + stride * np.arange(sizes[label])).ravel()
+    kron = array.reshape(-1, math.prod(sizes[w] for w in targets), d_in)
+    return kron[np.ix_(order, np.argsort(to_kron(targets)))]
 
 
 def _contracted(
@@ -451,14 +520,16 @@ def _permutation_map(
 def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> BoxOp:
     """Compose the whole circuit into one routed map (or routed CP map).
 
-    The boxes are contracted one at a time into a running array with one
-    axis per open wire, and their routes likewise into a running boolean
-    array; no identity is tensored onto the wires a box leaves alone, and a
-    change of wire order only relabels axes.  The foliation is the
-    deterministic Kahn layering unless ``box_order`` pins an explicit
-    topological order; the result does not depend on the choice.  In CPM
-    mode the Kraus operators come in the order of composing the layers: the
-    last layer's index outermost, and inside a layer, the box order.
+    The boxes form a tensor network, one table per box with an axis per
+    wire it touches (and one per Kraus index), contracted pairwise, next
+    the pair whose result is smallest; their routes form the same network
+    of boolean tables.  No identity is tensored onto the wires a box
+    leaves alone, and a change of wire order only relabels axes.  The
+    foliation is the deterministic Kahn layering unless ``box_order`` pins
+    an explicit topological order; the result does not depend on the
+    choice.  In CPM mode the Kraus operators come in the order of composing
+    the layers: the last layer's index outermost, and inside a layer, the
+    box order.
     """
     layers = _foliation_layers(circuit, box_order)
     # boxes of one layer commute; taken last to first, each new operator

@@ -142,9 +142,6 @@ class Relation:
     def relates(self, k: Label, l: Label) -> bool:
         return bool(self.matrix[self.domain.position(k), self.codomain.position(l)])
 
-    def is_zero(self) -> bool:
-        return not self.matrix.any()
-
     def pairs(self) -> list[tuple[Label, Label]]:
         return [
             (self.domain.labels[i], self.codomain.labels[j])
@@ -165,8 +162,8 @@ def compose(second: Relation, first: Relation) -> Relation:
         raise DomainMismatch(
             f"cannot compose: interface {first.codomain!r} != {second.domain!r}"
         )
-    matrix = (first.matrix[:, :, None] & second.matrix[None, :, :]).any(axis=1)
-    return Relation(first.domain, second.codomain, matrix)
+    paths = first.matrix.astype(np.float32) @ second.matrix.astype(np.float32)
+    return Relation(first.domain, second.codomain, paths > 0)
 
 
 def product(left: Relation, right: Relation) -> Relation:
@@ -353,9 +350,10 @@ def cp_compose(second: CPRelation, first: CPRelation) -> CPRelation:
         raise DomainMismatch(
             f"cannot compose: interface {first.base_codomain!r} != {second.base_domain!r}"
         )
-    matrix = (
-        first.matrix[:, :, :, :, None, None] & second.matrix[None, None, :, :, :, :]
-    ).any(axis=(2, 3))
+    k, l, m = first.matrix.shape[0], first.matrix.shape[2], second.matrix.shape[2]
+    flat_first = first.matrix.reshape(k * k, l * l).astype(np.float32)
+    flat_second = second.matrix.reshape(l * l, m * m).astype(np.float32)
+    matrix = (flat_first @ flat_second > 0).reshape(k, k, m, m)
     return CPRelation(first.base_domain, second.base_codomain, matrix)
 
 

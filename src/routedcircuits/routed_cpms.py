@@ -26,7 +26,6 @@ from .routed_maps import (
     _check_numbers,
     _relabelled_spaces,
     _require_proper,
-    _tensor_flat,
     follows,
 )
 from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
@@ -224,11 +223,6 @@ def tensor_cpm(left: RoutedCPM, right: RoutedCPM) -> RoutedCPM:
     )
 
 
-def tensor_cpms_flat(channels: list[RoutedCPM]) -> RoutedCPM:
-    """Left-fold tensor with labels flattened to one component per factor."""
-    return _tensor_flat(channels, RoutedCPM)
-
-
 def dagger_cpm(channel: RoutedCPM) -> RoutedCPM:
     """Adjoint channel: Kraus-wise dagger with the transposed route."""
     return RoutedCPM(
@@ -247,8 +241,8 @@ def is_practically_trace_preserving(channel: RoutedCPM, tol: float | None = None
     p = subset_projector(
         channel.domain, rel.practical_input_set(rel.diagonal(channel.route))
     )
-    stack = channel.kraus_stack
-    gram = np.einsum("kji,kjl->il", stack.conj(), stack)
+    flat = channel.kraus_stack.reshape(-1, channel.domain.total_dim)
+    gram = flat.conj().T @ flat
     sandwich = p @ gram @ p
     return float(np.abs(sandwich - p).max(initial=0.0)) <= tol
 

@@ -217,22 +217,16 @@ def tensor_map(left: RoutedMap, right: RoutedMap) -> RoutedMap:
     )
 
 
-def _tensor_flat(ops: list, kind: type):
-    """Left-fold tensor of maps or channels of one ``kind``, with labels
-    flattened to one component per factor."""
-    if not ops:
-        return kind.identity(PartitionedSpace.trivial())
-    acc = reduce(kind.tensor, ops)
-    if len(ops) == 1:
-        return acc
-    return acc.relabel(
-        tensor_many([op.domain for op in ops]), tensor_many([op.codomain for op in ops])
-    )
-
-
 def tensor_maps_flat(maps: list[RoutedMap]) -> RoutedMap:
     """Left-fold tensor with labels flattened to one component per factor."""
-    return _tensor_flat(maps, RoutedMap)
+    if not maps:
+        return RoutedMap.identity(PartitionedSpace.trivial())
+    acc = reduce(RoutedMap.tensor, maps)
+    if len(maps) == 1:
+        return acc
+    return acc.relabel(
+        tensor_many([m.domain for m in maps]), tensor_many([m.codomain for m in maps])
+    )
 
 
 def dagger(routed: RoutedMap) -> RoutedMap:

@@ -212,27 +212,3 @@ def tensor_many(spaces: Sequence[PartitionedSpace]) -> PartitionedSpace:
     labels = itertools.product(*(space.sector_labels for space in spaces))
     dims = itertools.product(*(space.sector_dims for space in spaces))
     return PartitionedSpace(IndexSet(labels), (math.prod(d) for d in dims))
-
-
-def space_to_json(space: PartitionedSpace, name: str = "") -> dict:
-    from .relations import label_to_json
-
-    data = {
-        "sectors": [
-            {"label": label_to_json(label), "dim": dim}
-            for label, dim in zip(space.sector_labels, space.sector_dims)
-        ]
-    }
-    if name:
-        data["name"] = name
-    return data
-
-
-def space_from_json(data: dict) -> PartitionedSpace:
-    from .relations import label_from_json
-
-    sectors = data["sectors"]
-    return PartitionedSpace(
-        IndexSet(label_from_json(s["label"]) for s in sectors),
-        (s["dim"] for s in sectors),
-    )

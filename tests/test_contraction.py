@@ -1,10 +1,11 @@
-"""Per-wire contraction in ``circuits.evaluate`` against the layered engine
-kept in ``layered_oracle``, and the wide circuit the layered engine could
-not evaluate in reasonable time."""
+"""The planned contraction in ``circuits.evaluate`` against the layered
+engine kept in ``layered_oracle``, the planner against ``np.einsum``, and
+the wide circuit the layered engine could not evaluate in reasonable time."""
 
 from __future__ import annotations
 
 import math
+import string
 from functools import reduce
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import evaluate
+from routedcircuits.circuits import _contraction_plan, _run_contraction, evaluate
 from routedcircuits.errors import RouteViolation
 from routedcircuits.relations import Relation
 from routedcircuits.routed_cpms import RoutedCPM
@@ -24,6 +25,7 @@ from routedcircuits.sampling import (
     random_decohered_cpm,
     random_matrix_following,
     random_relation,
+    random_sector_preserving_channel,
     random_space,
 )
 from routedcircuits.spaces import PartitionedSpace, tensor_many
@@ -254,3 +256,152 @@ def test_tolerance_below_the_default():
         new = evaluate(circuit)
         assert new.tolerance == 1e-12
         assert new.route == old.route and np.array_equal(new.matrix, old.matrix)
+
+
+# -- the planner --------------------------------------------------------------
+
+#: product of every label size of a drawn network, a bound on every
+#: intermediate and on the reference's loop
+MAX_NETWORK = 2**12
+
+
+@st.composite
+def networks(draw):
+    """A random network of at most 52 labels (``np.einsum``'s letters) on
+    one to eight tables, 0-d tables among them.  A label is summed (on two
+    tables), open or a batch label (on one table, at most one batch label
+    per table); the open labels sit on the first table alone or anywhere,
+    and are asked for in a random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 8))
+    on_first = draw(st.booleans())
+    signatures: list[list[str]] = [[] for _ in range(count)]
+    sizes, opened, batched = {}, [], set()
+    budget = MAX_NETWORK
+    for label in string.ascii_letters[: draw(st.integers(0, 52))]:
+        size = draw(st.sampled_from([1, 1, 2, 3]))
+        if size > budget:
+            size = 1
+        budget //= size
+        kind = draw(st.sampled_from(["summed", "open", "batch"]))
+        if kind == "summed" and count > 1:
+            holders = rng.choice(count, size=2, replace=False).tolist()
+        elif kind == "batch" and len(batched) < count:
+            holders = [int(rng.choice(sorted(set(range(count)) - batched)))]
+            batched.update(holders)
+        else:
+            holders = [0 if on_first else int(rng.integers(count))]
+            opened.append(label)
+        for slot in holders:
+            signatures[slot].insert(int(rng.integers(len(signatures[slot]) + 1)), label)
+        sizes[label] = size
+    opened = draw(st.permutations(opened))
+    return signatures, opened, sizes, rng
+
+
+def draw_tables(signatures, sizes, rng, boolean: bool) -> list[np.ndarray]:
+    tables = []
+    for signature in signatures:
+        shape = [sizes[label] for label in signature]
+        if boolean:
+            tables.append((rng.random(shape) < 0.6).astype(np.float32))
+        else:
+            tables.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return tables
+
+
+class TestPlanner:
+    def reference(self, signatures, opened, plan, tables):
+        """``np.einsum`` of the network, with the batch labels in the plan's
+        order merged into one leading axis when there are any."""
+        spec = ",".join("".join(s) for s in signatures) + "->" + "".join(plan.batch + opened)
+        want = np.einsum(spec, *tables)
+        return want.reshape(-1, *want.shape[len(plan.batch) :]) if plan.batch else want
+
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    def test_complex_matches_einsum(self, network):
+        signatures, opened, sizes, rng = network
+        plan = _contraction_plan(signatures, opened, sizes)
+        batch = {l for s in signatures for l in s if sum(l in t for t in signatures) == 1}
+        assert set(plan.batch) == batch - set(opened)
+        tables = draw_tables(signatures, sizes, rng, boolean=False)
+        got = _run_contraction(plan, tables)
+        want = self.reference(signatures, opened, plan, tables)
+        assert got.shape == want.shape
+        # every entry sums at most MAX_NETWORK products of at most 8 factors
+        bound = 2 * (MAX_NETWORK + 8) * np.finfo(float).eps
+        scale = self.reference(signatures, opened, plan, [np.abs(t) for t in tables])
+        assert np.all(np.abs(got - want) <= bound * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    def test_boolean_matches_einsum(self, network):
+        signatures, opened, sizes, rng = network
+        plan = _contraction_plan(signatures, opened, sizes)
+        tables = draw_tables(signatures, sizes, rng, boolean=True)
+        got = _run_contraction(plan, tables, boolean=True)
+        want = self.reference(signatures, opened, plan, tables) > 0
+        assert got.shape == want.shape
+        assert np.array_equal(got, want.astype(np.float32))
+
+    def test_ties_go_to_the_lowest_tables(self):
+        """Both neighbouring pairs give 8 entries: tables 0 and 1 go first,
+        into table 4; the part left disconnected joins last, the lower
+        table's batch label outermost."""
+        signatures = [["a", "x"], ["b", "x", "y"], ["c", "y"], ["z"]]
+        sizes = dict.fromkeys("abcxyz", 2)
+        plan = _contraction_plan(signatures, ["c", "a"], sizes)
+        assert [step[:2] for step in plan.steps] == [(0, 1), (2, 4), (3, 5)]
+        assert plan.batch == ["z", "b"]
+        assert plan == _contraction_plan(signatures, ["c", "a"], sizes)
+
+    def test_smallest_result_first(self):
+        """Tables 1 and 2 sum out the large label: a result of 4 entries,
+        against 8 for tables 0 and 1, which touch fewer entries in all."""
+        signatures = [["a", "x"], ["x", "y"], ["y", "c"]]
+        sizes = {"a": 1, "x": 2, "y": 8, "c": 2}
+        plan = _contraction_plan(signatures, ["a", "c"], sizes)
+        assert [step[:2] for step in plan.steps] == [(1, 2), (0, 3)]
+
+
+def test_cpm_trajectories_intermediates(monkeypatch):
+    """A message and a control register encoded onto three lines, each line
+    through four 2-Kraus channels, and decoded: 4,096 Kraus operators of
+    size 6 x 6.  No intermediate of the planned contraction is larger than
+    the result; a box-by-box walk held 4.5 times that."""
+    rng = np.random.default_rng(3)
+    lines, layers = 3, 4
+    message, control = PartitionedSpace.trivial(2), PartitionedSpace.trivial(lines)
+    line = PartitionedSpace.from_dims([0, 1], [1, 2])
+    register = tensor_many([message, control])
+    joint = tensor_many([line] * lines)
+    builder = CircuitBuilder("cpm").wire("M", message).wire("C", control)
+    builder.wire("M2", message).wire("C2", control)
+    for end, (domain, codomain) in enumerate(((register, joint), (joint, register))):
+        route = Relation.full(domain.sector_labels, codomain.sector_labels)
+        op = random_coherent_cpm(route, domain, codomain, rng, count=1)
+        ends = [f"L{j}_{end * layers}" for j in range(lines)]
+        wires = (["M", "C"], ends) if end == 0 else (ends, ["M2", "C2"])
+        builder.box(f"end{end}", *wires, op)
+    for j in range(lines):
+        builder.wire(f"L{j}_0", line)
+        for t in range(layers):
+            builder.wire(f"L{j}_{t + 1}", line)
+            op = random_sector_preserving_channel(line, rng, count=2)
+            builder.box(f"u{j}_{t}", [f"L{j}_{t}"], [f"L{j}_{t + 1}"], op)
+    circuit = builder.inputs("M", "C").outputs("M2", "C2").build()
+
+    plans = []
+
+    def recording(*args):
+        plans.append(_contraction_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr("routedcircuits.circuits._contraction_plan", recording)
+    result = evaluate(circuit)
+    kraus, d_out, d_in = result.kraus_stack.shape
+    assert kraus == 2 ** (lines * layers) and d_out == d_in == 6
+    (plan,) = [p for p in plans if p.batch]
+    largest = max(math.prod(shape) for *_, shape in plan.steps)
+    assert largest <= kraus * d_out * d_in

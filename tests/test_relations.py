@@ -98,6 +98,49 @@ class TestCompose:
             assert rel.compose(h, rel.compose(g, f)) == rel.compose(rel.compose(h, g), f)
 
 
+@st.composite
+def composable(draw, max_size: int, cp: bool):
+    """Two random composable relations (coherence routes with ``cp``, each
+    the doubling closure of a few random relations) of 1 to ``max_size``
+    labels per index set; an index set has at least one label."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b, c = (draw(st.integers(1, max_size)) for _ in range(3))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    pair = []
+    for k, l in ((a, b), (b, c)):
+        if not cp:
+            matrix = rng.random((k, l)) < density
+            pair.append(Relation(IndexSet(range(k)), IndexSet(range(l)), matrix))
+            continue
+        matrix = np.zeros((k, k, l, l), dtype=bool)
+        for _ in range(draw(st.integers(0, 3))):
+            r = rng.random((k, l)) < density
+            matrix |= r[:, None, :, None] & r[None, :, None, :]
+        pair.append(CPRelation(IndexSet(range(k)), IndexSet(range(l)), matrix))
+    return pair
+
+
+class TestComposeAsMatmul:
+    """Composition is a float32 matmul thresholded at zero; these are the
+    boolean expressions it replaced, n^3 and n^6 temporaries included."""
+
+    @given(composable(max_size=40, cp=False))
+    @settings(max_examples=100, deadline=None)
+    def test_relations(self, pair):
+        first, second = pair
+        want = (first.matrix[:, :, None] & second.matrix[None, :, :]).any(axis=1)
+        assert np.array_equal(rel.compose(second, first).matrix, want)
+
+    @given(composable(max_size=6, cp=True))
+    @settings(max_examples=100, deadline=None)
+    def test_coherence_routes(self, pair):
+        first, second = pair
+        want = (
+            first.matrix[:, :, :, :, None, None] & second.matrix[None, None, :, :, :, :]
+        ).any(axis=(2, 3))
+        assert np.array_equal(rel.cp_compose(second, first).matrix, want)
+
+
 class TestProduct:
     def test_delta_times_delta_is_identity(self):
         delta = Relation.identity(idx(0, 1))

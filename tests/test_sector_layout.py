@@ -130,6 +130,13 @@ class TestCanonicalOrder:
     def test_no_factors_give_the_one_coordinate(self):
         assert kron_to_canonical().tolist() == [0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(spaces(max_sectors=5, max_dim=4))
+    def test_one_factor_is_the_identity(self, space):
+        """``sector_index`` is non-decreasing, so a box on one wire each way
+        uses its matrix as it is."""
+        assert np.array_equal(kron_to_canonical(space), np.arange(space.total_dim))
+
 
 # -- the route checks ---------------------------------------------------------------
 
