@@ -12,6 +12,7 @@ that make an interpretation compose into a practical isometry or unitary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
@@ -37,19 +38,50 @@ from .routed_maps import RoutedMap
 from .spaces import PartitionedSpace, subset_projector, tensor_many
 
 
-def _sort_key(value):
-    return repr(value)
-
-
 class Partition:
-    """An equivalence relation over a finite universe (union-find backed)."""
+    """An equivalence relation over a finite universe, fixed at construction.
 
-    def __init__(self, universe: Iterable, pairs: Iterable[tuple] = ()):
-        self._parent = {x: x for x in universe}
-        for a, b in pairs:
-            self.union(a, b)
+    Each of ``groups`` (a pair, or a whole and possibly overlapping block)
+    relates its members, which must lie in ``universe`` (``KeyError``
+    otherwise), and relatedness is closed transitively.  A block's
+    representative is its member with the smallest ``repr``; the blocks are
+    stored once, sorted by representative, beside an element-to-block map,
+    so every query is a lookup.  Assigning an attribute raises.
+    """
 
-    # -- construction ----------------------------------------------------
+    __slots__ = ("_blocks", "_roots", "_index")
+
+    def __init__(self, universe: Iterable, groups: Iterable[Iterable] = ()):
+        members = {x: [x] for x in universe}  # each element's block, shared
+        for group in groups:
+            block = None
+            for x in group:
+                other = members[x]
+                if block is None:
+                    block = other
+                elif other is not block:
+                    block += other
+                    for y in other:
+                        members[y] = block
+        # the first member met in repr order is its block's representative
+        blocks, roots, index = [], [], {}
+        for x in sorted(members, key=repr):
+            if x not in index:
+                for y in members[x]:
+                    index[y] = len(roots)
+                roots.append(x)
+                blocks.append(frozenset(members[x]))
+        object.__setattr__(self, "_blocks", tuple(blocks))
+        object.__setattr__(self, "_roots", tuple(roots))
+        object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Partition is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self._index, self._blocks)
 
     @classmethod
     def discrete(cls, universe: Iterable) -> "Partition":
@@ -58,70 +90,40 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable]) -> "Partition":
         blocks = [tuple(block) for block in blocks]
-        return cls((x for block in blocks for x in block), _partition_pairs(blocks))
-
-    # -- union-find core ---------------------------------------------------
-
-    def find(self, x):
-        parent = self._parent[x]
-        if parent != x:
-            parent = self._parent[x] = self.find(parent)
-        return parent
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the smaller representative canonical
-        if _sort_key(rb) < _sort_key(ra):
-            ra, rb = rb, ra
-        self._parent[rb] = ra
+        return cls((x for block in blocks for x in block), blocks)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def universe(self) -> frozenset:
-        return frozenset(self._parent)
+        return frozenset(self._index)
+
+    def find(self, x):
+        """The representative of ``x``'s block."""
+        return self._roots[self._index[x]]
 
     def related(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
+        return self._index[a] == self._index[b]
 
     def block_of(self, x) -> frozenset:
-        root = self.find(x)
-        return frozenset(y for y in self._parent if self.find(y) == root)
+        return self._blocks[self._index[x]]
 
     def blocks(self) -> tuple[frozenset, ...]:
-        grouped: dict = {}
-        for x in self._parent:
-            grouped.setdefault(self.find(x), set()).add(x)
-        return tuple(
-            frozenset(block)
-            for _, block in sorted(grouped.items(), key=lambda kv: _sort_key(kv[0]))
-        )
+        return self._blocks
 
     def restrict(self, subset: Iterable) -> "Partition":
         subset = set(subset)
-        return Partition(subset, _partition_pairs(block & subset for block in self.blocks()))
+        return Partition(subset, (block & subset for block in self._blocks))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.universe == other.universe
-            and self.blocks() == other.blocks()
-        )
+        return isinstance(other, Partition) and self._blocks == other._blocks
 
     def __repr__(self) -> str:
         rendered = ", ".join(
-            "{" + ", ".join(sorted(map(repr, block), key=_sort_key)) + "}"
-            for block in self.blocks()
+            "{" + ", ".join(sorted(map(repr, block), key=repr)) + "}"
+            for block in self._blocks
         )
         return f"Partition({rendered})"
-
-
-def _partition_pairs(blocks: Iterable[Iterable]) -> list[tuple]:
-    """Pairs joining each block's first member to the others:
-    ``Partition(universe, pairs)`` rebuilds the blocks from them."""
-    return [(members[0], other) for members in map(tuple, blocks) for other in members[1:]]
 
 
 def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) -> Partition:
@@ -138,8 +140,7 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
         raise IncompatibleRestrictions(
             "equivalence relations disagree on the shared middle set"
         )
-    pairs = _partition_pairs(rel1.blocks()) + _partition_pairs(rel2.blocks())
-    return Partition(rel1.universe | rel2.universe, pairs)
+    return Partition(rel1.universe | rel2.universe, rel1.blocks() + rel2.blocks())
 
 
 # -- index families and corelations ---------------------------------------
@@ -211,7 +212,7 @@ class Corelation:
             }
             if len(lengths) > 1:
                 raise LengthMismatch(
-                    f"matched indices {sorted(block, key=_sort_key)!r} have lengths {sorted(lengths)}"
+                    f"matched indices {sorted(block, key=repr)!r} have lengths {sorted(lengths)}"
                 )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -222,8 +223,10 @@ class Corelation:
         cls,
         domain: IndexFamily,
         codomain: IndexFamily,
-        pairs: Iterable[tuple[tuple[str, str], tuple[str, str]]] = (),
+        pairs: Iterable[Iterable[tuple[str, str]]] = (),
     ) -> "Corelation":
+        """The corelation whose blocks join the tagged names of each pair
+        (or larger group) in ``pairs``."""
         universe = _tag("in", domain.names) + _tag("out", codomain.names)
         return cls(domain, codomain, Partition(universe, pairs))
 
@@ -270,31 +273,24 @@ def bar(matching: Corelation) -> Relation:
     Two value tuples are unrelated exactly when some matched pair of names
     carries different values.
     """
-    domain_names = matching.domain.names
-    codomain_names = matching.codomain.names
-    dom_labels = matching.domain.value_labels()
-    cod_labels = matching.codomain.value_labels()
-
-    def value_column(tagged) -> np.ndarray:
-        """Values of one name across labels, broadcast over (domain, codomain)."""
-        side, name = tagged
-        if side == "in":
-            pos = domain_names.index(name)
-            column = np.array([0 if l == rel.TRIVIAL_LABEL else l[pos] for l in dom_labels])
-            return column[:, None]
-        pos = codomain_names.index(name)
-        column = np.array([0 if l == rel.TRIVIAL_LABEL else l[pos] for l in cod_labels])
-        return column[None, :]
-
-    matrix = np.ones((len(dom_labels), len(cod_labels)), dtype=bool)
+    dom, cod = _value_table(matching.domain), _value_table(matching.codomain)
+    # each name's values, broadcast over (domain label, codomain label)
+    column = {("in", name): dom[:, i, None] for i, name in enumerate(matching.domain.names)}
+    column.update(
+        (("out", name), cod[None, :, i]) for i, name in enumerate(matching.codomain.names)
+    )
+    matrix = np.ones((len(dom), len(cod)), dtype=bool)
     for block in matching.partition.blocks():
-        members = sorted(block, key=_sort_key)
-        if len(members) < 2:
-            continue
-        first = value_column(members[0])
-        for member in members[1:]:
-            matrix &= first == value_column(member)
-    return Relation(IndexSet(dom_labels), IndexSet(cod_labels), matrix)
+        first, *rest = block
+        for member in rest:
+            matrix &= column[first] == column[member]
+    return Relation(matching.domain.index_set(), matching.codomain.index_set(), matrix)
+
+
+def _value_table(family: IndexFamily) -> np.ndarray:
+    """Row ``r`` holds the values of ``family.names`` in its ``r``-th value label."""
+    shape = [family.lengths[name] for name in family.names]
+    return np.indices(shape).reshape(len(shape), math.prod(shape)).T
 
 
 def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
@@ -304,11 +300,7 @@ def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
         raise InterfaceMismatch(
             f"cannot compose corelations: {first.codomain!r} != {second.domain!r}"
         )
-    universe = (
-        _tag("A", first.domain.names)
-        + _tag("B", first.codomain.names)
-        + _tag("C", second.codomain.names)
-    )
+    # the blocks of both corelations cover every name of A, B and C
     blocks = [
         [("A" if side == "in" else "B", name) for side, name in block]
         for block in first.partition.blocks()
@@ -316,18 +308,11 @@ def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
         [("B" if side == "in" else "C", name) for side, name in block]
         for block in second.partition.blocks()
     ]
-    joined = Partition(universe, _partition_pairs(blocks))
-
-    def retag(element):
-        zone, name = element
-        return ("in", name) if zone == "A" else ("out", name)
-
-    pairs = []
-    outer = _tag("A", first.domain.names) + _tag("C", second.codomain.names)
-    for x, y in itertools.combinations(outer, 2):
-        if joined.related(x, y):
-            pairs.append((retag(x), retag(y)))
-    return Corelation.from_pairs(first.domain, second.codomain, pairs)
+    outer = [
+        [("in" if zone == "A" else "out", name) for zone, name in block if zone != "B"]
+        for block in Partition.from_blocks(blocks).blocks()
+    ]
+    return Corelation.from_pairs(first.domain, second.codomain, outer)
 
 
 def product_corelations(left: Corelation, right: Corelation) -> Corelation:
@@ -339,14 +324,15 @@ def product_corelations(left: Corelation, right: Corelation) -> Corelation:
         raise InvariantViolation(f"parallel corelations share names {sorted(overlap)!r}")
     domain = IndexFamily({**left.domain.lengths, **right.domain.lengths})
     codomain = IndexFamily({**left.codomain.lengths, **right.codomain.lengths})
-    pairs = _partition_pairs(left.partition.blocks()) + _partition_pairs(right.partition.blocks())
-    return Corelation.from_pairs(domain, codomain, pairs)
+    return Corelation.from_pairs(
+        domain, codomain, left.partition.blocks() + right.partition.blocks()
+    )
 
 
 def transpose_corelation(matching: Corelation) -> Corelation:
     flipped = [
-        tuple(("out" if side == "in" else "in", name) for side, name in pair)
-        for pair in _partition_pairs(matching.partition.blocks())
+        [("out" if side == "in" else "in", name) for side, name in block]
+        for block in matching.partition.blocks()
     ]
     return Corelation.from_pairs(matching.codomain, matching.domain, flipped)
 
@@ -577,7 +563,7 @@ def _empty_node_pairing(g: IODAG, node_id: str) -> list[tuple[str, str]] | None:
     if set(by_class_in) != set(by_class_out):
         return None
     pairs: list[tuple[str, str]] = []
-    for root, members in sorted(by_class_in.items(), key=lambda kv: _sort_key(kv[0])):
+    for root, members in sorted(by_class_in.items(), key=lambda kv: repr(kv[0])):
         partners = by_class_out[root]
         if len(members) != len(partners):
             return None
@@ -742,7 +728,6 @@ def _relabel(g: IODAG, wire_map: dict, node_map: dict, name_map: dict) -> IODAG:
         return name_map.get(x, x)
 
     placement = {i(name): w(wire) for name, wire in g.placement.items()}
-    pairs = [(i(a), i(b)) for a, b in _partition_pairs(g.equivalence.blocks())]
     return IODAG(
         inputs=tuple(w(x) for x in g.inputs),
         outputs=tuple(w(x) for x in g.outputs),
@@ -752,7 +737,7 @@ def _relabel(g: IODAG, wire_map: dict, node_map: dict, name_map: dict) -> IODAG:
             for node_id, node in g.nodes.items()
         },
         placement=placement,
-        equivalence=Partition(placement, pairs),
+        equivalence=Partition(placement, (map(i, block) for block in g.equivalence.blocks())),
         empty_nodes=frozenset(n(x) for x in g.empty_nodes),
     )
 
@@ -837,16 +822,15 @@ def par_compose_iodag(first: IODAG, second: IODAG) -> IODAG:
     """Parallel composition: disjoint union, renaming clashes in ``second``."""
     second = _avoid_collisions(second, first, set(), set())
     placement = {**first.placement, **second.placement}
-    pairs = _partition_pairs(first.equivalence.blocks()) + _partition_pairs(
-        second.equivalence.blocks()
-    )
     return IODAG(
         inputs=first.inputs + second.inputs,
         outputs=first.outputs + second.outputs,
         inner_edges=first.inner_edges + second.inner_edges,
         nodes={**first.nodes, **second.nodes},
         placement=placement,
-        equivalence=Partition(placement, pairs),
+        equivalence=Partition(
+            placement, first.equivalence.blocks() + second.equivalence.blocks()
+        ),
         empty_nodes=first.empty_nodes | second.empty_nodes,
     )
 
@@ -868,14 +852,11 @@ def _matching_corelation(
 ) -> Corelation:
     """The corelation relating two name lists wherever the graph's
     equivalence matches the names."""
-    tagged = _tag("in", in_names) + _tag("out", out_names)
-    pairs = [
-        (x, y)
-        for x, y in itertools.combinations(tagged, 2)
-        if g.equivalence.related(x[1], y[1])
-    ]
+    groups: dict = {}
+    for tagged in _tag("in", in_names) + _tag("out", out_names):
+        groups.setdefault(g.equivalence.find(tagged[1]), []).append(tagged)
     return Corelation.from_pairs(
-        _family(g, in_names, lengths), _family(g, out_names, lengths), pairs
+        _family(g, in_names, lengths), _family(g, out_names, lengths), groups.values()
     )
 
 
@@ -954,14 +935,13 @@ class Interpretation:
     routed map following the node's matching route.
     """
 
-    lengths: Mapping[str, int]
-    spaces: Mapping[str, PartitionedSpace]
-    morphs: Mapping[str, RoutedMap]
+    lengths: Mapping[str, int]  # read-only
+    spaces: Mapping[str, PartitionedSpace]  # read-only
+    morphs: Mapping[str, RoutedMap]  # read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", dict(self.lengths))
-        object.__setattr__(self, "spaces", dict(self.spaces))
-        object.__setattr__(self, "morphs", dict(self.morphs))
+        for field in ("lengths", "spaces", "morphs"):
+            object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
 
 
 def expected_wire_labels(g: IODAG, wire: str, lengths: Mapping[str, int]) -> tuple:

@@ -61,6 +61,7 @@ from routedcircuits.sampling import (
 )
 from routedcircuits.spaces import PartitionedSpace, tensor, tensor_many
 
+import partition_oracle
 from conftest import make_two_trajectory_circuit, random_circuit
 from test_iodag import _set_partitions, diamond_graph
 
@@ -470,7 +471,7 @@ def _enumerate_functoriality_cases(a, b, c, lengths_mode):
             if lengths_mode == "uniform":
                 assignments = [{n: 2 for n in a_names + b_names + c_names}]
             else:
-                joint = Partition(a_names + b_names + c_names)
+                joint = partition_oracle.Partition(a_names + b_names + c_names)
                 for part, sides in ((part1, ("a", "b")), (part2, ("b", "c"))):
                     for block in part.blocks():
                         members = sorted(name for _, name in block)

@@ -1,13 +1,22 @@
 """Frozen values expose read-only mappings: a mapping handed to a
-constructor is copied, and the stored copy rejects assignment."""
+constructor is copied, and the stored copy rejects assignment.  A
+partition rejects every attempt to change it."""
 
 from __future__ import annotations
 
 import pytest
 
-from routedcircuits import CircuitBuilder, PartitionedSpace
+from routedcircuits import CircuitBuilder, PartitionedSpace, Relation, RoutedMap
 from routedcircuits.circuits import evaluate
-from routedcircuits.iodag import IODAG, IndexFamily, IONode, Partition
+from routedcircuits.iodag import (
+    IODAG,
+    Corelation,
+    IndexFamily,
+    Interpretation,
+    IONode,
+    Partition,
+    bar,
+)
 
 from conftest import make_two_trajectory_circuit
 
@@ -56,3 +65,40 @@ def test_iodag_nodes_and_placement_are_read_only():
         g.placement["k"] = "i"
     placement["k"] = "i"
     assert g.indices_on("m") == ("k",)
+
+
+def test_interpretation_mappings_are_read_only():
+    space = PartitionedSpace.trivial(2)
+    lengths, spaces = {"k": 2}, {"w": space}
+    interp = Interpretation(lengths, spaces, {})
+    with pytest.raises(TypeError):
+        interp.lengths["k"] = 5
+    with pytest.raises(TypeError):
+        interp.spaces["v"] = space
+    with pytest.raises(TypeError):
+        interp.morphs["u"] = RoutedMap.identity(space)
+    lengths["k"] = 5
+    spaces["v"] = space
+    assert dict(interp.lengths) == {"k": 2}
+    assert list(interp.spaces) == ["w"]
+
+
+def test_partition_cannot_be_changed_after_construction():
+    dom = IndexFamily({"a": 2})
+    cod = IndexFamily({"b": 2})
+    matching = Corelation.from_pairs(dom, cod)
+    before = bar(matching)
+    assert before == Relation.full(dom.index_set(), cod.index_set())
+    part = matching.partition
+    attempts = [
+        lambda: part.union(("in", "a"), ("out", "b")),
+        lambda: setattr(part, "_blocks", (frozenset({("in", "a"), ("out", "b")}),)),
+        lambda: setattr(part, "_index", {("in", "a"): 0, ("out", "b"): 0}),
+        lambda: setattr(part, "extra", 1),
+        lambda: delattr(part, "_index"),
+    ]
+    for attempt in attempts:
+        with pytest.raises(AttributeError):
+            attempt()
+        assert bar(matching) == before
+    assert not part.related(("in", "a"), ("out", "b"))

@@ -47,6 +47,8 @@ from routedcircuits.routed_maps import RoutedMap, follows, is_practical_unitary
 from routedcircuits.sampling import random_practical_unitary
 from routedcircuits.spaces import PartitionedSpace, tensor_many
 
+import partition_oracle
+
 
 def family(**lengths):
     return IndexFamily(lengths)
@@ -54,13 +56,13 @@ def family(**lengths):
 
 def random_partition(universe, rng):
     universe = list(universe)
-    part = Partition(universe)
+    pairs = []
     for _ in range(len(universe)):
         if len(universe) >= 2:
             a, b = rng.choice(len(universe), size=2, replace=False)
             if rng.random() < 0.5:
-                part.union(universe[a], universe[b])
-    return part
+                pairs.append((universe[a], universe[b]))
+    return Partition(universe, pairs)
 
 
 class TestPartition:
@@ -116,7 +118,7 @@ class TestNonForgettingComposition:
                 + [("B", n) for n in mid.names]
                 + [("C", n) for n in cod.names]
             )
-            oracle = Partition(universe)
+            oracle = partition_oracle.Partition(universe)
             for block in first.partition.blocks():
                 members = [("A", n) if s == "in" else ("B", n) for s, n in block]
                 for other in members[1:]:
