@@ -1,20 +1,19 @@
 """Routed circuits: DAGs of routed maps or routed CP maps on typed wires.
 
-Evaluation contracts a tensor network, one table per box with an axis per
-wire it touches, pairwise in a greedy order planned before any array is
-touched: the box maps as complex tables and the box routes as boolean
-ones.  Wires a box does not touch get no identity, and reordering wires
-only relabels axes.  The result is built, and checked against its route,
-once.  Soundness of the underlying frameworks makes it independent of the
-chosen foliation, which is also checked by tests.  Analysis passes work on
-the routes alone: properness gating of every sequential interface, and the
-accessible-space computation for slices, implemented both as the
+Evaluation contracts the box maps as a tensor network, one complex table
+per box with an axis per wire it touches, pairwise in a greedy order
+planned before any array is touched.  Wires a box does not touch get no
+identity, and reordering wires only relabels axes.  The result is built,
+and checked against its route, once.  Soundness of the underlying
+frameworks makes it independent of the chosen foliation, which is also
+checked by tests.  Every route network, one boolean table per box route,
+is summed by one greedy variable elimination, also planned first: the
+route of an evaluation, the properness gate of every sequential
+interface, and the accessible space of a slice, both as the
 index-summation recipe and as the insertion-of-test-relations definition
-that justifies it.  Both sum a product of the boxes' boolean route tables,
-every box included (a part of the circuit not connected to the slice still
-counts: if its routes vanish, so does every slice), in an order planned
-once, greedily, before any array is touched; insertion runs one plan for
-all its candidates.
+that justifies it.  The accessible space takes every box (a part of the
+circuit not connected to the slice still counts: if its routes vanish, so
+does every slice); insertion runs one plan for all its candidates.
 """
 
 from __future__ import annotations
@@ -244,7 +243,6 @@ class _Step(NamedTuple):
     """One layer of a foliation, with the wires around it."""
 
     layer: list[str]
-    frontier: list[str]  # the open wires before the layer
     inputs: list[str]  # wires the layer consumes, then the passthrough wires
     outputs: list[str]  # wires the layer produces, then the passthrough wires
     passthrough: list[str]  # open wires the layer does not touch, in frontier order
@@ -257,7 +255,7 @@ def _walk(sources: Sequence[str], nodes: Mapping, layers: list[list[str]]) -> It
         consumed = [w for n in layer for w in nodes[n].inputs]
         passthrough = [w for w in frontier if w not in consumed]
         outputs = [w for n in layer for w in nodes[n].outputs] + passthrough
-        yield _Step(layer, frontier, consumed + passthrough, outputs, passthrough)
+        yield _Step(layer, consumed + passthrough, outputs, passthrough)
         frontier = outputs
 
 
@@ -369,20 +367,139 @@ def _contraction_plan(
     return _Contraction(steps, [axes[last].index(x) for x in result], batches[last])
 
 
-def _run_contraction(
-    plan: _Contraction, tables: Sequence[np.ndarray], boolean: bool = False
-) -> np.ndarray:
-    """Carry out ``plan`` on tables of the signatures it was made for.  With
-    ``boolean`` the entries are 0/1, and every product is thresholded back
-    to 0/1, so sums of products count paths without overflowing."""
+def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Carry out ``plan`` on tables of the signatures it was made for."""
     slots = list(tables)
     for a, b, order_a, order_b, summed, shape in plan.steps:
         out = np.tensordot(slots[a].transpose(order_a), slots[b].transpose(order_b), summed)
-        if boolean:
-            np.minimum(out, 1, out=out)
         slots[a] = slots[b] = None
         slots.append(out.reshape(shape))
     return slots[-1].transpose(plan.result)
+
+
+class _Plan(NamedTuple):
+    """A planned elimination; see :func:`_elimination_plan`."""
+
+    loads: list  # per table: the axis order that sorts its variables, or None
+    steps: list  # (operand slots, their broadcast shapes, the axes summed out)
+    left: list  # (slot, broadcast shape onto the keep axes) of what no step took
+    keep_shape: tuple[int, ...]
+
+
+def _elimination_plan(
+    signatures: Sequence[Sequence], keep: Sequence, sizes: Mapping
+) -> _Plan:
+    """Plan summing a product of boolean tables over every variable not in
+    ``keep``; table ``i`` has one axis per variable of ``signatures[i]``.
+
+    The order is greedy: next comes the variable whose joint, over the
+    tables that touch it, is smallest (ties to the earliest variable).  A
+    step joins those tables, and every other table that fits inside their
+    joint, and sums out every variable no table outside the step touches.
+    Variables are numbered, ``keep`` first, and every table keeps its axes
+    in that order, so a join is a reshape and a broadcast.  The plan
+    depends only on the signatures, so tables of the same signatures can
+    share it.
+    """
+    rank = {v: i for i, v in enumerate(dict.fromkeys(itertools.chain(keep, *signatures)))}
+    dims = [sizes[v] for v in rank]
+    loads, vars_of = [], []
+    touching: list[set[int]] = [set() for _ in rank]
+    for slot, signature in enumerate(signatures):
+        ids = [rank[v] for v in signature]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        loads.append(None if order == list(range(len(ids))) else order)
+        vars_of.append(frozenset(ids))
+        for i in ids:
+            touching[i].add(slot)
+
+    def joint(v):
+        union = frozenset().union(*map(vars_of.__getitem__, touching[v]))
+        return math.prod(map(dims.__getitem__, union)), v, union
+
+    cost = {v: joint(v) for v in range(len(keep), len(rank))}
+    steps = []
+    while cost:
+        _, victim, union = min(cost.values())
+        # every table inside the joint comes along at no extra size
+        near = set().union(*map(touching.__getitem__, union))
+        joined = {s for s in near if vars_of[s] <= union}
+        operands = sorted(joined)
+        axes = sorted(union)
+        gone = [u for u in axes if u in cost and touching[u] <= joined]
+        shapes = [[dims[u] if u in vars_of[s] else 1 for u in axes] for s in operands]
+        steps.append((operands, shapes, tuple(axes.index(u) for u in gone)))
+        slot = len(vars_of)
+        vars_of.append(union.difference(gone))
+        for u in gone:
+            del cost[u]
+        for u in vars_of[slot]:
+            touching[u] = touching[u].difference(operands) | {slot}
+            if u in cost:
+                cost[u] = joint(u)
+    used = {s for operands, _, _ in steps for s in operands}
+    left = [
+        (s, [dims[i] if i in vars_of[s] else 1 for i in range(len(keep))])
+        for s in range(len(vars_of))
+        if s not in used
+    ]
+    return _Plan(loads, steps, left, tuple(dims[: len(keep)]))
+
+
+def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Carry out ``plan`` on boolean tables of the signatures it was made for."""
+    slots = [t if order is None else t.transpose(order) for t, order in zip(tables, plan.loads)]
+    for operands, shapes, axes in plan.steps:
+        joint = reduce(np.logical_and, [slots[s].reshape(sh) for s, sh in zip(operands, shapes)])
+        slots.append(np.logical_or.reduce(joint, axis=axes))
+    result = np.ones(plan.keep_shape, dtype=bool)
+    for slot, shape in plan.left:
+        result &= slots[slot].reshape(shape)
+    return result
+
+
+def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
+    op = circuit.boxes[box_id].op
+    return op.route if circuit.mode == "pure" else rel.diagonal(op.route)
+
+
+def _route_network(
+    circuit: RoutedCircuit,
+    sources: Sequence[str],
+    box_ids: Sequence[str],
+    targets: Sequence[str],
+    copies: int,
+) -> tuple[list, list, list, dict]:
+    """The boxes' routes as boolean tables for :func:`_elimination_plan`:
+    signatures, tables, the variables kept (the sources', then the
+    targets'), and the sector count of each wire in the network and each
+    variable.  A variable is a copy of a wire of more than one sector,
+    named ``(wire, copy, _INPUT)`` on a source wire, else ``(wire, copy)``.
+    A box's route has ``copies`` axes per wire, copy-major: its plain route
+    (its diagonal in CPM mode), or with two copies its coherence route.  A
+    wire both a source and a target gets an identity table.
+    """
+    boxes = [circuit.boxes[b] for b in box_ids]
+    wires = dict.fromkeys(itertools.chain(sources, targets, *(b.inputs + b.outputs for b in boxes)))
+    sizes: dict = {w: circuit.wires[w].sector_labels.size for w in wires}
+    fed = set(sources)
+
+    def axes(wires, start=False):
+        return [(w, c, _INPUT) if start and w in fed else (w, c)
+                for c in range(copies) for w in wires if sizes[w] > 1]
+
+    signatures, tables = [], []
+    for box_id, box in zip(box_ids, boxes):
+        route = box.op.route if copies == 2 else _box_route(circuit, box_id)
+        signatures.append(axes(box.inputs, start=True) + axes(box.outputs))
+        tables.append(route.matrix.reshape([sizes[x[0]] for x in signatures[-1]]))
+    through = [w for w in targets if w in fed]
+    for x, y in zip(axes(through), axes(through, start=True)):
+        signatures.append([x, y])
+        tables.append(np.eye(sizes[x[0]], dtype=bool))
+    keep = axes(sources, start=True) + axes(targets)
+    sizes.update((x, sizes[x[0]]) for x in itertools.chain(keep, *signatures))
+    return signatures, tables, keep, sizes
 
 
 def _contracted_route(
@@ -398,30 +515,19 @@ def _contracted_route(
     Each wire carries ``copies`` sector axes: one for plain routes, indexed
     ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.
     """
-    sizes = {(w, c): space.sector_labels.size for w, space in circuit.wires.items()
-             for c in range(copies)}
+    signatures, tables, keep, sizes = _route_network(circuit, sources, box_ids, targets, copies)
+    array = _run_plan(_elimination_plan(signatures, keep, sizes), tables)
+    count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
+    return array.reshape([count_in] * copies + [count_out] * copies)
 
-    def labels(wires):  # a wire of one sector needs no axis
-        return [(w, c) for c in range(copies) for w in wires if sizes[w, 0] > 1]
 
-    def count(wires):
-        return math.prod(sizes[w, 0] for w in wires)
-
-    inputs = [(_INPUT, c) for c in range(copies)]
-    sizes.update(dict.fromkeys(inputs, count(sources)))
-    start = np.eye(count(sources) ** copies, dtype=np.float32)
-    signatures = [labels(sources) + inputs]
-    tables = [start.reshape([sizes[x] for x in signatures[0]])]
-    # [inputs..., outputs...] <-> [outputs..., inputs...]: one swap both ways
-    swap = [*range(copies, 2 * copies), *range(copies)]
-    for box in (circuit.boxes[b] for b in box_ids):
-        signatures.append(labels(box.outputs) + labels(box.inputs))
-        table = box.op.route.matrix.transpose(swap).astype(np.float32)
-        tables.append(table.reshape([sizes[x] for x in signatures[-1]]))
-    plan = _contraction_plan(signatures, labels(targets) + inputs, sizes)
-    array = _run_contraction(plan, tables, boolean=True)
-    shape = [count(targets)] * copies + [count(sources)] * copies
-    return array.reshape(shape).transpose(swap) > 0
+def _route(
+    circuit: RoutedCircuit, sources: Sequence[str], box_ids: Sequence[str], targets: Sequence[str]
+) -> Relation:
+    """The route of the boxes, applied in order, from the interface
+    ``sources`` to ``targets``; in CPM mode, the diagonal of that route."""
+    domain, codomain = (_interface_space(circuit, w).sector_labels for w in (sources, targets))
+    return Relation(domain, codomain, _contracted_route(circuit, sources, box_ids, targets, 1))
 
 
 def _contracted_operators(
@@ -503,11 +609,7 @@ def _permutation_route(
     circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
 ) -> Relation:
     """The route of the wire reordering from interface ``current`` to ``target``."""
-    return Relation(
-        _interface_space(circuit, current).sector_labels,
-        _interface_space(circuit, target).sector_labels,
-        _contracted_route(circuit, current, (), target, 1),
-    )
+    return _route(circuit, current, (), target)
 
 
 def _permutation_map(
@@ -522,9 +624,9 @@ def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> 
 
     The boxes form a tensor network, one table per box with an axis per
     wire it touches (and one per Kraus index), contracted pairwise, next
-    the pair whose result is smallest; their routes form the same network
-    of boolean tables.  No identity is tensored onto the wires a box
-    leaves alone, and a change of wire order only relabels axes.  The
+    the pair whose result is smallest; their boolean routes are eliminated
+    like every route network.  No identity is tensored onto the wires a
+    box leaves alone, and a change of wire order only relabels axes.  The
     foliation is the deterministic Kahn layering unless ``box_order`` pins
     an explicit topological order; the result does not depend on the
     choice.  In CPM mode the Kraus operators come in the order of composing
@@ -563,27 +665,13 @@ class CircuitReport:
         return all(check.passed for check in self.interfaces)
 
 
-def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
-    op = circuit.boxes[box_id].op
-    return op.route if circuit.mode == "pure" else rel.diagonal(op.route)
-
-
-def _layer_route(circuit: RoutedCircuit, step: _Step) -> Relation:
-    parts = [_box_route(circuit, b) for b in step.layer]
-    parts += [Relation.identity(circuit.wires[w].sector_labels) for w in step.passthrough]
-    return Relation(
-        _interface_space(circuit, step.inputs).sector_labels,
-        _interface_space(circuit, step.outputs).sector_labels,
-        reduce(rel.product, parts).matrix,
-    )
-
-
 def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
     """Gate every sequential interface of the deterministic foliation.
 
     ``mode`` is 'isometry' or 'unitary' for pure circuits and 'channel' for
     CPM circuits (the gate then acts on the routes' diagonals).  The report
-    is diagnostic: nothing is raised.
+    is diagnostic: nothing is raised.  Each layer's route runs straight to
+    the next layer's input order, so no wire reordering is composed.
     """
     if mode not in ("isometry", "unitary", "channel"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -594,15 +682,14 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
     acc_route: Relation | None = None
     acc_boxes: tuple[str, ...] = ()
     checks: list[InterfaceCheck] = []
-    layers = _foliation_layers(circuit)
-    for position, step in enumerate(_walk(circuit.input_wires, circuit.boxes, layers)):
-        layer_route = _layer_route(circuit, step)
+    steps = list(_walk(circuit.input_wires, circuit.boxes, _foliation_layers(circuit)))
+    for position, step in enumerate(steps):
+        # the gate reads only the downstream domain: the last order is free
+        after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
+        layer_route = _route(circuit, step.inputs, step.layer, after)
         if acc_route is None:
             acc_route = layer_route
         else:
-            if step.inputs != step.frontier:
-                permutation = _permutation_route(circuit, step.frontier, step.inputs)
-                acc_route = rel.compose(permutation, acc_route)
             escaped_in, escaped_out = rel.escaped(acc_route, layer_route)
             if mode != "unitary":
                 escaped_out = ()
@@ -656,110 +743,13 @@ class AccessibleSpace:
         return sum(self.sector_dims)
 
 
-def _factor_tables(circuit: RoutedCircuit) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    """One boolean table per box, with one axis per touched wire; a wire of
-    one sector needs no axis."""
-    sizes = _slice_sizes(circuit)
-    tables = []
-    for box_id in sorted(circuit.boxes):
-        box = circuit.boxes[box_id]
-        wires = tuple(w for w in box.inputs + box.outputs if sizes[w] > 1)
-        table = _box_route(circuit, box_id).matrix.reshape([sizes[w] for w in wires])
-        tables.append((wires, table))
-    return tables
-
-
-class _Plan(NamedTuple):
-    """A planned elimination; see :func:`_elimination_plan`."""
-
-    loads: list  # per table: the axis order that sorts its variables, or None
-    steps: list  # (operand slots, their broadcast shapes, the axes summed out)
-    left: list  # (slot, broadcast shape onto the keep axes) of what no step took
-    keep_shape: tuple[int, ...]
-
-
-def _elimination_plan(
-    signatures: Sequence[Sequence[str]], keep: Sequence[str], sizes: Mapping[str, int]
-) -> _Plan:
-    """Plan summing a product of boolean tables over every variable not in
-    ``keep``; table ``i`` has one axis per variable of ``signatures[i]``.
-
-    The order is greedy: next comes the variable whose joint, over the
-    tables that touch it, is smallest (ties to the earliest variable).  A
-    step joins those tables, and every other table that fits inside their
-    joint, and sums out every variable no table outside the step touches.
-    Variables are numbered, ``keep`` first, and every table keeps its axes
-    in that order, so a join is a reshape and a broadcast.  The plan
-    depends only on the signatures, so tables of the same signatures can
-    share it.
-    """
-    rank = {v: i for i, v in enumerate(dict.fromkeys(itertools.chain(keep, *signatures)))}
-    dims = [sizes[v] for v in rank]
-    loads, vars_of = [], []
-    touching: list[set[int]] = [set() for _ in rank]
-    for slot, signature in enumerate(signatures):
-        ids = [rank[v] for v in signature]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        loads.append(None if order == list(range(len(ids))) else order)
-        vars_of.append(frozenset(ids))
-        for i in ids:
-            touching[i].add(slot)
-
-    def joint(v):
-        union = frozenset().union(*map(vars_of.__getitem__, touching[v]))
-        return math.prod(map(dims.__getitem__, union)), v, union
-
-    cost = {v: joint(v) for v in range(len(keep), len(rank))}
-    steps = []
-    while cost:
-        _, victim, union = min(cost.values())
-        # every table inside the joint comes along at no extra size
-        near = set().union(*map(touching.__getitem__, union))
-        joined = {s for s in near if vars_of[s] <= union}
-        operands = sorted(joined)
-        axes = sorted(union)
-        gone = [u for u in axes if u in cost and touching[u] <= joined]
-        shapes = [[dims[u] if u in vars_of[s] else 1 for u in axes] for s in operands]
-        steps.append((operands, shapes, tuple(axes.index(u) for u in gone)))
-        slot = len(vars_of)
-        vars_of.append(union.difference(gone))
-        for u in gone:
-            del cost[u]
-        for u in vars_of[slot]:
-            touching[u] = touching[u].difference(operands) | {slot}
-            if u in cost:
-                cost[u] = joint(u)
-    used = {s for operands, _, _ in steps for s in operands}
-    left = [
-        (s, [dims[i] if i in vars_of[s] else 1 for i in range(len(keep))])
-        for s in range(len(vars_of))
-        if s not in used
-    ]
-    return _Plan(loads, steps, left, tuple(dims[: len(keep)]))
-
-
-def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Carry out ``plan`` on boolean tables of the signatures it was made for."""
-    slots = [t if order is None else t.transpose(order) for t, order in zip(tables, plan.loads)]
-    for operands, shapes, axes in plan.steps:
-        joint = reduce(np.logical_and, [slots[s].reshape(sh) for s, sh in zip(operands, shapes)])
-        slots.append(np.logical_or.reduce(joint, axis=axes))
-    result = np.ones(plan.keep_shape, dtype=bool)
-    for slot, shape in plan.left:
-        result = result & slots[slot].reshape(shape)
-    return result
-
-
-def _slice_sizes(circuit: RoutedCircuit) -> dict[str, int]:
-    return {w: circuit.wires[w].sector_labels.size for w in circuit.wires}
-
-
 def _accessible_by_recipe(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     """Index-summation recipe: contract every route, summing out all indices
     except the slice's."""
-    factors = _factor_tables(circuit)
-    plan = _elimination_plan([v for v, _ in factors], cut.wires, _slice_sizes(circuit))
-    return _run_plan(plan, [t for _, t in factors])
+    boxes = sorted(circuit.boxes)
+    signatures, tables, keep, sizes = _route_network(circuit, (), boxes, cut.wires, 1)
+    allowed = _run_plan(_elimination_plan(signatures, keep, sizes), tables)
+    return allowed.reshape([sizes[w] for w in cut.wires])
 
 
 def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
@@ -770,15 +760,15 @@ def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     candidates.  Each table's slice axes are moved to the front once, and
     a candidate pins them by indexing.
     """
-    position = {w: i for i, w in enumerate(cut.wires)}
+    variables, tables, _, sizes = _route_network(circuit, (), sorted(circuit.boxes), cut.wires, 1)
+    position = {(w, 0): i for i, w in enumerate(cut.wires)}
     moved, pins, signatures = [], [], []
-    for vars_, table in _factor_tables(circuit):
+    for vars_, table in zip(variables, tables):
         pinned = [i for i, v in enumerate(vars_) if v in position]
         free = [i for i, v in enumerate(vars_) if v not in position]
         moved.append(table.transpose(pinned + free))
         pins.append([position[vars_[i]] for i in pinned])
         signatures.append([vars_[i] for i in free])
-    sizes = _slice_sizes(circuit)
     plan = _elimination_plan(signatures, (), sizes)
     out = np.zeros([sizes[w] for w in cut.wires], dtype=bool)
     for candidate in np.ndindex(out.shape):

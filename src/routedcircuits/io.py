@@ -59,12 +59,44 @@ def _expect(data, key: str, kind, location: str):
     if key not in data:
         raise SchemaError(f"missing required key {key!r}", location)
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    wrong = kind is not None and not isinstance(value, kind)
+    if wrong or (kind is int and isinstance(value, bool)):  # true is no JSON integer
         raise SchemaError(
             f"key {key!r} must be {kind.__name__}, got {type(value).__name__}",
             f"{location}/{key}",
         )
     return value
+
+
+def _wire_ids(data, key: str, location: str) -> list:
+    """The list under ``key``, every entry a wire id (a string)."""
+    wires = _expect(data, key, list, location)
+    for i, wire in enumerate(wires):
+        if not isinstance(wire, str):
+            raise SchemaError(
+                f"wire id must be str, got {type(wire).__name__}", f"{location}/{key}/{i}"
+            )
+    return wires
+
+
+#: the types a JSON number decodes to; true and false decode to bool
+_NUMBERS = frozenset({int, float})
+
+
+def _matrix(rows, location: str):
+    """A complex matrix: a list of equal-length rows of ``[re, im]`` pairs."""
+    if type(rows) is not list:
+        raise SchemaError(f"matrix must be a list of rows, got {type(rows).__name__}", location)
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != len(rows[0]):
+            raise SchemaError("matrix rows must be lists of equal length", f"{location}/{i}")
+        for j, entry in enumerate(row):
+            pair = type(entry) is list and len(entry) == 2
+            if not (pair and _NUMBERS.issuperset(map(type, entry))):
+                raise SchemaError(
+                    "matrix entry must be a [re, im] pair of numbers", f"{location}/{i}/{j}"
+                )
+    return matrix_from_json(rows)
 
 
 def _context(location: str):
@@ -132,8 +164,8 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
     for i, box_data in enumerate(_expect(data, "boxes", list, "")):
         location = f"/boxes/{i}"
         box_id = _expect(box_data, "id", str, location)
-        inputs = _expect(box_data, "inputs", list, location)
-        outputs = _expect(box_data, "outputs", list, location)
+        inputs = _wire_ids(box_data, "inputs", location)
+        outputs = _wire_ids(box_data, "outputs", location)
         for wire_id in list(inputs) + list(outputs):
             if wire_id not in wires:
                 raise SchemaError(f"unknown wire {wire_id!r}", location)
@@ -144,7 +176,8 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
             route = _relation_from_json(
                 _expect(map_data, "route", dict, f"{location}/map"), f"{location}/map/route"
             )
-            matrix = matrix_from_json(_expect(map_data, "matrix", list, f"{location}/map"))
+            rows = _expect(map_data, "matrix", list, f"{location}/map")
+            matrix = _matrix(rows, f"{location}/map/matrix")
             with _context(f"{location}/map"):
                 op: Box = Box(inputs, outputs, RoutedMap(route, matrix, domain, codomain, tolerance))
         else:
@@ -152,13 +185,14 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
                 _expect(map_data, "route", dict, f"{location}/map"), f"{location}/map/route"
             )
             kraus = [
-                matrix_from_json(k) for k in _expect(map_data, "kraus", list, f"{location}/map")
+                _matrix(k, f"{location}/map/kraus/{j}")
+                for j, k in enumerate(_expect(map_data, "kraus", list, f"{location}/map"))
             ]
             with _context(f"{location}/map"):
                 op = Box(inputs, outputs, RoutedCPM(route, tuple(kraus), domain, codomain, tolerance))
         boxes[box_id] = op
-    inputs = _expect(data, "inputs", list, "")
-    outputs = _expect(data, "outputs", list, "")
+    inputs = _wire_ids(data, "inputs", "")
+    outputs = _wire_ids(data, "outputs", "")
     with _context(""):
         return RoutedCircuit(wires, boxes, tuple(inputs), tuple(outputs), mode)
 
@@ -215,15 +249,15 @@ def _circuit_to_json(circuit: RoutedCircuit) -> dict:
 
 
 def _iodag_from_json(data: dict) -> IODAG:
-    inputs = _expect(data, "inputs", list, "")
-    outputs = _expect(data, "outputs", list, "")
-    edges = _expect(data, "edges", list, "")
+    inputs = _wire_ids(data, "inputs", "")
+    outputs = _wire_ids(data, "outputs", "")
+    edges = _wire_ids(data, "edges", "")
     nodes: dict[str, IONode] = {}
     for i, node_data in enumerate(_expect(data, "nodes", list, "")):
         node_id = _expect(node_data, "id", str, f"/nodes/{i}")
         nodes[node_id] = IONode(
-            _expect(node_data, "in", list, f"/nodes/{i}"),
-            _expect(node_data, "out", list, f"/nodes/{i}"),
+            _wire_ids(node_data, "in", f"/nodes/{i}"),
+            _wire_ids(node_data, "out", f"/nodes/{i}"),
         )
     placement: dict[str, str] = {}
     class_tags: dict[str, str] = {}
@@ -270,9 +304,9 @@ def _iodag_to_json(g: IODAG) -> dict:
 
 
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
+    lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths = {
-        name: int(value)
-        for name, value in _expect(data, "lengths", dict, "/interpretation").items()
+        name: _expect(lengths_data, name, int, "/interpretation/lengths") for name in lengths_data
     }
     spaces: dict[str, PartitionedSpace] = {}
     for wire, space_data in sorted(_expect(data, "spaces", dict, "/interpretation").items()):
@@ -292,7 +326,7 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
         location = f"/interpretation/morphs/{node_id}"
         if node_id not in g.nodes:
             raise SchemaError(f"unknown node {node_id!r}", location)
-        matrix = matrix_from_json(_expect(morph_data, "matrix", list, location))
+        matrix = _matrix(_expect(morph_data, "matrix", list, location), f"{location}/matrix")
         node = g.nodes[node_id]
         domain = tensor_many([spaces[w] for w in node.inputs])
         codomain = tensor_many([spaces[w] for w in node.outputs])
@@ -420,7 +454,7 @@ def routed_map_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> Rou
     for name in (domain_name, codomain_name):
         if name not in spaces:
             raise SchemaError(f"unknown space {name!r}", "/domain")
-    matrix = matrix_from_json(_expect(data, "matrix", list, ""))
+    matrix = _matrix(_expect(data, "matrix", list, ""), "/matrix")
     with _context("/matrix"):
         return RoutedMap(
             route, matrix, spaces[domain_name], spaces[codomain_name], default_tolerance()
@@ -435,7 +469,7 @@ def routed_cpm_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> Rou
     for name in (domain_name, codomain_name):
         if name not in spaces:
             raise SchemaError(f"unknown space {name!r}", "/domain")
-    kraus = [matrix_from_json(k) for k in _expect(data, "kraus", list, "")]
+    kraus = [_matrix(k, f"/kraus/{i}") for i, k in enumerate(_expect(data, "kraus", list, ""))]
     with _context("/kraus"):
         return RoutedCPM(
             route, tuple(kraus), spaces[domain_name], spaces[codomain_name], default_tolerance()

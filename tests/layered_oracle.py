@@ -78,8 +78,8 @@ def evaluate_layered(circuit, box_order: Sequence[str] | None = None):
 
     frontier = list(circuit.input_wires)
     for step in _walk(circuit.input_wires, circuit.boxes, _foliation_layers(circuit, box_order)):
-        if step.inputs != step.frontier:
-            absorb(permutation_map(circuit, step.frontier, step.inputs))
+        if step.inputs != frontier:
+            absorb(permutation_map(circuit, frontier, step.inputs))
         absorb(layer_op(circuit, step))
         frontier = step.outputs
     if frontier != list(circuit.output_wires):

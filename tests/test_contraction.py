@@ -334,17 +334,6 @@ class TestPlanner:
         scale = self.reference(signatures, opened, plan, [np.abs(t) for t in tables])
         assert np.all(np.abs(got - want) <= bound * scale)
 
-    @settings(max_examples=300, deadline=None)
-    @given(networks())
-    def test_boolean_matches_einsum(self, network):
-        signatures, opened, sizes, rng = network
-        plan = _contraction_plan(signatures, opened, sizes)
-        tables = draw_tables(signatures, sizes, rng, boolean=True)
-        got = _run_contraction(plan, tables, boolean=True)
-        want = self.reference(signatures, opened, plan, tables) > 0
-        assert got.shape == want.shape
-        assert np.array_equal(got, want.astype(np.float32))
-
     def test_ties_go_to_the_lowest_tables(self):
         """Both neighbouring pairs give 8 entries: tables 0 and 1 go first,
         into table 4; the part left disconnected joins last, the lower

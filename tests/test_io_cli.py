@@ -316,3 +316,117 @@ class TestSliceUsageErrors:
         assert message in payload["error"]
         assert payload["kind"] == "InvalidSlice"
 
+
+
+def _bundled_json(name: str) -> dict:
+    with open(bundled_path(name), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _set(data, pointer: str, value) -> None:
+    """Replace the element at a JSON pointer of plain keys and indices."""
+    *path, last = pointer.strip("/").split("/")
+    for key in path:
+        data = data[int(key)] if isinstance(data, list) else data[key]
+    data[int(last) if isinstance(data, list) else last] = value
+
+
+def _assert_schema_error(name: str, pointer: str, value, location: str) -> None:
+    data = _bundled_json(name)
+    _set(data, pointer, value)
+    with pytest.raises(SchemaError) as err:
+        parse(json.dumps(data))
+    assert err.value.location == location
+
+
+class TestMalformedFields:
+    """Wire lists, matrices and integer fields of the wrong shape or type
+    are schema errors at the element's pointer, not crashes."""
+
+    @pytest.mark.parametrize(
+        "name, pointer",
+        [
+            ("two_trajectories.json", "/boxes/0/inputs/0"),
+            ("two_trajectories.json", "/boxes/0/outputs/0"),
+            ("two_trajectories.json", "/inputs/0"),
+            ("two_trajectories.json", "/outputs/0"),
+            ("iodag_f1.json", "/inputs/0"),
+            ("iodag_f1.json", "/outputs/0"),
+            ("iodag_f1.json", "/nodes/0/in/0"),
+            ("iodag_f1.json", "/nodes/0/out/0"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [["M"], 1])
+    def test_wire_id_that_is_no_string(self, name, pointer, value):
+        _assert_schema_error(name, pointer, value, pointer)
+
+    def test_edge_that_is_no_string(self):
+        _assert_schema_error("iodag_f1.json", "/edges", [["x"]], "/edges/0")
+
+    @pytest.mark.parametrize(
+        "entry, location",
+        [
+            (1, "/0/0"),
+            ([1, "x"], "/0/0"),
+            ([1, 2, 3], "/0/0"),
+            ([True, 0], "/0/0"),
+            (None, "/0/0"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name, matrix",
+        [
+            ("two_trajectories.json", "/boxes/0/map/matrix"),
+            ("copy_discard.json", "/boxes/0/map/kraus/0"),
+            ("diamond.json", "/interpretation/morphs/u1/matrix"),
+        ],
+    )
+    def test_bad_matrix_entry(self, name, matrix, entry, location):
+        _assert_schema_error(name, f"{matrix}/0/0", entry, matrix + location)
+
+    @pytest.mark.parametrize(
+        "name, matrix",
+        [
+            ("two_trajectories.json", "/boxes/0/map/matrix"),
+            ("copy_discard.json", "/boxes/0/map/kraus/0"),
+            ("diamond.json", "/interpretation/morphs/u1/matrix"),
+        ],
+    )
+    def test_ragged_matrix(self, name, matrix):
+        data = _bundled_json(name)
+        _set(data, f"{matrix}/1", [[0.0, 0.0]])
+        with pytest.raises(SchemaError) as err:
+            parse(json.dumps(data))
+        assert err.value.location == f"{matrix}/1"
+
+    def test_kraus_operator_that_is_no_list(self):
+        _assert_schema_error(
+            "copy_discard.json", "/boxes/0/map/kraus/0", 1.0, "/boxes/0/map/kraus/0"
+        )
+
+    def test_boolean_dimension(self):
+        data = _bundled_json("two_trajectories.json")
+        space = sorted(data["spaces"])[0]
+        pointer = f"/spaces/{space}/sectors/0/dim"
+        _assert_schema_error("two_trajectories.json", pointer, True, pointer)
+
+    @pytest.mark.parametrize("value", [2.5, True, "x", [1]])
+    def test_length_that_is_no_integer(self, value):
+        pointer = "/interpretation/lengths/kL"
+        _assert_schema_error("diamond.json", pointer, value, pointer)
+
+    def test_cli_exits_two(self, tmp_path):
+        for name, pointer, value in [
+            ("two_trajectories.json", "/boxes/0/inputs/0", ["M"]),
+            ("two_trajectories.json", "/boxes/0/map/matrix/0/0", 1),
+            ("diamond.json", "/interpretation/lengths/kL", 2.5),
+        ]:
+            data = _bundled_json(name)
+            _set(data, pointer, value)
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            result = run_cli("validate", str(path))
+            assert result.returncode == 2, result.stderr
+            payload = json.loads(result.stdout)
+            assert payload["kind"] == "SchemaError"
+            assert pointer in payload["error"]
