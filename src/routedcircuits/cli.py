@@ -21,33 +21,17 @@ from . import relations as rel
 from .circuits import Slice, accessible_space, check_circuit, circuit_to_dot, evaluate
 from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, parse
-from .iodag import (
-    _layer_corelations,
-    compose_corelations,
-    explain_improper,
-    iodag_to_dot,
-    lint,
-    normalize,
-    preprocessing,
-)
+from .iodag import _layer_corelations, explain_improper, iodag_to_dot, lint, normalize
 from .routed_cpms import is_practically_trace_preserving
 from .routed_maps import is_practical_isometry, is_practical_unitary
-
-
-def _load(path: str) -> CircuitDocument:
-    return parse(path)
-
-
-def _label_json(label):
-    return rel.label_to_json(label)
 
 
 def _interface_json(check) -> dict:
     return {
         "position": check.position,
         "downstream": list(check.downstream),
-        "escaped_inputs": [_label_json(l) for l in check.escaped_inputs],
-        "escaped_outputs": [_label_json(l) for l in check.escaped_outputs],
+        "escaped_inputs": [rel.label_to_json(l) for l in check.escaped_inputs],
+        "escaped_outputs": [rel.label_to_json(l) for l in check.escaped_outputs],
     }
 
 
@@ -168,7 +152,7 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
         "command": "accessible",
         "file": os.path.basename(args.file),
         "slice": list(wires),
-        "accessible": [[_label_json(l) for l in t] for t in recipe.tuples],
+        "accessible": [[rel.label_to_json(l) for l in t] for t in recipe.tuples],
         "sector_dims": list(recipe.sector_dims),
         "total_dim": recipe.total_dim,
         "algorithms_agree": recipe.tuples == oracle.tuples,
@@ -191,10 +175,9 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
         return (0 if not failures else 1), payload
     g = normalize(doc.payload)
     lengths = dict(doc.interpretation.lengths) if doc.interpretation else None
-    acc = preprocessing(g, lengths)
     witnesses = []
-    for layer, layer_corelation in _layer_corelations(g, lengths):
-        report = explain_improper(acc, layer_corelation)
+    for layer, layer_corelation, upstream, _ in _layer_corelations(g, lengths):
+        report = explain_improper(upstream, layer_corelation)
         for witness in report.created_witnesses + report.deleted_witnesses:
             witnesses.append(
                 {
@@ -204,7 +187,6 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
                     "pair": list(witness.pair),
                 }
             )
-        acc = compose_corelations(layer_corelation, acc)
     payload = {
         "command": "explain",
         "file": os.path.basename(args.file),
@@ -312,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        doc = _load(args.file)
+        doc = parse(args.file)
         code, payload = _HANDLERS[args.command](doc, args)
     except (ParseError, SchemaError, UsageError, InvalidSlice) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))

@@ -1,9 +1,11 @@
 """JSON document layer: parsing, validation and canonical serialization.
 
 Documents carry either a routed circuit or an indexed graph (optionally
-with an interpretation).  Structural problems raise SchemaError with a
-JSON-pointer-style location; semantic problems surface the originating
-error prefixed with the offending element's location.
+with an interpretation).  One reader serves routed maps and routed CP maps
+alike, in circuit boxes and in the standalone loaders: the two differ only
+in their route's keys and their operator key.  Structural problems raise
+SchemaError with a JSON-pointer-style location; semantic problems surface
+the originating error prefixed with the offending element's location.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,15 +71,15 @@ def _expect(data, key: str, kind, location: str):
     return value
 
 
-def _wire_ids(data, key: str, location: str) -> list:
-    """The list under ``key``, every entry a wire id (a string)."""
-    wires = _expect(data, key, list, location)
-    for i, wire in enumerate(wires):
-        if not isinstance(wire, str):
+def _ids(data, key: str, location: str, what: str = "wire") -> list:
+    """The list under ``key``, every entry a wire (or node) id: a string."""
+    ids = _expect(data, key, list, location)
+    for i, entry in enumerate(ids):
+        if not isinstance(entry, str):
             raise SchemaError(
-                f"wire id must be str, got {type(wire).__name__}", f"{location}/{key}/{i}"
+                f"{what} id must be str, got {type(entry).__name__}", f"{location}/{key}/{i}"
             )
-    return wires
+    return ids
 
 
 #: the types a JSON number decodes to; true and false decode to bool
@@ -99,22 +102,49 @@ def _matrix(rows, location: str):
     return matrix_from_json(rows)
 
 
+@contextmanager
 def _context(location: str):
-    class _Context:
-        def __enter__(self):
-            return self
+    """Prefix a semantic error raised inside with ``location`` (if any)."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except RoutedError as exc:
+        if not location:
+            raise
+        raise type(exc)(f"{location}: {exc}") from None
 
-        def __exit__(self, exc_type, exc, tb):
-            if (
-                location
-                and exc is not None
-                and isinstance(exc, RoutedError)
-                and not isinstance(exc, SchemaError)
-            ):
-                raise type(exc)(f"{location}: {exc}") from None
-            return False
 
-    return _Context()
+def _kraus(operators: list, location: str) -> tuple:
+    return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
+
+
+#: per mode: the map class, the route reader and the route's keys, the
+#: operator key and the operator reader
+_MAP_FORMS = {
+    "pure": (RoutedMap, rel.relation_from_json, ("domain", "codomain"), "matrix", _matrix),
+    "cpm": (
+        RoutedCPM, rel.cp_relation_from_json, ("base_domain", "base_codomain"), "kraus", _kraus
+    ),
+}
+
+
+def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location: str):
+    """A routed map (mode 'pure': a route and a matrix) or routed CP map
+    ('cpm': a coherence route and a Kraus list) between the given spaces.
+    Its semantic errors are prefixed with ``location``, or at the top level
+    with the operator key."""
+    map_class, read_route, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
+    route_data = _expect(data, "route", dict, location)
+    for key in (*route_keys, "matrix"):
+        _expect(route_data, key, list, f"{location}/route")
+    with _context(f"{location}/route"):
+        route = read_route(route_data)
+    operators = read_operators(
+        _expect(data, operator_key, list, location), f"{location}/{operator_key}"
+    )
+    with _context(location or f"/{operator_key}"):
+        return map_class(route, operators, domain, codomain, tolerance)
 
 
 # -- circuits ----------------------------------------------------------------
@@ -128,22 +158,6 @@ def _space_from_json(data, location: str) -> PartitionedSpace:
         dims.append(_expect(sector, "dim", int, f"{location}/sectors/{i}"))
     with _context(location):
         return PartitionedSpace(IndexSet(labels), dims)
-
-
-def _relation_from_json(data, location: str):
-    _expect(data, "domain", list, location)
-    _expect(data, "codomain", list, location)
-    _expect(data, "matrix", list, location)
-    with _context(location):
-        return rel.relation_from_json(data)
-
-
-def _cp_relation_from_json(data, location: str):
-    _expect(data, "base_domain", list, location)
-    _expect(data, "base_codomain", list, location)
-    _expect(data, "matrix", list, location)
-    with _context(location):
-        return rel.cp_relation_from_json(data)
 
 
 def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
@@ -164,37 +178,27 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
     for i, box_data in enumerate(_expect(data, "boxes", list, "")):
         location = f"/boxes/{i}"
         box_id = _expect(box_data, "id", str, location)
-        inputs = _wire_ids(box_data, "inputs", location)
-        outputs = _wire_ids(box_data, "outputs", location)
+        inputs = _ids(box_data, "inputs", location)
+        outputs = _ids(box_data, "outputs", location)
         for wire_id in list(inputs) + list(outputs):
             if wire_id not in wires:
                 raise SchemaError(f"unknown wire {wire_id!r}", location)
         map_data = _expect(box_data, "map", dict, location)
         domain = tensor_many([wires[w] for w in inputs])
         codomain = tensor_many([wires[w] for w in outputs])
-        if mode == "pure":
-            route = _relation_from_json(
-                _expect(map_data, "route", dict, f"{location}/map"), f"{location}/map/route"
-            )
-            rows = _expect(map_data, "matrix", list, f"{location}/map")
-            matrix = _matrix(rows, f"{location}/map/matrix")
-            with _context(f"{location}/map"):
-                op: Box = Box(inputs, outputs, RoutedMap(route, matrix, domain, codomain, tolerance))
-        else:
-            route = _cp_relation_from_json(
-                _expect(map_data, "route", dict, f"{location}/map"), f"{location}/map/route"
-            )
-            kraus = [
-                _matrix(k, f"{location}/map/kraus/{j}")
-                for j, k in enumerate(_expect(map_data, "kraus", list, f"{location}/map"))
-            ]
-            with _context(f"{location}/map"):
-                op = Box(inputs, outputs, RoutedCPM(route, tuple(kraus), domain, codomain, tolerance))
-        boxes[box_id] = op
-    inputs = _wire_ids(data, "inputs", "")
-    outputs = _wire_ids(data, "outputs", "")
+        op = _map_from_json(map_data, mode, domain, codomain, tolerance, f"{location}/map")
+        boxes[box_id] = Box(inputs, outputs, op)
+    inputs = _ids(data, "inputs", "")
+    outputs = _ids(data, "outputs", "")
     with _context(""):
         return RoutedCircuit(wires, boxes, tuple(inputs), tuple(outputs), mode)
+
+
+def _sectors_to_json(space: PartitionedSpace) -> list:
+    return [
+        {"label": rel.label_to_json(label), "dim": dim}
+        for label, dim in zip(space.sector_labels, space.sector_dims)
+    ]
 
 
 def _circuit_to_json(circuit: RoutedCircuit) -> dict:
@@ -205,12 +209,7 @@ def _circuit_to_json(circuit: RoutedCircuit) -> dict:
         if space not in space_names:
             name = f"space{len(space_names)}"
             space_names[space] = name
-            spaces_json[name] = {
-                "sectors": [
-                    {"label": rel.label_to_json(label), "dim": dim}
-                    for label, dim in zip(space.sector_labels, space.sector_dims)
-                ]
-            }
+            spaces_json[name] = {"sectors": _sectors_to_json(space)}
     boxes_json = []
     for box_id in sorted(circuit.boxes):
         box = circuit.boxes[box_id]
@@ -249,15 +248,15 @@ def _circuit_to_json(circuit: RoutedCircuit) -> dict:
 
 
 def _iodag_from_json(data: dict) -> IODAG:
-    inputs = _wire_ids(data, "inputs", "")
-    outputs = _wire_ids(data, "outputs", "")
-    edges = _wire_ids(data, "edges", "")
+    inputs = _ids(data, "inputs", "")
+    outputs = _ids(data, "outputs", "")
+    edges = _ids(data, "edges", "")
     nodes: dict[str, IONode] = {}
     for i, node_data in enumerate(_expect(data, "nodes", list, "")):
         node_id = _expect(node_data, "id", str, f"/nodes/{i}")
         nodes[node_id] = IONode(
-            _wire_ids(node_data, "in", f"/nodes/{i}"),
-            _wire_ids(node_data, "out", f"/nodes/{i}"),
+            _ids(node_data, "in", f"/nodes/{i}"),
+            _ids(node_data, "out", f"/nodes/{i}"),
         )
     placement: dict[str, str] = {}
     class_tags: dict[str, str] = {}
@@ -269,6 +268,7 @@ def _iodag_from_json(data: dict) -> IODAG:
     for name, tag in class_tags.items():
         blocks.setdefault(tag, []).append(name)
     equivalence = Partition.from_blocks(blocks.values())
+    empty_nodes = _ids(data, "empty_nodes", "", "node") if "empty_nodes" in data else []
     with _context(""):
         return IODAG(
             inputs=tuple(inputs),
@@ -277,7 +277,7 @@ def _iodag_from_json(data: dict) -> IODAG:
             nodes=nodes,
             placement=placement,
             equivalence=equivalence,
-            empty_nodes=frozenset(data.get("empty_nodes", [])),
+            empty_nodes=frozenset(empty_nodes),
         )
 
 
@@ -340,13 +340,7 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
 def _interpretation_to_json(interp: Interpretation) -> dict:
     return {
         "lengths": {name: int(v) for name, v in sorted(interp.lengths.items())},
-        "spaces": {
-            wire: [
-                {"label": rel.label_to_json(label), "dim": dim}
-                for label, dim in zip(space.sector_labels, space.sector_dims)
-            ]
-            for wire, space in sorted(interp.spaces.items())
-        },
+        "spaces": {wire: _sectors_to_json(space) for wire, space in sorted(interp.spaces.items())},
         "morphs": {
             node_id: {"matrix": matrix_to_json(morph.matrix)}
             for node_id, morph in sorted(interp.morphs.items())
@@ -446,34 +440,23 @@ def save(doc: CircuitDocument, path: str) -> None:
         handle.write(serialize(doc))
 
 
-def routed_map_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> RoutedMap:
-    """Load a standalone routed map; spaces are resolved by name."""
-    route = _relation_from_json(_expect(data, "route", dict, ""), "/route")
-    domain_name = _expect(data, "domain", str, "")
-    codomain_name = _expect(data, "codomain", str, "")
-    for name in (domain_name, codomain_name):
+def _standalone_map_from_json(data, spaces: dict[str, PartitionedSpace], mode: str):
+    names = [_expect(data, key, str, "") for key in ("domain", "codomain")]
+    for name in names:
         if name not in spaces:
             raise SchemaError(f"unknown space {name!r}", "/domain")
-    matrix = _matrix(_expect(data, "matrix", list, ""), "/matrix")
-    with _context("/matrix"):
-        return RoutedMap(
-            route, matrix, spaces[domain_name], spaces[codomain_name], default_tolerance()
-        )
+    domain, codomain = (spaces[name] for name in names)
+    return _map_from_json(data, mode, domain, codomain, default_tolerance(), "")
+
+
+def routed_map_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> RoutedMap:
+    """Load a standalone routed map; spaces are resolved by name."""
+    return _standalone_map_from_json(data, spaces, "pure")
 
 
 def routed_cpm_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> RoutedCPM:
     """Load a standalone routed CP map; spaces are resolved by name."""
-    route = _cp_relation_from_json(_expect(data, "route", dict, ""), "/route")
-    domain_name = _expect(data, "domain", str, "")
-    codomain_name = _expect(data, "codomain", str, "")
-    for name in (domain_name, codomain_name):
-        if name not in spaces:
-            raise SchemaError(f"unknown space {name!r}", "/domain")
-    kraus = [_matrix(k, f"/kraus/{i}") for i, k in enumerate(_expect(data, "kraus", list, ""))]
-    with _context("/kraus"):
-        return RoutedCPM(
-            route, tuple(kraus), spaces[domain_name], spaces[codomain_name], default_tolerance()
-        )
+    return _standalone_map_from_json(data, spaces, "cpm")
 
 
 def bundled_path(name: str) -> str:

@@ -890,16 +890,22 @@ def total_corelation(g: IODAG, lengths: Mapping[str, int] | None = None) -> Core
 
 def _layer_corelations(
     g: IODAG, lengths: Mapping[str, int] | None
-) -> Iterator[tuple[list[str], Corelation]]:
-    """Each node layer of a normalized graph with its corelation: the
-    layer's node corelations beside identities on the passthrough wires."""
+) -> Iterator[tuple[list[str], Corelation, Corelation, Corelation]]:
+    """Each node layer of a normalized graph with its corelation (the
+    layer's node corelations beside identities on the passthrough wires),
+    its upstream fold (the input-matching corelation followed by every
+    earlier layer) and its downstream fold (the upstream fold followed by
+    the layer)."""
+    downstream = preprocessing(g, lengths)
     for step in _walk(g.inputs, g.nodes, _kahn_layers(g.inputs, g.nodes)):
         parts = [node_corelation(g, n, lengths) for n in step.layer]
         parts += [
             Corelation.identity(_family(g, g.indices_on(wire), lengths))
             for wire in step.passthrough
         ]
-        yield step.layer, reduce(product_corelations, parts)
+        layer_corelation = reduce(product_corelations, parts)
+        upstream, downstream = downstream, compose_corelations(layer_corelation, downstream)
+        yield step.layer, layer_corelation, upstream, downstream
 
 
 def compose_corelations_by_layers(
@@ -912,13 +918,12 @@ def compose_corelations_by_layers(
     well-indexed graph) and the per-step gate verdicts at the bar level.
     """
     g = normalize(g)
-    acc = preprocessing(g, lengths)
+    total = preprocessing(g, lengths)  # the fold of a graph without layers
     gates: list[bool] = []
     proper = rel.is_proper_for_isometries if mode == "iso" else rel.is_proper_for_unitaries
-    for _, layer_corelation in _layer_corelations(g, lengths):
-        gates.append(proper(bar(acc), bar(layer_corelation)))
-        acc = compose_corelations(layer_corelation, acc)
-    return acc, gates
+    for _, layer_corelation, upstream, total in _layer_corelations(g, lengths):
+        gates.append(proper(bar(upstream), bar(layer_corelation)))
+    return total, gates
 
 
 # -- interpretation ---------------------------------------------------------

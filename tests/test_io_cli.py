@@ -142,6 +142,81 @@ class TestParsing:
         assert routed_cpm_from_json(cp_data, registry) == channel
 
 
+class TestStandaloneLoaders:
+    """How ``routed_map_from_json`` and ``routed_cpm_from_json`` report a
+    single fault: the SchemaError pointer, or the class and full message
+    of a semantic error."""
+
+    @pytest.fixture
+    def space(self):
+        from routedcircuits.spaces import PartitionedSpace
+
+        return PartitionedSpace.from_dims([0, 1], [1, 1])
+
+    @pytest.fixture(params=["pure", "cpm"])
+    def case(self, request, space, monkeypatch):
+        from routedcircuits.io import routed_cpm_from_json, routed_map_from_json
+        from routedcircuits.relations import Relation
+        from routedcircuits.routed_cpms import lift_pure, routed_cpm_to_json
+        from routedcircuits.routed_maps import RoutedMap, routed_map_to_json
+
+        monkeypatch.delenv("ROUTED_TOLERANCE", raising=False)
+        pure = RoutedMap(
+            Relation.identity(space.sector_labels), np.diag([1.0, 1j]), space, space
+        )
+        if request.param == "pure":
+            return routed_map_from_json, routed_map_to_json(pure, "line", "line"), "/matrix"
+        data = routed_cpm_to_json(lift_pure(pure), "line", "line")
+        return routed_cpm_from_json, data, "/kraus/0"
+
+    def _schema_location(self, load, data, space):
+        with pytest.raises(SchemaError) as err:
+            load(data, {"line": space})
+        return err.value.location
+
+    def test_missing_route(self, case, space):
+        load, data, _ = case
+        del data["route"]
+        assert self._schema_location(load, data, space) == ""
+
+    def test_missing_route_key(self, case, space):
+        load, data, _ = case
+        for key in list(data["route"]):
+            broken = json.loads(json.dumps(data))
+            del broken["route"][key]
+            assert self._schema_location(load, broken, space) == "/route", key
+
+    @pytest.mark.parametrize("entry", [1, [1, "x"], [1, 2, 3], None])
+    def test_operator_entry_that_is_no_pair(self, case, space, entry):
+        load, data, operator = case
+        _set(data, f"{operator}/0/0", entry)
+        assert self._schema_location(load, data, space) == f"{operator}/0/0"
+
+    def test_unknown_space(self, case, space):
+        load, data, _ = case
+        data["domain"] = "ghost"
+        assert self._schema_location(load, data, space) == "/domain"
+
+    def test_forbidden_weight(self, case, space):
+        from routedcircuits.errors import RouteViolation
+
+        load, data, operator = case
+        _set(data, f"{operator}/0/1", [1.0, 0.0])
+        with pytest.raises(RouteViolation) as err:
+            load(data, {"line": space})
+        assert type(err.value) is RouteViolation
+        if operator == "/matrix":
+            assert str(err.value) == (
+                "/matrix: matrix has weight 1.000e+00 on a forbidden sector block "
+                "(tolerance 1.0e-09)"
+            )
+        else:
+            assert str(err.value) == (
+                "/kraus: channel has Choi weight 1.000e+00 on a forbidden coherence "
+                "block (tolerance 1.0e-09)"
+            )
+
+
 class TestCLI:
     def test_accessible_two_trajectories(self):
         result = run_cli(
@@ -430,3 +505,21 @@ class TestMalformedFields:
             payload = json.loads(result.stdout)
             assert payload["kind"] == "SchemaError"
             assert pointer in payload["error"]
+
+    @pytest.mark.parametrize(
+        "value, location", [([["x"]], "/empty_nodes/0"), ("n", "/empty_nodes")]
+    )
+    def test_empty_nodes_that_are_no_string_list(self, value, location):
+        _assert_schema_error("iodag_f1.json", "/empty_nodes", value, location)
+
+    def test_empty_nodes_cli_exits_two(self, tmp_path):
+        for value, location in [([["x"]], "/empty_nodes/0"), ("n", "/empty_nodes")]:
+            data = _bundled_json("iodag_f1.json")
+            data["empty_nodes"] = value
+            path = tmp_path / "iodag_f1.json"
+            path.write_text(json.dumps(data))
+            result = run_cli("validate", str(path))
+            assert result.returncode == 2, result.stderr
+            payload = json.loads(result.stdout)
+            assert payload["kind"] == "SchemaError"
+            assert location in payload["error"]
