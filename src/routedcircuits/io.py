@@ -20,7 +20,8 @@ from typing import Any
 from . import relations as rel
 from .circuits import Box, RoutedCircuit
 from .errors import ParseError, RoutedError, SchemaError, UsageError
-from .iodag import IODAG, Interpretation, IONode, Partition, expected_wire_labels
+from .iodag import IODAG, IndexFamily, Interpretation, IONode, Partition
+from .iodag import expected_wire_labels, node_route
 from .relations import IndexSet
 from .routed_cpms import RoutedCPM
 from .routed_maps import RoutedMap, matrix_from_json, matrix_to_json
@@ -305,22 +306,20 @@ def _iodag_to_json(g: IODAG) -> dict:
 
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
-    lengths = {
-        name: _expect(lengths_data, name, int, "/interpretation/lengths") for name in lengths_data
-    }
+    lengths: dict[str, int] = {}
+    for name in lengths_data:
+        with _context(f"/interpretation/lengths/{name}"):
+            lengths[name] = _expect(lengths_data, name, int, "/interpretation/lengths")
+            IndexFamily({name: lengths[name]})  # rejects a length below 1
     spaces: dict[str, PartitionedSpace] = {}
     for wire, space_data in sorted(_expect(data, "spaces", dict, "/interpretation").items()):
         location = f"/interpretation/spaces/{wire}"
         space = _space_from_json({"sectors": space_data}, location)
         expected = expected_wire_labels(g, wire, lengths)
         if space.sector_labels.labels != expected:
-            raise SchemaError(
-                f"wire {wire!r} must carry sector labels {expected!r}", location
-            )
+            raise SchemaError(f"wire {wire!r} must carry sector labels {expected!r}", location)
         spaces[wire] = space
     morphs: dict[str, RoutedMap] = {}
-    from .iodag import node_route
-
     pre_interp = Interpretation(lengths, spaces, {})
     for node_id, morph_data in sorted(_expect(data, "morphs", dict, "/interpretation").items()):
         location = f"/interpretation/morphs/{node_id}"
@@ -442,9 +441,9 @@ def save(doc: CircuitDocument, path: str) -> None:
 
 def _standalone_map_from_json(data, spaces: dict[str, PartitionedSpace], mode: str):
     names = [_expect(data, key, str, "") for key in ("domain", "codomain")]
-    for name in names:
+    for key, name in zip(("domain", "codomain"), names):
         if name not in spaces:
-            raise SchemaError(f"unknown space {name!r}", "/domain")
+            raise SchemaError(f"unknown space {name!r}", f"/{key}")
     domain, codomain = (spaces[name] for name in names)
     return _map_from_json(data, mode, domain, codomain, default_tolerance(), "")
 

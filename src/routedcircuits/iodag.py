@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,6 +147,16 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
 # -- index families and corelations ---------------------------------------
 
 
+@lru_cache
+def _shape_values(shape: tuple[int, ...]) -> tuple[IndexSet, np.ndarray]:
+    """The index set and value table (row ``r``: the names' values in label
+    ``r``) of every family whose lengths, in sorted-name order, are ``shape``."""
+    table = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    table.setflags(write=False)
+    labels = tuple(map(tuple, table.tolist())) if shape else (rel.TRIVIAL_LABEL,)
+    return IndexSet(labels), table
+
+
 @dataclass(frozen=True, eq=False)
 class IndexFamily:
     """A finite set of index names, each with the number of values it takes."""
@@ -156,7 +167,7 @@ class IndexFamily:
     def __init__(self, lengths: Mapping[str, int]):
         lengths = dict(lengths)
         for name, length in lengths.items():
-            if length < 1:
+            if operator.index(length) < 1:  # a float would share an int's cached shape
                 raise InvariantViolation(f"index {name!r} has length {length} < 1")
         object.__setattr__(self, "lengths", MappingProxyType(lengths))
         object.__setattr__(self, "names", tuple(sorted(lengths)))
@@ -166,14 +177,13 @@ class IndexFamily:
 
     def value_labels(self) -> tuple:
         """Value tuples over the names in sorted order ('*' when empty)."""
-        if not self.lengths:
-            return (rel.TRIVIAL_LABEL,)
-        return tuple(
-            itertools.product(*(range(self.lengths[name]) for name in self.names))
-        )
+        return self.index_set().labels
 
     def index_set(self) -> IndexSet:
-        return IndexSet(self.value_labels())
+        return self._values()[0]
+
+    def _values(self) -> tuple[IndexSet, np.ndarray]:
+        return _shape_values(tuple(map(self.lengths.__getitem__, self.names)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IndexFamily) and dict(self.lengths) == dict(other.lengths)
@@ -273,7 +283,7 @@ def bar(matching: Corelation) -> Relation:
     Two value tuples are unrelated exactly when some matched pair of names
     carries different values.
     """
-    dom, cod = _value_table(matching.domain), _value_table(matching.codomain)
+    (dom_set, dom), (cod_set, cod) = matching.domain._values(), matching.codomain._values()
     # each name's values, broadcast over (domain label, codomain label)
     column = {("in", name): dom[:, i, None] for i, name in enumerate(matching.domain.names)}
     column.update(
@@ -284,13 +294,7 @@ def bar(matching: Corelation) -> Relation:
         first, *rest = block
         for member in rest:
             matrix &= column[first] == column[member]
-    return Relation(matching.domain.index_set(), matching.codomain.index_set(), matrix)
-
-
-def _value_table(family: IndexFamily) -> np.ndarray:
-    """Row ``r`` holds the values of ``family.names`` in its ``r``-th value label."""
-    shape = [family.lengths[name] for name in family.names]
-    return np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    return Relation(dom_set, cod_set, matrix)
 
 
 def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
@@ -962,12 +966,9 @@ def wire_space(
     ``dims`` may be a single int for uniform sector dimensions or a mapping
     from label to dimension.
     """
-    labels = expected_wire_labels(g, wire, lengths)
-    if isinstance(dims, int):
-        dim_list = [dims] * len(labels)
-    else:
-        dim_list = [dims[label] for label in labels]
-    return PartitionedSpace(IndexSet(labels), dim_list)
+    labels = _family(g, g.indices_on(wire), lengths).index_set()
+    dim_list = [dims] * len(labels) if isinstance(dims, int) else [dims[label] for label in labels]
+    return PartitionedSpace(labels, dim_list)
 
 
 def node_route(g: IODAG, node_id: str, interp: Interpretation) -> Relation:

@@ -197,6 +197,11 @@ class TestStandaloneLoaders:
         data["domain"] = "ghost"
         assert self._schema_location(load, data, space) == "/domain"
 
+    def test_unknown_codomain_space(self, case, space):
+        load, data, _ = case
+        data["codomain"] = "ghost"
+        assert self._schema_location(load, data, space) == "/codomain"
+
     def test_forbidden_weight(self, case, space):
         from routedcircuits.errors import RouteViolation
 
@@ -489,6 +494,21 @@ class TestMalformedFields:
     def test_length_that_is_no_integer(self, value):
         pointer = "/interpretation/lengths/kL"
         _assert_schema_error("diamond.json", pointer, value, pointer)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_length_below_one_names_its_pointer(self, value, tmp_path):
+        pointer = "/interpretation/lengths/kL"
+        data = _bundled_json("diamond.json")
+        _set(data, pointer, value)
+        with pytest.raises(InvariantViolation) as err:
+            parse(json.dumps(data))
+        assert type(err.value) is InvariantViolation
+        assert str(err.value).startswith(f"{pointer}: ")
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("validate", str(path))
+        assert result.returncode == 1, result.stderr
+        assert pointer in json.loads(result.stdout)["error"]
 
     def test_cli_exits_two(self, tmp_path):
         for name, pointer, value in [
