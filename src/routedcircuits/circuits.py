@@ -13,7 +13,10 @@ interface, and the accessible space of a slice, both as the
 index-summation recipe and as the insertion-of-test-relations definition
 that justifies it.  The accessible space takes every box (a part of the
 circuit not connected to the slice still counts: if its routes vanish, so
-does every slice); insertion runs one plan for all its candidates.
+does every slice); insertion tests every candidate in one planned run.
+A plan depends only on the shape of its network, so each planner sits
+behind one bounded module-level cache keyed by that shape; nothing is
+stored on the frozen circuit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -284,12 +287,25 @@ def _foliation_layers(
 
 
 def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> PartitionedSpace:
-    return tensor_many([circuit.wires[w] for w in wire_ids])
+    spaces = tuple(circuit.wires[w] for w in wire_ids)
+    return _tensor_of(spaces, tuple(map(id, spaces)))
+
+
+@lru_cache
+def _tensor_of(spaces: tuple[PartitionedSpace, ...], ids: tuple[int, ...]) -> PartitionedSpace:
+    """The tensor of the spaces, derived once per tuple of space objects.
+
+    Equal spaces can differ in the types of their labels (``1`` and
+    ``True``), so the key also holds each space's identity, which stays
+    unique while the entry holds the space.
+    """
+    return tensor_many(spaces)
 
 
 # Axis labels of the networks besides the wires: the interface a network
-# starts from, and the Kraus operator index of a box.
-_INPUT, _KRAUS = object(), object()
+# starts from, the Kraus operator index of a box, and the candidate tuple
+# of a slice in insertion.
+_INPUT, _KRAUS, _CANDIDATE = object(), object(), object()
 
 
 class _Contraction(NamedTuple):
@@ -365,6 +381,31 @@ def _contraction_plan(
     last = reduce(join, sorted(alive))
     result = [_KRAUS] * bool(batches[last]) + list(open_labels)
     return _Contraction(steps, [axes[last].index(x) for x in result], batches[last])
+
+
+def _frozen(value):
+    """``value`` with every list and tuple in it, at any depth, a tuple
+    (a named tuple keeps its type)."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    items = map(_frozen, value)
+    return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
+
+
+def _network_key(signatures: Sequence[Sequence], labels: Sequence, sizes: Mapping) -> tuple:
+    """The key of a network in the plan caches: its signatures, the kept or
+    open labels, and the size of every label in the network (``sizes`` may
+    hold more)."""
+    signatures = tuple(map(tuple, signatures))
+    network = dict.fromkeys(itertools.chain(labels, *signatures))
+    return signatures, tuple(labels), tuple((x, sizes[x]) for x in network)
+
+
+@lru_cache
+def _cached_contraction(signatures: tuple, open_labels: tuple, sizes: tuple) -> _Contraction:
+    """The plan of :func:`_contraction_plan`, made once per network key
+    (see :func:`_network_key`) and frozen into nested tuples."""
+    return _frozen(_contraction_plan(signatures, open_labels, dict(sizes)))
 
 
 def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -446,6 +487,13 @@ def _elimination_plan(
     return _Plan(loads, steps, left, tuple(dims[: len(keep)]))
 
 
+@lru_cache
+def _cached_elimination(signatures: tuple, keep: tuple, sizes: tuple) -> _Plan:
+    """The plan of :func:`_elimination_plan`, made once per network key
+    (see :func:`_network_key`) and frozen into nested tuples."""
+    return _frozen(_elimination_plan(signatures, keep, dict(sizes)))
+
+
 def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Carry out ``plan`` on boolean tables of the signatures it was made for."""
     slots = [t if order is None else t.transpose(order) for t, order in zip(tables, plan.loads)]
@@ -516,7 +564,7 @@ def _contracted_route(
     ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.
     """
     signatures, tables, keep, sizes = _route_network(circuit, sources, box_ids, targets, copies)
-    array = _run_plan(_elimination_plan(signatures, keep, sizes), tables)
+    array = _run_plan(_cached_elimination(*_network_key(signatures, keep, sizes)), tables)
     count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
     return array.reshape([count_in] * copies + [count_out] * copies)
 
@@ -570,7 +618,7 @@ def _contracted_operators(
             sizes[kraus[-1]] = len(stack)
             signatures[-1].insert(0, kraus[-1])
         tables.append(stack.reshape([sizes[x] for x in signatures[-1]]))
-    plan = _contraction_plan(signatures, [*wide(targets), _INPUT], sizes)
+    plan = _cached_contraction(*_network_key(signatures, [*wide(targets), _INPUT], sizes))
     array = _run_contraction(plan, tables)
     order = np.zeros(1, dtype=np.intp)  # the plan's Kraus index of each operator
     for label in reversed(kraus):
@@ -748,7 +796,7 @@ def _accessible_by_recipe(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     except the slice's."""
     boxes = sorted(circuit.boxes)
     signatures, tables, keep, sizes = _route_network(circuit, (), boxes, cut.wires, 1)
-    allowed = _run_plan(_elimination_plan(signatures, keep, sizes), tables)
+    allowed = _run_plan(_cached_elimination(*_network_key(signatures, keep, sizes)), tables)
     return allowed.reshape([sizes[w] for w in cut.wires])
 
 
@@ -756,25 +804,27 @@ def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     """Defining test: fix the slice sectors to a candidate tuple and ask
     whether the whole relation-level circuit still relates anything.
 
-    Every pinned network has the same signatures, so one plan serves all
-    candidates.  Each table's slice axes are moved to the front once, and
-    a candidate pins them by indexing.
+    Every candidate is tested in one planned run.  Each table with slice
+    axes is gathered at every candidate, along one candidate axis that all
+    these tables share, and the elimination keeps only that axis: slice
+    ``i`` of the run is the network pinned at candidate ``i``.  A gathered
+    table holds one copy of its non-slice axes per candidate, so the run
+    takes the candidate count times the memory of one pinned network.
     """
     variables, tables, _, sizes = _route_network(circuit, (), sorted(circuit.boxes), cut.wires, 1)
+    shape = [sizes[w] for w in cut.wires]
+    candidates = np.indices(shape).reshape(len(shape), math.prod(shape))
     position = {(w, 0): i for i, w in enumerate(cut.wires)}
-    moved, pins, signatures = [], [], []
+    signatures, gathered = [], []
     for vars_, table in zip(variables, tables):
         pinned = [i for i, v in enumerate(vars_) if v in position]
         free = [i for i, v in enumerate(vars_) if v not in position]
-        moved.append(table.transpose(pinned + free))
-        pins.append([position[vars_[i]] for i in pinned])
-        signatures.append([vars_[i] for i in free])
-    plan = _elimination_plan(signatures, (), sizes)
-    out = np.zeros([sizes[w] for w in cut.wires], dtype=bool)
-    for candidate in np.ndindex(out.shape):
-        pinned = [t[(*map(candidate.__getitem__, pin), ...)] for t, pin in zip(moved, pins)]
-        out[candidate] = _run_plan(plan, pinned)
-    return out
+        at = tuple(candidates[[position[vars_[i]] for i in pinned]])
+        gathered.append(table.transpose(pinned + free)[at])
+        signatures.append([_CANDIDATE] * bool(pinned) + [vars_[i] for i in free])
+    sizes[_CANDIDATE] = candidates.shape[1]
+    plan = _cached_elimination(*_network_key(signatures, [_CANDIDATE], sizes))
+    return _run_plan(plan, gathered).reshape(shape)
 
 
 def accessible_space(

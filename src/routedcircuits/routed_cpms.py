@@ -3,7 +3,10 @@
 The coherence route of a CP map whitelists pairs of sector connections that
 may stay coherent.  Route-following is decided on Choi-matrix blocks: the
 defining condition is linear in the input state, so vanishing of the
-forbidden Choi blocks is both finite and complete.  Channel equality
+forbidden Choi blocks is both finite and complete.  A construction first
+tries a Cauchy–Schwarz bound on those blocks, from the norms of the
+operators' coordinates, which is exact for one operator; only a map the
+bound cannot clear builds its Choi matrix.  Channel equality
 elsewhere in the package is likewise Choi comparison; Kraus lists are never
 minimised.  A channel stores its operators as one read-only
 ``(count, d_out, d_in)`` array, which composition, tensoring and the Choi
@@ -61,6 +64,36 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
+def _check_typing(
+    stack: np.ndarray, route: CPRelation, domain: PartitionedSpace, codomain: PartitionedSpace
+) -> None:
+    """Raise unless the stacked operators and the route are typed by the spaces."""
+    shape = (codomain.total_dim, domain.total_dim)
+    if stack.shape[1:] != shape:
+        raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
+    if route.base_domain != domain.sector_labels or route.base_codomain != codomain.sector_labels:
+        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+
+
+def _choi_block_bound(
+    stack: np.ndarray, route: CPRelation, domain: PartitionedSpace, codomain: PartitionedSpace
+) -> float:
+    """An upper bound on :func:`_choi_block_excess`, equal to it for one
+    operator, from one pass over the stack: no Choi matrix is built.
+
+    By Cauchy–Schwarz, a Choi entry is at most ``n[a] * n[b]``, where
+    ``n`` is the norm of a coordinate across the operators.  With
+    ``top[k, l]`` the largest ``n`` on the block from input sector ``k`` to
+    output sector ``l``, the bound is the largest ``top[k, l] *
+    top[k', l']`` over the forbidden ``(k, k', l, l')``.
+    """
+    norms = np.linalg.norm(stack, axis=0)  # per (out, in) coordinate
+    top = np.maximum.reduceat(norms, codomain.sector_offsets, axis=0)
+    top = np.maximum.reduceat(top, domain.sector_offsets, axis=1).T
+    pairs = top[:, None, :, None] * top[None, :, None, :]
+    return float(pairs.max(where=~route.matrix, initial=0.0))
+
+
 def _choi_block_excess(
     kraus: Sequence[np.ndarray],
     route: CPRelation,
@@ -75,11 +108,7 @@ def _choi_block_excess(
     covers the remaining three indices.
     """
     kraus = _stacked(kraus)
-    shape = (codomain.total_dim, domain.total_dim)
-    if kraus.shape[1:] != shape:
-        raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
-    if route.base_domain != domain.sector_labels or route.base_codomain != codomain.sector_labels:
-        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+    _check_typing(kraus, route, domain, codomain)
     d_in, d_out = domain.total_dim, codomain.total_dim
     choi = choi_matrix(kraus).reshape(d_out, d_in, d_out, d_in)
     forbidden = ~route.matrix
@@ -127,6 +156,10 @@ class RoutedCPM:
         object.__setattr__(self, "kraus_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
         _check_numbers(self.tolerance, (stack,), "Kraus operators")
+        _check_typing(stack, self.route, self.domain, self.codomain)
+        # half the tolerance leaves room for rounding in the bound
+        if _choi_block_bound(stack, self.route, self.domain, self.codomain) <= self.tolerance / 2:
+            return
         excess = _choi_block_excess(stack, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
             raise RouteViolation(

@@ -1,10 +1,12 @@
 """The variable-by-variable elimination, kept as the test oracle of the
 planned elimination in ``circuits`` (``_elimination_plan`` and
-``_run_plan``).
+``_run_plan``), and the candidate-by-candidate insertion, kept as the test
+oracle of the one-run insertion in ``circuits._accessible_by_insertion``.
 
-It eliminates the variables in sorted-name order and, for each one,
-builds the joint of every table that touches it anew: no plan is
-shared between calls and nothing is precomputed.
+The elimination eliminates the variables in sorted-name order and, for
+each one, builds the joint of every table that touches it anew: no plan is
+shared between calls and nothing is precomputed.  The insertion pins one
+candidate tuple at a time and runs one elimination per candidate.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from routedcircuits.circuits import (
+    RoutedCircuit,
+    Slice,
+    _elimination_plan,
+    _route_network,
+    _run_plan,
+)
 
 
 def _eliminate(
@@ -51,3 +61,28 @@ def _eliminate(
         shape = [sizes[v] if v in vars_ else 1 for v in keep]
         result = result & table.reshape(shape)
     return result
+
+
+def accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
+    """Defining test: fix the slice sectors to a candidate tuple and ask
+    whether the whole relation-level circuit still relates anything.
+
+    Every pinned network has the same signatures, so one plan serves all
+    candidates.  Each table's slice axes are moved to the front once, and
+    a candidate pins them by indexing.
+    """
+    variables, tables, _, sizes = _route_network(circuit, (), sorted(circuit.boxes), cut.wires, 1)
+    position = {(w, 0): i for i, w in enumerate(cut.wires)}
+    moved, pins, signatures = [], [], []
+    for vars_, table in zip(variables, tables):
+        pinned = [i for i, v in enumerate(vars_) if v in position]
+        free = [i for i, v in enumerate(vars_) if v not in position]
+        moved.append(table.transpose(pinned + free))
+        pins.append([position[vars_[i]] for i in pinned])
+        signatures.append([vars_[i] for i in free])
+    plan = _elimination_plan(signatures, (), sizes)
+    out = np.zeros([sizes[w] for w in cut.wires], dtype=bool)
+    for candidate in np.ndindex(out.shape):
+        pinned = [t[(*map(candidate.__getitem__, pin), ...)] for t, pin in zip(moved, pins)]
+        out[candidate] = _run_plan(plan, pinned)
+    return out
