@@ -2,21 +2,23 @@
 
 Evaluation contracts the box maps as a tensor network, one complex table
 per box with an axis per wire it touches, pairwise in a greedy order
-planned before any array is touched.  Wires a box does not touch get no
-identity, and reordering wires only relabels axes.  The result is built,
-and checked against its route, once.  Soundness of the underlying
-frameworks makes it independent of the chosen foliation, which is also
-checked by tests.  Every route network, one boolean table per box route,
-is summed by one greedy variable elimination, also planned first: the
-route of an evaluation, the properness gate of every sequential
-interface, and the accessible space of a slice, both as the
+planned before any array is touched.  One builder names the axes of both
+networks, the operators' and the routes': a source wire by its input
+axis, so only a wire both a source and a target gets an identity; wires
+a box does not touch get none, and reordering wires only relabels axes.
+The result is built, and checked against its route, once.  Soundness of
+the underlying frameworks makes it independent of the chosen foliation,
+which is also checked by tests.  Every route network, one boolean table
+per box route, is summed by one greedy variable elimination, also
+planned first: the route of an evaluation, the properness gate of every
+sequential interface, and the accessible space of a slice, both as the
 index-summation recipe and as the insertion-of-test-relations definition
 that justifies it.  The accessible space takes every box (a part of the
-circuit not connected to the slice still counts: if its routes vanish, so
-does every slice); insertion tests every candidate in one planned run.
-A plan depends only on the shape of its network, so each planner sits
-behind one bounded module-level cache keyed by that shape; nothing is
-stored on the frozen circuit.
+circuit not connected to the slice still counts: if its routes vanish,
+so does every slice); insertion tests every candidate in one planned
+run.  A plan depends only on the shape of its network, so each planner
+sits behind one bounded module-level cache keyed by that shape; nothing
+is stored on the frozen circuit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -164,18 +166,14 @@ def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type]:
 
     # box typing against the tensor of its wires' spaces
     for box_id, box in circuit.boxes.items():
-        want_in = tensor_many([circuit.wires[w] for w in box.inputs])
-        want_out = tensor_many([circuit.wires[w] for w in box.outputs])
-        if box.op.domain != want_in:
-            raise TypeMismatch(
-                f"box {box_id!r}: map domain {box.op.domain!r} does not match the "
-                f"tensor of its input wires {want_in!r}"
-            )
-        if box.op.codomain != want_out:
-            raise TypeMismatch(
-                f"box {box_id!r}: map codomain {box.op.codomain!r} does not match the "
-                f"tensor of its output wires {want_out!r}"
-            )
+        sides = (("domain", "input", box.inputs), ("codomain", "output", box.outputs))
+        for side, kind, wires in sides:
+            want, have = tensor_many([circuit.wires[w] for w in wires]), getattr(box.op, side)
+            if have != want:
+                raise TypeMismatch(
+                    f"box {box_id!r}: map {side} {have!r} does not match the "
+                    f"tensor of its {kind} wires {want!r}"
+                )
     return producers, consumers, expected_type
 
 
@@ -302,9 +300,9 @@ def _tensor_of(spaces: tuple[PartitionedSpace, ...], ids: tuple[int, ...]) -> Pa
     return tensor_many(spaces)
 
 
-# Axis labels of the networks besides the wires: the interface a network
-# starts from, the Kraus operator index of a box, and the candidate tuple
-# of a slice in insertion.
+# Axis labels of the networks besides the wires: the source side of a
+# wire, the Kraus operator index of a box, and the candidate tuple of a
+# slice in insertion.
 _INPUT, _KRAUS, _CANDIDATE = object(), object(), object()
 
 
@@ -332,6 +330,7 @@ def _contraction_plan(
     ``np.tensordot`` (free axes, batch axis, summed axes against summed
     axes, batch axis, free axes), so merging batch axes is a reshape.
     """
+    signatures = list(signatures) or [[]]  # no table: the scalar 1
     holders: dict = {}
     for slot, signature in enumerate(signatures):
         for label in signature:
@@ -410,7 +409,7 @@ def _cached_contraction(signatures: tuple, open_labels: tuple, sizes: tuple) -> 
 
 def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Carry out ``plan`` on tables of the signatures it was made for."""
-    slots = list(tables)
+    slots = list(tables) or [np.ones(())]
     for a, b, order_a, order_b, summed, shape in plan.steps:
         out = np.tensordot(slots[a].transpose(order_a), slots[b].transpose(order_b), summed)
         slots[a] = slots[b] = None
@@ -511,6 +510,51 @@ def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
     return op.route if circuit.mode == "pure" else rel.diagonal(op.route)
 
 
+def _network(
+    circuit: RoutedCircuit,
+    sources: Sequence[str],
+    boxes: Sequence[tuple[Box, np.ndarray]],
+    targets: Sequence[str],
+    copies: int,
+    size: Callable[[PartitionedSpace], int],
+) -> tuple[list, list, list, dict]:
+    """The tables of a network over the circuit's wires: signatures,
+    tables, the axes kept (the sources', then the targets'), and the size
+    of each wire in the network and each axis.
+
+    A wire's size is ``size`` of its space (its sector count or its
+    dimension).  An axis is a copy of a wire of size above 1, named
+    ``(wire, copy, _INPUT)`` on a source wire, else ``(wire, copy)``.  Each
+    box comes with a table of ``copies`` axes per input wire, then per
+    output wire, copy-major; a table holding several of these (a Kraus
+    stack) gets a leading ``(_KRAUS, slot)`` axis.  A wire both a source
+    and a target gets an identity table.
+    """
+    touched = (box.inputs + box.outputs for box, _ in boxes)
+    sizes: dict = {w: size(circuit.wires[w]) for w in itertools.chain(sources, targets, *touched)}
+    fed = set(sources)
+
+    def axes(wires, start=False):
+        named = [(w, c, _INPUT) if start and w in fed else (w, c)
+                 for c in range(copies) for w in wires if sizes[w] > 1]
+        sizes.update((x, sizes[x[0]]) for x in named)
+        return named
+
+    signatures, tables = [], []
+    for slot, (box, table) in enumerate(boxes):
+        signatures.append(axes(box.inputs, start=True) + axes(box.outputs))
+        count = table.size // math.prod(sizes[x] for x in signatures[-1])
+        if count > 1:
+            sizes[_KRAUS, slot] = count
+            signatures[-1].insert(0, (_KRAUS, slot))
+        tables.append(table.reshape([sizes[x] for x in signatures[-1]]))
+    through = [w for w in targets if w in fed]
+    for x, y in zip(axes(through), axes(through, start=True)):
+        signatures.append([x, y])
+        tables.append(np.eye(sizes[x], dtype=bool))
+    return signatures, tables, axes(sources, start=True) + axes(targets), sizes
+
+
 def _route_network(
     circuit: RoutedCircuit,
     sources: Sequence[str],
@@ -518,36 +562,13 @@ def _route_network(
     targets: Sequence[str],
     copies: int,
 ) -> tuple[list, list, list, dict]:
-    """The boxes' routes as boolean tables for :func:`_elimination_plan`:
-    signatures, tables, the variables kept (the sources', then the
-    targets'), and the sector count of each wire in the network and each
-    variable.  A variable is a copy of a wire of more than one sector,
-    named ``(wire, copy, _INPUT)`` on a source wire, else ``(wire, copy)``.
-    A box's route has ``copies`` axes per wire, copy-major: its plain route
-    (its diagonal in CPM mode), or with two copies its coherence route.  A
-    wire both a source and a target gets an identity table.
+    """The boxes' routes as boolean tables for :func:`_elimination_plan`,
+    from :func:`_network` on sector counts: a box's table is its plain route
+    (its diagonal in CPM mode), or with two copies its coherence route.
     """
-    boxes = [circuit.boxes[b] for b in box_ids]
-    wires = dict.fromkeys(itertools.chain(sources, targets, *(b.inputs + b.outputs for b in boxes)))
-    sizes: dict = {w: circuit.wires[w].sector_labels.size for w in wires}
-    fed = set(sources)
-
-    def axes(wires, start=False):
-        return [(w, c, _INPUT) if start and w in fed else (w, c)
-                for c in range(copies) for w in wires if sizes[w] > 1]
-
-    signatures, tables = [], []
-    for box_id, box in zip(box_ids, boxes):
-        route = box.op.route if copies == 2 else _box_route(circuit, box_id)
-        signatures.append(axes(box.inputs, start=True) + axes(box.outputs))
-        tables.append(route.matrix.reshape([sizes[x[0]] for x in signatures[-1]]))
-    through = [w for w in targets if w in fed]
-    for x, y in zip(axes(through), axes(through, start=True)):
-        signatures.append([x, y])
-        tables.append(np.eye(sizes[x[0]], dtype=bool))
-    keep = axes(sources, start=True) + axes(targets)
-    sizes.update((x, sizes[x[0]]) for x in itertools.chain(keep, *signatures))
-    return signatures, tables, keep, sizes
+    routes = [_box_route(circuit, b) if copies == 1 else circuit.boxes[b].op.route for b in box_ids]
+    boxes = [(circuit.boxes[b], route.matrix) for b, route in zip(box_ids, routes)]
+    return _network(circuit, sources, boxes, targets, copies, lambda space: len(space.sector_dims))
 
 
 def _contracted_route(
@@ -587,45 +608,36 @@ def _contracted_operators(
     """The ``(count, d_out, d_in)`` operator stack of the boxes, applied in
     order, from the interface ``sources`` to ``targets``.
 
-    The network has a start table, the identity from one canonical input
-    axis onto the source wires, and one table per box, with an axis per
-    wire in that wire's own basis and one per Kraus index.  A box's
-    operators leave the canonical basis of its interfaces through
-    :func:`kron_to_canonical`, the identity on one wire.  The Kraus order is
-    that of composing the boxes one at a time, the last box's index
-    outermost, whatever order the plan contracts them in.
+    The network comes from :func:`_network` on dimensions: a box's table
+    is its operators with an axis per wire in that wire's own basis (they
+    leave the canonical basis of its interfaces through
+    :func:`kron_to_canonical`, the identity on one wire) and one per Kraus
+    index.  One gather of whole operators and of entries takes the result
+    (the sources' axes, then the targets') to the canonical bases and the
+    Kraus order of composing the boxes one at a time, the last box's
+    index outermost, whatever order the plan contracts them in.
     """
-    sizes = {w: space.total_dim for w, space in circuit.wires.items()}
-
-    def wide(wires):  # a wire of dimension 1 needs no axis
-        return [w for w in wires if sizes[w] > 1]
 
     def to_kron(wires):
         return kron_to_canonical(*(circuit.wires[w] for w in wires))
 
-    sizes[_INPUT] = d_in = math.prod(sizes[w] for w in sources)
-    signatures = [[*wide(sources), _INPUT]]
-    start = np.eye(d_in, dtype=complex)[to_kron(sources)]
-    tables = [start.reshape([sizes[x] for x in signatures[0]])]
-    kraus = []
+    boxes = []
     for box in (circuit.boxes[b] for b in box_ids):
         stack = box.op.kraus_stack if isinstance(box.op, RoutedCPM) else box.op.matrix[None]
         if len(box.inputs) > 1 or len(box.outputs) > 1:
             stack = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
-        signatures.append([*wide(box.outputs), *wide(box.inputs)])
-        if len(stack) > 1:
-            kraus.append((_KRAUS, len(kraus)))
-            sizes[kraus[-1]] = len(stack)
-            signatures[-1].insert(0, kraus[-1])
-        tables.append(stack.reshape([sizes[x] for x in signatures[-1]]))
-    plan = _cached_contraction(*_network_key(signatures, [*wide(targets), _INPUT], sizes))
-    array = _run_contraction(plan, tables)
-    order = np.zeros(1, dtype=np.intp)  # the plan's Kraus index of each operator
-    for label in reversed(kraus):
-        stride = math.prod(sizes[x] for x in plan.batch[plan.batch.index(label) + 1 :])
-        order = (order[:, None] + stride * np.arange(sizes[label])).ravel()
-    kron = array.reshape(-1, math.prod(sizes[w] for w in targets), d_in)
-    return kron[np.ix_(order, np.argsort(to_kron(targets)))]
+        boxes.append((box, stack.transpose(0, 2, 1)))
+    signatures, tables, keep, sizes = _network(
+        circuit, sources, boxes, targets, 1, lambda space: space.total_dim
+    )
+    plan = _cached_contraction(*_network_key(signatures, keep, sizes))
+    d_out, d_in = (math.prod(sizes[w] for w in wires) for wires in (targets, sources))
+    flat = _run_contraction(plan, tables).reshape(-1, d_in * d_out)
+    # the plan's Kraus index of each operator, the last box's index outermost
+    kraus = np.arange(len(flat)).reshape([sizes[x] for x in plan.batch])
+    order = kraus.transpose([plan.batch.index(x) for x in sorted(plan.batch, reverse=True)])
+    entry = np.argsort(to_kron(targets))[:, None] + d_out * np.argsort(to_kron(sources))
+    return flat[np.ix_(order.ravel(), entry.ravel())].reshape(-1, d_out, d_in)
 
 
 def _contracted(
@@ -641,8 +653,7 @@ def _contracted(
     so checked against its route, once.
     """
     pure = circuit.mode == "pure"
-    domain = _interface_space(circuit, sources)
-    codomain = _interface_space(circuit, targets)
+    domain, codomain = (_interface_space(circuit, w) for w in (sources, targets))
     matrix = _contracted_route(circuit, sources, box_ids, targets, 1 if pure else 2)
     route_type = Relation if pure else CPRelation
     route = route_type(domain.sector_labels, codomain.sector_labels, matrix)
@@ -845,18 +856,10 @@ def accessible_space(
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     spaces = [circuit.wires[w] for w in cut.wires]
-    tuples = []
-    dims = []
-    for idx in itertools.product(*[range(s.sector_labels.size) for s in spaces]):
-        if not allowed[idx]:
-            continue
-        labels = tuple(s.sector_labels.labels[i] for s, i in zip(spaces, idx))
-        tuples.append(labels)
-        dim = 1
-        for s, i in zip(spaces, idx):
-            dim *= s.sector_dims[i]
-        dims.append(dim)
-    return AccessibleSpace(cut.wires, tuple(tuples), tuple(dims))
+    found = np.argwhere(allowed)  # row-major, as the sector tuples are listed
+    tuples = tuple(tuple(s.sector_labels.labels[i] for s, i in zip(spaces, at)) for at in found)
+    dims = tuple(math.prod(s.sector_dims[i] for s, i in zip(spaces, at)) for at in found)
+    return AccessibleSpace(cut.wires, tuples, dims)
 
 
 # -- export --------------------------------------------------------------

@@ -9,6 +9,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -183,8 +184,7 @@ def transpose(relation: Relation) -> Relation:
 
 def practical_input_set(relation: Relation) -> frozenset:
     """Input labels related to at least one output label."""
-    mask = relation.matrix.any(axis=1)
-    return frozenset(l for l, keep in zip(relation.domain.labels, mask) if keep)
+    return frozenset(itertools.compress(relation.domain.labels, relation.matrix.any(axis=1)))
 
 
 def practical_output_set(relation: Relation) -> frozenset:
@@ -194,12 +194,8 @@ def practical_output_set(relation: Relation) -> frozenset:
 
 def image(relation: Relation, subset: Iterable[Label]) -> frozenset:
     """Labels reachable from ``subset`` through the relation."""
-    subset = list(subset)
-    rows = [relation.domain.position(k) for k in subset]
-    if not rows:
-        return frozenset()
-    mask = relation.matrix[rows].any(axis=0)
-    return frozenset(l for l, hit in zip(relation.codomain.labels, mask) if hit)
+    reached = relation.matrix[[relation.domain.position(k) for k in subset]].any(axis=0)
+    return frozenset(itertools.compress(relation.codomain.labels, reached))
 
 
 def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
@@ -216,11 +212,12 @@ def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
         raise DomainMismatch(
             f"cannot gate: interface {first.codomain!r} != {second.domain!r}"
         )
-    s = practical_input_set(second)
-    t = practical_output_set(first)
-    inputs = image(compose(first, transpose(first)), s) - s
-    outputs = image(compose(transpose(second), second), t) - t
-    return tuple(sorted(inputs, key=repr)), tuple(sorted(outputs, key=repr))
+    f, g = first.matrix, second.matrix
+    s, t = g.any(1), f.any(0)  # the practical sets, as masks of the middle labels
+    inputs = f[f[:, s].any(1)].any(0) & ~s
+    outputs = g[:, g[t].any(0)].any(1) & ~t
+    labels = first.codomain.labels
+    return tuple(tuple(sorted(itertools.compress(labels, m), key=repr)) for m in (inputs, outputs))
 
 
 def is_proper_for_isometries(first: Relation, second: Relation) -> bool:

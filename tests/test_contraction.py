@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 import string
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
@@ -147,9 +148,44 @@ def assert_matches_layered(circuit, box_order=None) -> None:
     assert float(np.abs(got - want).max(initial=0.0)) <= bound * scale
 
 
+def rare_circuits(mode: str) -> list:
+    """Shapes the draw reaches only now and then, each with a box order.
+
+    A box-less circuit whose wires all have dimension 1 gives both networks
+    no table at all.  In the other, a wire both an input and an output (an
+    identity table) lies beside a line of two boxes and an effect, each of
+    two Kraus operators in CPM mode.
+    """
+    rng = np.random.default_rng(12)
+    trivial = PartitionedSpace.trivial()
+    empty = CircuitBuilder(mode).wire("a", trivial).wire("b", trivial)
+    line = PartitionedSpace.from_dims([0, 1], [1, 1])
+    through = PartitionedSpace.from_dims([0, 1], [1, 2])
+    builder = CircuitBuilder(mode).wire("t", through).wire("e", line).wire("f", trivial)
+    route = Relation.full(line.sector_labels, trivial.sector_labels)
+    effect = random_coherent_cpm(route, line, trivial, rng, count=2)
+    if mode == "pure":
+        effect = RoutedMap(route, effect.kraus[0], line, trivial)
+    builder.box("end", ["e"], ["f"], effect)
+    for t in range(2):
+        builder.wire(f"x{t}", line)
+        if mode == "pure":
+            op = random_block_diagonal_unitary(line, rng)
+        else:
+            op = random_sector_preserving_channel(line, rng, count=2)
+        builder.box(f"u{t}", [f"x{t}"], [f"x{t + 1}"], op)
+    builder.wire("x2", line).inputs("t", "e", "x0").outputs("f", "x2", "t")
+    return [
+        (empty.inputs("a", "b").outputs("b", "a").build(), []),
+        (builder.build(), ["u0", "end", "u1"]),
+    ]
+
+
 class TestAgainstLayeredEngine:
     @settings(max_examples=300, deadline=None)
     @given(circuits("pure"))
+    @example(rare_circuits("pure")[0])
+    @example(rare_circuits("pure")[1])
     def test_pure(self, drawn):
         circuit, order = drawn
         assert_matches_layered(circuit)
@@ -157,6 +193,8 @@ class TestAgainstLayeredEngine:
 
     @settings(max_examples=200, deadline=None)
     @given(circuits("cpm"))
+    @example(rare_circuits("cpm")[0])
+    @example(rare_circuits("cpm")[1])
     def test_cpm(self, drawn):
         circuit, order = drawn
         assert_matches_layered(circuit)
@@ -199,6 +237,30 @@ def test_more_open_wires_than_array_axes():
         assert np.array_equal(operators(flagged), operators(bare))
         assert np.array_equal(flagged.route.matrix, bare.route.matrix)
         assert flagged.codomain.sector_dims == bare.codomain.sector_dims
+
+
+def test_wide_input_memory():
+    """Ten two-dimensional input wires, each ending in an effect: a
+    1 x 1024 result (16 KB) from boxes of two entries.  Evaluating it
+    never holds 2 MB; a dense identity over the whole input interface
+    took 40 MB."""
+    space, unit = PartitionedSpace.trivial(2), PartitionedSpace.trivial()
+    route = Relation.full(space.sector_labels, unit.sector_labels)
+    effect = RoutedMap(route, np.ones((1, 2), dtype=complex), space, unit)
+    builder = CircuitBuilder("pure")
+    for i in range(10):
+        builder.wire(f"a{i}", space).wire(f"e{i}", unit)
+        builder.box(f"x{i}", [f"a{i}"], [f"e{i}"], effect)
+    builder.inputs(*(f"a{i}" for i in range(10))).outputs(*(f"e{i}" for i in range(10)))
+    circuit = builder.build()
+    tracemalloc.start()
+    try:
+        result = evaluate(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(result.matrix, np.ones((1, 1024)))
+    assert peak < 2 * 2**20
 
 
 def test_wide_diagonal_circuit():
