@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, 
 import numpy as np
 
 from . import relations as rel
-from .errors import InvalidSlice, InvariantViolation, TypeMismatch
+from .errors import InvalidSlice, InvariantViolation, RouteViolation, TypeMismatch
 from .relations import CPRelation, Relation
 from .routed_cpms import RoutedCPM
 from .routed_maps import DEFAULT_TOLERANCE, RoutedMap
@@ -623,7 +623,7 @@ def _contracted_operators(
 
     boxes = []
     for box in (circuit.boxes[b] for b in box_ids):
-        stack = box.op.kraus_stack if isinstance(box.op, RoutedCPM) else box.op.matrix[None]
+        stack = box.op.kraus_stack
         if len(box.inputs) > 1 or len(box.outputs) > 1:
             stack = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
         boxes.append((box, stack.transpose(0, 2, 1)))
@@ -650,7 +650,8 @@ def _contracted(
     interface ``sources`` to ``targets``.
 
     Its tolerance is the largest of the boxes'.  The result is built, and
-    so checked against its route, once.
+    so checked against its route, once; forbidden weight adds up over the
+    boxes, so a rejection names them.
     """
     pure = circuit.mode == "pure"
     domain, codomain = (_interface_space(circuit, w) for w in (sources, targets))
@@ -661,7 +662,13 @@ def _contracted(
     tolerance = max(
         (circuit.boxes[b].op.tolerance for b in box_ids), default=DEFAULT_TOLERANCE
     )
-    return circuit._op_type(route, stack[0] if pure else stack, domain, codomain, tolerance)
+    try:
+        return circuit._op_type.from_stack(route, stack, domain, codomain, tolerance)
+    except RouteViolation as exc:
+        raise RouteViolation(
+            f"composite of boxes {', '.join(map(repr, box_ids))}: {exc}; the weight "
+            "accumulated over these boxes, each of which was accepted on its own"
+        ) from None
 
 
 def _permutation_route(

@@ -17,12 +17,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from . import relations as rel
 from .circuits import Box, RoutedCircuit
 from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .iodag import IODAG, IndexFamily, Interpretation, IONode, Partition
 from .iodag import expected_wire_labels, node_route
-from .relations import IndexSet
+from .relations import CPRelation, IndexSet, Relation
 from .routed_cpms import RoutedCPM
 from .routed_maps import RoutedMap, matrix_from_json, matrix_to_json
 from .spaces import PartitionedSpace, tensor_many
@@ -103,6 +105,41 @@ def _matrix(rows, location: str):
     return matrix_from_json(rows)
 
 
+def _label(value, location: str, *path: int):
+    """A label (a string, an integer or a list of labels) at ``location``/``path``."""
+    if type(value) is list:
+        return tuple(_label(part, location, *path, i) for i, part in enumerate(value))
+    if type(value) not in (str, int):
+        kind, pointer = type(value).__name__, "/".join([location, *map(str, path)])
+        raise SchemaError(f"label must be a string, an integer or a list, got {kind}", pointer)
+    return value
+
+
+def _route_matrix(data, depth: int, location: str) -> np.ndarray:
+    """A route's boolean array: ``depth`` levels of equally long lists around
+    the integers 0 and 1.  A fault is searched for level by level."""
+    cells = np.array(data, dtype=object)
+    if cells.ndim == depth and set(map(type, cells.flat)) <= {int} and set(cells.flat) <= {0, 1}:
+        return cells.astype(bool)
+    level, shape = [data], []
+    for _ in range(depth):
+        bad = (type(x) is not list or len(x) != len(level[0]) for x in level)
+        _route_fault(bad, shape, "must nest lists of equal length", location)
+        shape.append(len(level[0]) if level else 0)
+        level = [entry for value in level for entry in value]
+    bad = (type(x) is not int or x not in (0, 1) for x in level)
+    _route_fault(bad, shape, "entry must be the integer 0 or 1", location)
+    return np.array(data, dtype=bool)
+
+
+def _route_fault(bad, shape: list, what: str, location: str) -> None:
+    """Raise at the first bad element, if any, of a level of the given shape."""
+    position = next((i for i, b in enumerate(bad) if b), None)
+    if position is not None:
+        index = np.unravel_index(position, shape) if shape else ()
+        raise SchemaError(f"route matrix {what}", "/".join([location, *map(str, index)]))
+
+
 @contextmanager
 def _context(location: str):
     """Prefix a semantic error raised inside with ``location`` (if any)."""
@@ -120,13 +157,11 @@ def _kraus(operators: list, location: str) -> tuple:
     return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
 
 
-#: per mode: the map class, the route reader and the route's keys, the
-#: operator key and the operator reader
+#: per mode: the map class, the route class, its keys and the depth of its
+#: matrix, the operator key and the operator reader
 _MAP_FORMS = {
-    "pure": (RoutedMap, rel.relation_from_json, ("domain", "codomain"), "matrix", _matrix),
-    "cpm": (
-        RoutedCPM, rel.cp_relation_from_json, ("base_domain", "base_codomain"), "kraus", _kraus
-    ),
+    "pure": (RoutedMap, Relation, ("domain", "codomain"), 2, "matrix", _matrix),
+    "cpm": (RoutedCPM, CPRelation, ("base_domain", "base_codomain"), 4, "kraus", _kraus),
 }
 
 
@@ -135,12 +170,15 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     ('cpm': a coherence route and a Kraus list) between the given spaces.
     Its semantic errors are prefixed with ``location``, or at the top level
     with the operator key."""
-    map_class, read_route, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
+    map_class, route_class, route_keys, depth, operator_key, read_operators = _MAP_FORMS[mode]
     route_data = _expect(data, "route", dict, location)
+    at = f"{location}/route"
     for key in (*route_keys, "matrix"):
-        _expect(route_data, key, list, f"{location}/route")
-    with _context(f"{location}/route"):
-        route = read_route(route_data)
+        _expect(route_data, key, list, at)
+    labels = [_label(route_data[key], f"{at}/{key}") for key in route_keys]
+    matrix = _route_matrix(route_data["matrix"], depth, f"{at}/matrix")
+    with _context(at):
+        route = route_class(*map(IndexSet, labels), matrix)
     operators = read_operators(
         _expect(data, operator_key, list, location), f"{location}/{operator_key}"
     )
@@ -151,12 +189,13 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
 # -- circuits ----------------------------------------------------------------
 
 
-def _space_from_json(data, location: str) -> PartitionedSpace:
-    sectors = _expect(data, "sectors", list, location)
+def _space_from_json(sectors: list, location: str) -> PartitionedSpace:
+    """The space of the sector list at ``location``."""
     labels, dims = [], []
     for i, sector in enumerate(sectors):
-        labels.append(rel.label_from_json(_expect(sector, "label", None, f"{location}/sectors/{i}")))
-        dims.append(_expect(sector, "dim", int, f"{location}/sectors/{i}"))
+        at = f"{location}/{i}"
+        labels.append(_label(_expect(sector, "label", None, at), f"{at}/label"))
+        dims.append(_expect(sector, "dim", int, at))
     with _context(location):
         return PartitionedSpace(IndexSet(labels), dims)
 
@@ -167,7 +206,8 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
         raise SchemaError(f"mode must be 'pure' or 'cpm', got {mode!r}", "/mode")
     spaces: dict[str, PartitionedSpace] = {}
     for name, space_data in sorted(_expect(data, "spaces", dict, "").items()):
-        spaces[name] = _space_from_json(space_data, f"/spaces/{name}")
+        sectors = _expect(space_data, "sectors", list, f"/spaces/{name}")
+        spaces[name] = _space_from_json(sectors, f"/spaces/{name}/sectors")
     wires: dict[str, PartitionedSpace] = {}
     for i, wire_data in enumerate(_expect(data, "wires", list, "")):
         wire_id = _expect(wire_data, "id", str, f"/wires/{i}")
@@ -312,9 +352,11 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
             lengths[name] = _expect(lengths_data, name, int, "/interpretation/lengths")
             IndexFamily({name: lengths[name]})  # rejects a length below 1
     spaces: dict[str, PartitionedSpace] = {}
-    for wire, space_data in sorted(_expect(data, "spaces", dict, "/interpretation").items()):
+    spaces_data = _expect(data, "spaces", dict, "/interpretation")
+    for wire in sorted(spaces_data):
         location = f"/interpretation/spaces/{wire}"
-        space = _space_from_json({"sectors": space_data}, location)
+        sectors = _expect(spaces_data, wire, list, "/interpretation/spaces")
+        space = _space_from_json(sectors, location)
         expected = expected_wire_labels(g, wire, lengths)
         if space.sector_labels.labels != expected:
             raise SchemaError(f"wire {wire!r} must carry sector labels {expected!r}", location)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .relations import IndexSet, Relation
 from .routed_maps import RoutedMap
-from .spaces import PartitionedSpace, subset_projector, tensor_many
+from .spaces import PartitionedSpace, tensor_many
 
 
 class Partition:
@@ -971,41 +971,30 @@ def wire_space(
     return PartitionedSpace(labels, dim_list)
 
 
+def _bar_in_wire_order(
+    matching: Corelation, in_names: Sequence[str], out_names: Sequence[str]
+) -> np.ndarray:
+    """The matrix of ``bar(matching)`` over the value tuples of ``in_names``
+    and ``out_names`` in their given order (wire by wire, sorted on each
+    wire), which is the sector order of ``tensor_many`` of the wire spaces."""
+    families = (matching.domain, matching.codomain)
+    shape = [family.length(name) for family in families for name in family.names]
+    axes = [matching.domain.names.index(name) for name in in_names]
+    axes += [len(axes) + matching.codomain.names.index(name) for name in out_names]
+    matrix = bar(matching).matrix
+    return matrix.reshape(shape).transpose(axes).reshape(matrix.shape)
+
+
 def node_route(g: IODAG, node_id: str, interp: Interpretation) -> Relation:
     """The node's matching route over the tensor labels of its wire spaces."""
-    if node_id not in g.nodes:
-        raise UnknownNode(f"no node {node_id!r}")
+    matching = node_corelation(g, node_id, interp.lengths)
     node = g.nodes[node_id]
-    domain = tensor_many([interp.spaces[w] for w in node.inputs]).sector_labels
-    codomain = tensor_many([interp.spaces[w] for w in node.outputs]).sector_labels
-    matrix = np.zeros((domain.size, codomain.size), dtype=bool)
-    names = set(g.incoming_indices(node_id)) | set(g.outgoing_indices(node_id))
-    groups = [
-        sorted(block & names)
-        for block in g.equivalence.blocks()
-        if len(block & names) > 1
-    ]
-    for i, dom_label in enumerate(domain):
-        dom_values = _assignment(g, node.inputs, dom_label)
-        for j, cod_label in enumerate(codomain):
-            values = {**dom_values, **_assignment(g, node.outputs, cod_label)}
-            matrix[i, j] = all(
-                len({values[name] for name in group}) == 1 for group in groups
-            )
+    domain, codomain = (
+        tensor_many([interp.spaces[w] for w in wires]).sector_labels
+        for wires in (node.inputs, node.outputs)
+    )
+    matrix = _bar_in_wire_order(matching, g.incoming_indices(node_id), g.outgoing_indices(node_id))
     return Relation(domain, codomain, matrix)
-
-
-def _assignment(g: IODAG, wires: Sequence[str], label) -> dict[str, int]:
-    """Decode a tensor interface label into per-index values."""
-    components = label if len(wires) > 1 else (label,) if len(wires) == 1 else ()
-    values: dict[str, int] = {}
-    for wire, component in zip(wires, components):
-        names = g.indices_on(wire)
-        if not names:
-            continue
-        for name, value in zip(names, component):
-            values[name] = value
-    return values
 
 
 def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
@@ -1016,20 +1005,10 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
     corresponding sectors.
     """
     space = tensor_many([interp.spaces[w] for w in g.inputs])
-    labels = space.sector_labels
-    input_names = set(g.input_index_names())
-    classes = [
-        sorted(block & input_names)
-        for block in g.equivalence.blocks()
-        if len(block & input_names) > 1
-    ]
-    matched = []
-    for label in labels:
-        values = _assignment(g, g.inputs, label)
-        if all(len({values[n] for n in group}) == 1 for group in classes):
-            matched.append(label)
-    route = Relation.from_pairs(labels, labels, [(label, label) for label in matched])
-    return RoutedMap(route, subset_projector(space, matched), space, space)
+    names = g.input_index_names()
+    matched = _bar_in_wire_order(preprocessing(g, interp.lengths), names, names).diagonal()
+    route = Relation(space.sector_labels, space.sector_labels, np.diag(matched))
+    return RoutedMap(route, np.diag(matched[space.sector_index]).astype(complex), space, space)
 
 
 def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:

@@ -9,8 +9,10 @@ operators' coordinates, which is exact for one operator; only a map the
 bound cannot clear builds its Choi matrix.  Channel equality
 elsewhere in the package is likewise Choi comparison; Kraus lists are never
 minimised.  A channel stores its operators as one read-only
-``(count, d_out, d_in)`` array, which composition, tensoring and the Choi
-matrix work on whole.
+``(count, d_out, d_in)`` array, ``kraus_stack``, which the Choi matrix
+works on whole.  ``compose``, ``tensor_cpm``, ``dagger_cpm``, ``relabel``
+and ``==`` are those of :mod:`routed_maps`, written once over Kraus stacks,
+here on the coherence routes' algebra (``relations.cp_*``).
 """
 
 from __future__ import annotations
@@ -21,17 +23,21 @@ from typing import Sequence
 import numpy as np
 
 from . import relations as rel
-from .errors import DomainMismatch, NotFullDecoherence, RouteViolation, ShapeMismatch
+from .errors import NotFullDecoherence, RouteViolation, ShapeMismatch
 from .relations import CPRelation, Label
 from .routed_maps import (
     DEFAULT_TOLERANCE,
     RoutedMap,
     _check_numbers,
-    _relabelled_spaces,
+    _require_composable,
     _require_proper,
+    compose,
     follows,
+    matrix_to_json,
 )
-from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
+from .routed_maps import dagger as dagger_cpm
+from .routed_maps import tensor_map as tensor_cpm
+from .spaces import PartitionedSpace, subset_projector
 
 
 def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
@@ -150,6 +156,8 @@ class RoutedCPM:
     codomain: PartitionedSpace
     tolerance: float = DEFAULT_TOLERANCE
 
+    _kind, _route_prefix = "channels", "cp_"
+
     def __post_init__(self):
         stack = _stacked(self.kraus, copy=True)
         stack.setflags(write=False)
@@ -167,16 +175,6 @@ class RoutedCPM:
                 f"(tolerance {self.tolerance:.1e})"
             )
 
-    def __eq__(self, other) -> bool:
-        """Representation equality; use :func:`choi_matrix` to compare channels."""
-        return (
-            isinstance(other, RoutedCPM)
-            and self.route == other.route
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and np.array_equal(self.kraus_stack, other.kraus_stack)
-        )
-
     def __repr__(self) -> str:
         return (
             f"RoutedCPM({self.domain!r} -> {self.codomain!r}, "
@@ -193,77 +191,22 @@ class RoutedCPM:
     def identity(cls, space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> "RoutedCPM":
         return lift_pure(RoutedMap.identity(space, tolerance))
 
-    def tensor(self, right: "RoutedCPM") -> "RoutedCPM":
-        """``self ⊗ right``; see :func:`tensor_cpm`."""
-        return tensor_cpm(self, right)
+    @classmethod
+    def from_stack(cls, route, stack, domain, codomain, tolerance=DEFAULT_TOLERANCE):
+        return cls(route, stack, domain, codomain, tolerance)
 
-    def relabel(
-        self,
-        domain: PartitionedSpace | None = None,
-        codomain: PartitionedSpace | None = None,
-    ) -> "RoutedCPM":
-        """Rename sector labels without touching coordinates."""
-        domain, codomain = _relabelled_spaces(self, domain, codomain)
-        route = CPRelation(domain.sector_labels, codomain.sector_labels, self.route.matrix)
-        return RoutedCPM(route, self.kraus_stack, domain, codomain, self.tolerance)
+    # the pairwise algebra of routed maps, which reads only ``kraus_stack``
+    __eq__, tensor, relabel = RoutedMap.__eq__, RoutedMap.tensor, RoutedMap.relabel
 
 
 def lift_pure(routed: RoutedMap) -> RoutedCPM:
     """The conjugation channel of a routed map, with the fully coherent route."""
     return RoutedCPM(
         rel.full_coherence(routed.route),
-        routed.matrix[None],
+        routed.kraus_stack,
         routed.domain,
         routed.codomain,
         routed.tolerance,
-    )
-
-
-def compose(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
-    """Sequential composition: routes compose, Kraus lists multiply pairwise,
-    ``second``'s operator index outermost."""
-    if first.codomain != second.domain:
-        raise DomainMismatch(
-            f"cannot compose channels: {first.codomain!r} != {second.domain!r}"
-        )
-    kraus = second.kraus_stack[:, None] @ first.kraus_stack[None]
-    return RoutedCPM(
-        rel.cp_compose(second.route, first.route),
-        kraus.reshape(-1, *kraus.shape[2:]),
-        first.domain,
-        second.codomain,
-        max(first.tolerance, second.tolerance),
-    )
-
-
-def tensor_cpm(left: RoutedCPM, right: RoutedCPM) -> RoutedCPM:
-    """Parallel composition in the canonical tensor bases, ``left``'s operator
-    index outermost."""
-    kraus = tensor_matrix(
-        left.kraus_stack[:, None],
-        right.kraus_stack[None],
-        left.domain,
-        right.domain,
-        left.codomain,
-        right.codomain,
-    )
-    return RoutedCPM(
-        rel.cp_product(left.route, right.route),
-        kraus.reshape(-1, *kraus.shape[2:]),
-        tensor(left.domain, right.domain),
-        tensor(left.codomain, right.codomain),
-        max(left.tolerance, right.tolerance),
-    )
-
-
-def dagger_cpm(channel: RoutedCPM) -> RoutedCPM:
-    """Adjoint channel: Kraus-wise dagger with the transposed route."""
-    return RoutedCPM(
-        rel.cp_transpose(channel.route),
-        channel.kraus_stack.conj().transpose(0, 2, 1),
-        channel.codomain,
-        channel.domain,
-        channel.tolerance,
     )
 
 
@@ -286,10 +229,7 @@ def checked_compose_channel(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
     Guarantees that practically trace-preserving channels compose to a
     practically trace-preserving channel.
     """
-    if first.codomain != second.domain:
-        raise DomainMismatch(
-            f"cannot compose channels: {first.codomain!r} != {second.domain!r}"
-        )
+    _require_composable(second, first)
     _require_proper(rel.diagonal(first.route), rel.diagonal(second.route), "channels", False)
     return compose(second, first)
 
@@ -358,8 +298,6 @@ def discard(space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> Ro
 
 
 def routed_cpm_to_json(channel: RoutedCPM, domain_name: str, codomain_name: str) -> dict:
-    from .routed_maps import matrix_to_json
-
     return {
         "route": rel.cp_relation_to_json(channel.route),
         "kraus": [matrix_to_json(k) for k in channel.kraus],

@@ -2,10 +2,10 @@
 
 The route of a map whitelists sector-to-sector blocks; construction rejects
 matrices with weight on forbidden blocks instead of projecting it away.
-Composition, tensoring and adjoints act pairwise on (route, matrix) and
-stay inside the class.  Gated composition additionally enforces the
-route-level properness conditions that make isometry/unitary behaviour
-compose.
+Composition, tensoring, adjoints, relabelling and equality are written
+once, over Kraus stacks, for routed maps (one operator) and routed CP maps
+alike.  Gated composition additionally enforces the route-level properness
+conditions that make isometry/unitary behaviour compose.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 import numpy as np
 
@@ -108,7 +108,11 @@ def follows_by_reconstruction(
 
 @dataclass(frozen=True, eq=False)
 class RoutedMap:
-    """A linear map together with the route it follows."""
+    """A linear map together with the route it follows.
+
+    ``kraus_stack`` is a read-only ``(1, d_out, d_in)`` view of ``matrix``:
+    the pairwise algebra below reads only it, for routed CP maps too.
+    """
 
     route: Relation
     matrix: np.ndarray = field(repr=False)
@@ -116,12 +120,16 @@ class RoutedMap:
     codomain: PartitionedSpace
     tolerance: float = DEFAULT_TOLERANCE
 
+    # the kind in messages, and the prefix of its route algebra in ``relations``
+    _kind, _route_prefix = "maps", ""
+
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2:
             raise ShapeMismatch(f"a routed map needs a matrix, got shape {matrix.shape}")
+        object.__setattr__(self, "kraus_stack", matrix[None])
         _check_numbers(self.tolerance, (matrix,), "matrix")
         excess = _forbidden_block_excess(matrix, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
@@ -143,14 +151,11 @@ class RoutedMap:
             tolerance,
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RoutedMap)
-            and self.route == other.route
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and np.array_equal(self.matrix, other.matrix)
-        )
+    @classmethod
+    def from_stack(cls, route, stack, domain, codomain, tolerance=DEFAULT_TOLERANCE):
+        """The map whose ``kraus_stack`` is ``stack``, of one operator."""
+        (matrix,) = stack
+        return cls(route, matrix, domain, codomain, tolerance)
 
     def __repr__(self) -> str:
         return (
@@ -158,7 +163,19 @@ class RoutedMap:
             f"route weight {int(self.route.matrix.sum())})"
         )
 
-    def tensor(self, right: "RoutedMap") -> "RoutedMap":
+    # -- shared with routed CP maps --------------------------------------
+
+    def __eq__(self, other) -> bool:
+        """Representation equality; channels compare by their Choi matrices."""
+        return (
+            isinstance(other, type(self))
+            and self.route == other.route
+            and self.domain == other.domain
+            and self.codomain == other.codomain
+            and np.array_equal(self.kraus_stack, other.kraus_stack)
+        )
+
+    def tensor(self, right):
         """``self ⊗ right``; see :func:`tensor_map`."""
         return tensor_map(self, right)
 
@@ -166,51 +183,67 @@ class RoutedMap:
         self,
         domain: PartitionedSpace | None = None,
         codomain: PartitionedSpace | None = None,
-    ) -> "RoutedMap":
+    ):
         """Rename sector labels without touching coordinates.
 
-        The replacement spaces must have the same sector dimension lists.
+        A missing space stays as it is; a replacement must have the same
+        sector dimension list.
         """
-        domain, codomain = _relabelled_spaces(self, domain, codomain)
-        route = Relation(domain.sector_labels, codomain.sector_labels, self.route.matrix)
-        return RoutedMap(route, self.matrix, domain, codomain, self.tolerance)
+        domain = domain if domain is not None else self.domain
+        codomain = codomain if codomain is not None else self.codomain
+        if domain.sector_dims != self.domain.sector_dims:
+            raise ShapeMismatch("relabelled domain changes sector dimensions")
+        if codomain.sector_dims != self.codomain.sector_dims:
+            raise ShapeMismatch("relabelled codomain changes sector dimensions")
+        route = type(self.route)(domain.sector_labels, codomain.sector_labels, self.route.matrix)
+        return self.from_stack(route, self.kraus_stack, domain, codomain, self.tolerance)
 
 
-def _relabelled_spaces(op, domain: PartitionedSpace | None, codomain: PartitionedSpace | None):
-    """The spaces ``op.relabel`` moves to: missing ones default to the
-    current spaces, and none may change the sector dimensions."""
-    domain = domain if domain is not None else op.domain
-    codomain = codomain if codomain is not None else op.codomain
-    if domain.sector_dims != op.domain.sector_dims:
-        raise ShapeMismatch("relabelled domain changes sector dimensions")
-    if codomain.sector_dims != op.codomain.sector_dims:
-        raise ShapeMismatch("relabelled codomain changes sector dimensions")
-    return domain, codomain
+Routed = TypeVar("Routed")  # a RoutedMap or a routed_cpms.RoutedCPM
 
 
-def compose(second: RoutedMap, first: RoutedMap) -> RoutedMap:
-    """Pairwise sequential composition; the result follows the composed route."""
+def _routes(op, operation: str):
+    """The ``relations`` function of ``operation`` on the routes of ``op``'s
+    class, looked up on each call so that a replaced function is honoured."""
+    return getattr(rel, op._route_prefix + operation)
+
+
+def _require_composable(second: Routed, first: Routed) -> None:
     if first.codomain != second.domain:
         raise DomainMismatch(
-            f"cannot compose maps: {first.codomain!r} != {second.domain!r}"
+            f"cannot compose {first._kind}: {first.codomain!r} != {second.domain!r}"
         )
-    return RoutedMap(
-        rel.compose(second.route, first.route),
-        second.matrix @ first.matrix,
+
+
+def compose(second: Routed, first: Routed) -> Routed:
+    """Pairwise sequential composition: the routes compose and the operators
+    multiply pairwise, ``second``'s operator index outermost."""
+    _require_composable(second, first)
+    kraus = second.kraus_stack[:, None] @ first.kraus_stack[None]
+    return first.from_stack(
+        _routes(first, "compose")(second.route, first.route),
+        kraus.reshape(-1, *kraus.shape[2:]),
         first.domain,
         second.codomain,
         max(first.tolerance, second.tolerance),
     )
 
 
-def tensor_map(left: RoutedMap, right: RoutedMap) -> RoutedMap:
-    """Pairwise parallel composition in the canonical tensor bases."""
-    matrix = tensor_matrix(
-        left.matrix, right.matrix, left.domain, right.domain, left.codomain, right.codomain
+def tensor_map(left: Routed, right: Routed) -> Routed:
+    """Pairwise parallel composition in the canonical tensor bases: the
+    routes and the operators tensor pairwise, ``left``'s operator index
+    outermost."""
+    kraus = tensor_matrix(
+        left.kraus_stack[:, None],
+        right.kraus_stack[None],
+        left.domain,
+        right.domain,
+        left.codomain,
+        right.codomain,
     )
-    return RoutedMap(
-        rel.product(left.route, right.route),
-        matrix,
+    return left.from_stack(
+        _routes(left, "product")(left.route, right.route),
+        kraus.reshape(-1, *kraus.shape[2:]),
         tensor(left.domain, right.domain),
         tensor(left.codomain, right.codomain),
         max(left.tolerance, right.tolerance),
@@ -229,14 +262,14 @@ def tensor_maps_flat(maps: list[RoutedMap]) -> RoutedMap:
     )
 
 
-def dagger(routed: RoutedMap) -> RoutedMap:
-    """Adjoint: conjugate-transposed matrix with the transposed route."""
-    return RoutedMap(
-        rel.transpose(routed.route),
-        routed.matrix.conj().T,
-        routed.codomain,
-        routed.domain,
-        routed.tolerance,
+def dagger(op: Routed) -> Routed:
+    """Adjoint: every operator conjugate-transposed, with the transposed route."""
+    return op.from_stack(
+        _routes(op, "transpose")(op.route),
+        op.kraus_stack.conj().transpose(0, 2, 1),
+        op.codomain,
+        op.domain,
+        op.tolerance,
     )
 
 
@@ -268,10 +301,7 @@ def checked_compose(second: RoutedMap, first: RoutedMap, mode: str = "none") -> 
     """
     if mode not in ("none", "isometry", "unitary"):
         raise ValueError(f"unknown mode {mode!r}")
-    if first.codomain != second.domain:
-        raise DomainMismatch(
-            f"cannot compose maps: {first.codomain!r} != {second.domain!r}"
-        )
+    _require_composable(second, first)
     if mode != "none":
         _require_proper(first.route, second.route, f"{mode} maps", mode == "unitary")
     return compose(second, first)

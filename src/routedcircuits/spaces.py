@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -38,7 +39,7 @@ class PartitionedSpace:
     sector_offsets: tuple[int, ...]  # first coordinate of each sector
 
     def __init__(self, sector_labels: IndexSet, sector_dims: Iterable[int]):
-        sector_dims = tuple(int(d) for d in sector_dims)
+        sector_dims = tuple(map(operator.index, sector_dims))  # no float or str
         if len(sector_dims) != sector_labels.size:
             raise InvariantViolation(
                 f"{sector_labels.size} labels but {len(sector_dims)} sector dims"

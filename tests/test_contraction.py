@@ -18,7 +18,7 @@ from routedcircuits import CircuitBuilder
 from routedcircuits.circuits import _contraction_plan, _run_contraction, evaluate
 from routedcircuits.errors import RouteViolation
 from routedcircuits.relations import Relation
-from routedcircuits.routed_cpms import RoutedCPM
+from routedcircuits.routed_cpms import RoutedCPM, lift_pure
 from routedcircuits.routed_maps import DEFAULT_TOLERANCE, RoutedMap
 from routedcircuits.sampling import (
     random_block_diagonal_unitary,
@@ -291,6 +291,25 @@ def test_wide_diagonal_circuit():
     bound = 2 * wires * layers * np.finfo(float).eps
     assert np.abs(result.matrix - np.diag(expected)).max() <= bound
     assert result.route == Relation.identity(result.domain.sector_labels)
+
+
+@pytest.mark.parametrize("mode", ["pure", "cpm"])
+def test_accumulated_weight_names_the_boxes(mode):
+    """Two boxes each accepted with forbidden weight 0.9e-12 at tolerance
+    1e-12 compose to weight 1.8e-12: the rejection names both boxes, says
+    that the weight accumulated over them and keeps the excess."""
+    space = PartitionedSpace.from_dims([0, 1], [1, 1])
+    matrix = np.array([[1.0, 0.0], [0.9e-12, 1.0]], dtype=complex)
+    op = RoutedMap(Relation.identity(space.sector_labels), matrix, space, space, 1e-12)
+    if mode == "cpm":
+        op = lift_pure(op)
+    builder = CircuitBuilder(mode).wire("a0", space).wire("a1", space).wire("a2", space)
+    builder.box("u", ["a0"], ["a1"], op).box("v", ["a1"], ["a2"], op)
+    with pytest.raises(RouteViolation) as err:
+        evaluate(builder.inputs("a0").outputs("a2").build())
+    message = str(err.value)
+    assert "'u'" in message and "'v'" in message and "accumulated" in message
+    assert "1.8" in message and "1.0e-12" in message
 
 
 def test_tolerance_below_the_default():

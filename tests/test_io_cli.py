@@ -192,6 +192,27 @@ class TestStandaloneLoaders:
         _set(data, f"{operator}/0/0", entry)
         assert self._schema_location(load, data, space) == f"{operator}/0/0"
 
+    @pytest.mark.parametrize("entry", ["no", 0.5, True, None, [1]])
+    def test_route_entry_that_is_no_bit(self, case, space, entry):
+        load, data, operator = case
+        pointer = "/route/matrix/0/0" + ("/0/0" if operator != "/matrix" else "")
+        _set(data, pointer, entry)
+        assert self._schema_location(load, data, space) == pointer
+
+    def test_ragged_route_matrix(self, case, space):
+        load, data, operator = case
+        row = "/route/matrix/1" + ("/1/0" if operator != "/matrix" else "")
+        _set(data, row, [0, 1, 1])
+        assert self._schema_location(load, data, space) == row
+
+    @pytest.mark.parametrize("value", [{"k": 0}, 1.5, [0, None]])
+    def test_route_label_that_is_no_label(self, case, space, value):
+        load, data, operator = case
+        key = "domain" if operator == "/matrix" else "base_domain"
+        _set(data, f"/route/{key}/0", value)
+        location = f"/route/{key}/0" + ("/1" if isinstance(value, list) else "")
+        assert self._schema_location(load, data, space) == location
+
     def test_unknown_space(self, case, space):
         load, data, _ = case
         data["domain"] = "ghost"
@@ -483,6 +504,71 @@ class TestMalformedFields:
         _assert_schema_error(
             "copy_discard.json", "/boxes/0/map/kraus/0", 1.0, "/boxes/0/map/kraus/0"
         )
+
+    @pytest.mark.parametrize("entry", ["no", 0.5, True, 2, None, [1]])
+    @pytest.mark.parametrize(
+        "name, pointer",
+        [
+            ("two_trajectories.json", "/boxes/0/map/route/matrix/0/1"),
+            ("three_trajectories.json", "/boxes/0/map/route/matrix/0/1/0/0"),
+        ],
+    )
+    def test_route_entry_that_is_no_bit(self, name, pointer, entry):
+        _assert_schema_error(name, pointer, entry, pointer)
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("two_trajectories.json", "/boxes/0/map/route/matrix/1"),
+            ("three_trajectories.json", "/boxes/0/map/route/matrix/0/1/1"),
+        ],
+    )
+    def test_ragged_route_matrix(self, name, row):
+        _assert_schema_error(name, row, [0, 1, 1], row)
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("two_trajectories.json", "/boxes/0/map/route/matrix/0"),
+            ("three_trajectories.json", "/boxes/0/map/route/matrix/0/0"),
+            ("three_trajectories.json", "/boxes/0/map/route/matrix/1/1/1"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [1, "row", {}])
+    def test_route_row_that_is_no_list(self, name, row, value):
+        _assert_schema_error(name, row, value, row)
+
+    @pytest.mark.parametrize(
+        "name, pointer",
+        [
+            ("two_trajectories.json", "/boxes/0/map/route/domain/0"),
+            ("two_trajectories.json", "/boxes/0/map/route/codomain/1"),
+            ("copy_discard.json", "/boxes/0/map/route/base_domain/0"),
+            ("copy_discard.json", "/boxes/0/map/route/base_codomain/2/1"),
+            ("two_trajectories.json", "/spaces/space0/sectors/0/label"),
+            ("diamond.json", "/interpretation/spaces/L/1/label/0"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [{"k": 0}, 1.5, None, True])
+    def test_label_that_is_no_label(self, name, pointer, value):
+        _assert_schema_error(name, pointer, value, pointer)
+
+    def test_route_faults_exit_two(self, tmp_path):
+        for pointer, value in [
+            ("/boxes/0/map/route/matrix/0/1", "no"),
+            ("/boxes/0/map/route/matrix/1", [0, 1, 1]),
+            ("/boxes/0/map/route/domain/0", {}),
+            ("/spaces/space0/sectors/0/label", {}),
+        ]:
+            data = _bundled_json("two_trajectories.json")
+            _set(data, pointer, value)
+            path = tmp_path / "two_trajectories.json"
+            path.write_text(json.dumps(data))
+            result = run_cli("validate", str(path))
+            assert result.returncode == 2, result.stderr
+            payload = json.loads(result.stdout)
+            assert payload["kind"] == "SchemaError"
+            assert pointer in payload["error"]
 
     def test_boolean_dimension(self):
         data = _bundled_json("two_trajectories.json")

@@ -36,6 +36,16 @@ class TestConstruction:
         with pytest.raises(InvariantViolation):
             PartitionedSpace(IndexSet([0, 1]), (1,))
 
+    @pytest.mark.parametrize("dims", [[1.5, 2], ["2", 1], [2.0, 1]])
+    def test_rejects_dims_that_are_no_integers(self, dims):
+        with pytest.raises(TypeError):
+            PartitionedSpace.from_dims([0, 1], dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        space = PartitionedSpace.from_dims([0, 1], np.array([1, 2]))
+        assert space.sector_dims == (1, 2)
+        assert all(type(d) is int for d in space.sector_dims)
+
     def test_sector_ranges_contiguous(self, small):
         ranges = small.sector_ranges()
         assert [(r.label, r.offset, r.dim) for r in ranges] == [(0, 0, 1), (1, 1, 2)]
