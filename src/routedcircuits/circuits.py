@@ -16,9 +16,14 @@ index-summation recipe and as the insertion-of-test-relations definition
 that justifies it.  The accessible space takes every box (a part of the
 circuit not connected to the slice still counts: if its routes vanish,
 so does every slice); insertion tests every candidate in one planned
-run.  A plan depends only on the shape of its network, so each planner
-sits behind one bounded module-level cache keyed by that shape; nothing
-is stored on the frozen circuit.
+run.  A network's layout and plan depend only on the circuit's shape:
+its mode, its wires' sector dimensions, and its boxes' wires and Kraus
+counts, which a circuit derives once, with its foliation, when it is
+built.  Each network is compiled once per shape into a frozen program,
+behind one bounded module-level cache: the signatures and shapes of its
+tables, its plan, its gathers and foliation steps, and nothing of the
+circuit's matrices, routes or labels.  A call reshapes the boxes' own
+arrays and runs the plan.
 """
 
 from __future__ import annotations
@@ -85,10 +90,17 @@ class RoutedCircuit:
         object.__setattr__(self, "boxes", MappingProxyType(dict(self.boxes)))
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
-        producers, consumers, op_type = _validate_circuit(self)
+        producers, consumers, op_type, layers = _validate_circuit(self)
         object.__setattr__(self, "_producers", producers)
         object.__setattr__(self, "_consumers", consumers)
         object.__setattr__(self, "_op_type", op_type)
+        object.__setattr__(self, "_layers", layers)
+        object.__setattr__(self, "_shape", _shape_of(self))
+
+    def __reduce__(self):
+        """Rebuild through the constructor, which derives the rest again."""
+        wires, boxes = dict(self.wires), dict(self.boxes)
+        return type(self), (wires, boxes, self.input_wires, self.output_wires, self.mode)
 
     # -- graph helpers -------------------------------------------------
 
@@ -116,9 +128,10 @@ class RoutedCircuit:
         return seen
 
 
-def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type]:
+def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type, tuple]:
     """Check the circuit; return its wire-to-producer and wire-to-consumer
-    maps (None at the circuit boundary) and the class of its box maps."""
+    maps (None at the circuit boundary), the class of its box maps and its
+    Kahn layers (see :func:`_kahn_layers`) as tuples."""
     if circuit.mode not in ("pure", "cpm"):
         raise InvariantViolation(f"unknown circuit mode {circuit.mode!r}")
     expected_type = RoutedMap if circuit.mode == "pure" else RoutedCPM
@@ -161,7 +174,8 @@ def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type]:
         if wire not in circuit.wires:
             raise InvariantViolation(f"wire {wire!r} has no declared space")
 
-    if sum(map(len, _kahn_layers(circuit.input_wires, circuit.boxes))) != len(circuit.boxes):
+    layers = tuple(map(tuple, _kahn_layers(circuit.input_wires, circuit.boxes)))
+    if sum(map(len, layers)) != len(circuit.boxes):
         raise InvariantViolation("circuit graph contains a cycle")
 
     # box typing against the tensor of its wires' spaces
@@ -174,7 +188,33 @@ def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type]:
                     f"box {box_id!r}: map {side} {have!r} does not match the "
                     f"tensor of its {kind} wires {want!r}"
                 )
-    return producers, consumers, expected_type
+    return producers, consumers, expected_type, layers
+
+
+class _BoxShape(NamedTuple):
+    """What a network reads of a box: its wires and its Kraus count."""
+
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    count: int
+
+
+class _Shape(NamedTuple):
+    """What the networks of a circuit read of it, and nothing of its
+    matrices, routes or labels: the key of its compiled programs."""
+
+    mode: str
+    wires: tuple  # (wire, its sector dimensions), in declaration order
+    boxes: tuple  # (box id, its _BoxShape), in declaration order
+
+
+def _shape_of(circuit: RoutedCircuit) -> _Shape:
+    boxes = circuit.boxes.items()
+    return _Shape(
+        circuit.mode,
+        tuple((w, space.sector_dims) for w, space in circuit.wires.items()),
+        tuple((b, _BoxShape(x.inputs, x.outputs, len(x.op.kraus_stack))) for b, x in boxes),
+    )
 
 
 class CircuitBuilder:
@@ -262,14 +302,15 @@ def _walk(sources: Sequence[str], nodes: Mapping, layers: list[list[str]]) -> It
 
 def _foliation_layers(
     circuit: RoutedCircuit, box_order: Sequence[str] | None = None
-) -> list[list[str]]:
-    """Group boxes into sequential layers (Kahn, stable box-id tiebreak).
+) -> Sequence[Sequence[str]]:
+    """Group boxes into sequential layers (Kahn, stable box-id tiebreak,
+    derived once with the circuit).
 
     With ``box_order`` given, each layer holds exactly one box, in that
     order; the order must be topological.
     """
     if box_order is None:
-        return _kahn_layers(circuit.input_wires, circuit.boxes)
+        return circuit._layers
     if sorted(box_order) != sorted(circuit.boxes):
         raise InvariantViolation("box_order must enumerate every box exactly once")
     available = set(circuit.input_wires)
@@ -309,7 +350,7 @@ _INPUT, _KRAUS, _CANDIDATE = object(), object(), object()
 class _Contraction(NamedTuple):
     """A planned pairwise contraction; see :func:`_contraction_plan`."""
 
-    steps: list  # (slot, slot, their axis orders, count of summed axes, result shape)
+    steps: list  # (slot, slot, their axis orders, their matrix shapes, result shape)
     result: list  # the axis order taking the last slot to the result
     batch: list  # the batch labels of the result's first axis, outermost first
 
@@ -326,9 +367,10 @@ def _contraction_plan(
     with that axis if there is one.  The next pair is the pair sharing a
     label whose result is smallest, ties to the lowest table indices, from
     a heap over neighbouring pairs; parts left disconnected are joined by
-    outer products in table order.  Each pair is laid out for one
-    ``np.tensordot`` (free axes, batch axis, summed axes against summed
-    axes, batch axis, free axes), so merging batch axes is a reshape.
+    outer products in table order.  Each pair is laid out for one matrix
+    product (free axes, batch axis, summed axes against summed axes, batch
+    axis, free axes), whose two matrix shapes a step records, so merging
+    batch axes is a reshape.
     """
     signatures = list(signatures) or [[]]  # no table: the scalar 1
     holders: dict = {}
@@ -352,13 +394,16 @@ def _contraction_plan(
         summed = [x for x in axes[a] if x in shared]
         order_a = free_a + [_KRAUS] * bool(batches[a]) + summed
         order_b = summed + [_KRAUS] * bool(batches[b]) + free_b
+        inner = math.prod(map(size_of, summed))
+        rows = math.prod(map(size_of, free_a + batches[a]))
+        columns = math.prod(map(size_of, free_b + batches[b]))
         batches.append(batches[a] + batches[b])
         axes.append(free_a + [_KRAUS] * bool(batches[-1]) + free_b)
         labels.append(labels[a] ^ labels[b])
         count = math.prod(map(size_of, batches[-1]))
         shape = tuple([count if x is _KRAUS else sizes[x] for x in axes[-1]])
         orders = [*map(axes[a].index, order_a)], [*map(axes[b].index, order_b)]
-        steps.append((a, b, *orders, len(summed), shape))
+        steps.append((a, b, *orders, (rows, inner), (inner, columns), shape))
         alive.difference_update((a, b))
         alive.add(len(axes) - 1)
         return len(axes) - 1
@@ -408,12 +453,16 @@ def _cached_contraction(signatures: tuple, open_labels: tuple, sizes: tuple) -> 
 
 
 def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Carry out ``plan`` on tables of the signatures it was made for."""
+    """Carry out ``plan`` on tables of the signatures it was made for: each
+    step reshapes its two tables to matrices and multiplies them with one
+    ``np.dot``, the calls NumPy's tensor dot product makes, so the products
+    are the same to the bit."""
     slots = list(tables) or [np.ones(())]
-    for a, b, order_a, order_b, summed, shape in plan.steps:
-        out = np.tensordot(slots[a].transpose(order_a), slots[b].transpose(order_b), summed)
+    for a, b, order_a, order_b, shape_a, shape_b, shape in plan.steps:
+        left = slots[a].transpose(order_a).reshape(shape_a)
+        right = slots[b].transpose(order_b).reshape(shape_b)
         slots[a] = slots[b] = None
-        slots.append(out.reshape(shape))
+        slots.append(np.dot(left, right).reshape(shape))
     return slots[-1].transpose(plan.result)
 
 
@@ -511,27 +560,27 @@ def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
 
 
 def _network(
-    circuit: RoutedCircuit,
+    dims: Mapping[str, tuple[int, ...]],
     sources: Sequence[str],
-    boxes: Sequence[tuple[Box, np.ndarray]],
+    boxes: Sequence[_BoxShape],
     targets: Sequence[str],
     copies: int,
-    size: Callable[[PartitionedSpace], int],
-) -> tuple[list, list, list, dict]:
-    """The tables of a network over the circuit's wires: signatures,
+    size: Callable[[tuple[int, ...]], int],
+) -> tuple[list, list, dict]:
+    """The layout of a network over a circuit's wires: the signatures of its
     tables, the axes kept (the sources', then the targets'), and the size
     of each wire in the network and each axis.
 
-    A wire's size is ``size`` of its space (its sector count or its
-    dimension).  An axis is a copy of a wire of size above 1, named
-    ``(wire, copy, _INPUT)`` on a source wire, else ``(wire, copy)``.  Each
-    box comes with a table of ``copies`` axes per input wire, then per
-    output wire, copy-major; a table holding several of these (a Kraus
-    stack) gets a leading ``(_KRAUS, slot)`` axis.  A wire both a source
-    and a target gets an identity table.
+    A wire's size is ``size`` of its sector dimensions (``len``, its sector
+    count, or ``sum``, its dimension).  An axis is a copy of a wire of size
+    above 1, named ``(wire, copy, _INPUT)`` on a source wire, else
+    ``(wire, copy)``.  Each box has a table of ``copies`` axes per input
+    wire, then per output wire, copy-major; a table of several operators
+    gets a leading ``(_KRAUS, slot)`` axis.  A wire both a source and a
+    target gets an identity table, signed after the boxes.
     """
-    touched = (box.inputs + box.outputs for box, _ in boxes)
-    sizes: dict = {w: size(circuit.wires[w]) for w in itertools.chain(sources, targets, *touched)}
+    touched = (box.inputs + box.outputs for box in boxes)
+    sizes: dict = {w: size(dims[w]) for w in itertools.chain(sources, targets, *touched)}
     fed = set(sources)
 
     def axes(wires, start=False):
@@ -540,19 +589,158 @@ def _network(
         sizes.update((x, sizes[x[0]]) for x in named)
         return named
 
-    signatures, tables = [], []
-    for slot, (box, table) in enumerate(boxes):
+    signatures = []
+    for slot, box in enumerate(boxes):
         signatures.append(axes(box.inputs, start=True) + axes(box.outputs))
-        count = table.size // math.prod(sizes[x] for x in signatures[-1])
-        if count > 1:
-            sizes[_KRAUS, slot] = count
+        if box.count > 1:
+            sizes[_KRAUS, slot] = box.count
             signatures[-1].insert(0, (_KRAUS, slot))
-        tables.append(table.reshape([sizes[x] for x in signatures[-1]]))
     through = [w for w in targets if w in fed]
-    for x, y in zip(axes(through), axes(through, start=True)):
-        signatures.append([x, y])
-        tables.append(np.eye(sizes[x], dtype=bool))
-    return signatures, tables, axes(sources, start=True) + axes(targets), sizes
+    signatures += map(list, zip(axes(through), axes(through, start=True)))
+    return signatures, axes(sources, start=True) + axes(targets), sizes
+
+
+class _Program(NamedTuple):
+    """A network of a circuit compiled for its shape; see :func:`_compiled`."""
+
+    signatures: tuple  # the boxes' tables, then the identities'
+    keep: tuple  # the kept axes: the sources', then the targets'
+    sizes: tuple  # (label, size) pairs
+    shapes: tuple  # per box: the shape its table is read in
+    fixed: tuple  # the identity tables, read-only
+    plan: Union[_Plan, _Contraction]
+    shape: tuple  # the result's
+    gathers: tuple = ()  # operators: per box, None or its index into its wires' Kronecker bases
+    take: tuple = ()  # operators: the (Kraus index, entry) gather into the result's order
+    pins: tuple = ()  # insertion: per table, its axis order (slice axes first) and candidates
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _program(
+    circuit: RoutedCircuit,
+    kind: str,
+    sources: Sequence[str] = (),
+    box_ids: Sequence[str] = (),
+    targets: Sequence[str] = (),
+):
+    """The program of one network of ``circuit``; see :func:`_compiled`."""
+    return _compiled(circuit._shape, kind, tuple(sources), tuple(box_ids), tuple(targets))
+
+
+@lru_cache(maxsize=128)
+def _compiled(shape: _Shape, kind: str, sources: tuple, box_ids: tuple, targets: tuple):
+    """Compile a network of the boxes ``box_ids`` of a circuit of shape
+    ``shape``, from the interface ``sources`` to ``targets``, once per key.
+
+    A program holds what the network's layout and plan derive from the
+    shape, as tuples and read-only arrays, so a call runs only array
+    kernels on the boxes' own arrays.  ``kind`` is 'routes' or 'coherence'
+    (one or two sector axes per wire, see :func:`_contracted_route`),
+    'operators' (see :func:`_contracted_operators`), 'insertion' (see
+    :func:`_accessible_by_insertion`) or 'check' (see
+    :func:`_check_program`).
+    """
+    if kind == "check":
+        return _check_program(shape, sources)
+    if kind == "insertion":
+        return _insertion_program(_compiled(shape, "routes", (), box_ids, targets), targets)
+    return _network_program(shape, kind, sources, box_ids, targets)
+
+
+def _check_program(shape: _Shape, sources: tuple) -> tuple:
+    """The foliation steps from ``sources``: each step's layer, its input
+    wires, the wires its route runs to (the next step's inputs), and the
+    'routes' program between them."""
+    boxes = dict(shape.boxes)
+    steps = list(_walk(sources, boxes, _kahn_layers(sources, boxes)))
+    program = []
+    for position, step in enumerate(steps):
+        # the gate reads only the downstream domain: the last order is free
+        after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
+        layer, inputs, after = tuple(step.layer), tuple(step.inputs), tuple(after)
+        program.append((layer, inputs, after, _compiled(shape, "routes", inputs, layer, after)))
+    return tuple(program)
+
+
+def _network_program(
+    shape: _Shape, kind: str, sources: tuple, box_ids: tuple, targets: tuple
+) -> _Program:
+    """A route network, planned for :func:`_elimination_plan`, or the
+    operator network, planned for :func:`_contraction_plan`, with the
+    Kronecker gathers of its boxes and of its result."""
+    dims, boxes = dict(shape.wires), dict(shape.boxes)
+    network = [boxes[b] for b in box_ids]
+    if kind == "operators":
+        signatures, keep, sizes = _network(dims, sources, network, targets, 1, sum)
+        plan = _cached_contraction(*_network_key(signatures, keep, sizes))
+    else:
+        copies = 2 if kind == "coherence" else 1
+        network = [box._replace(count=1) for box in network]
+        signatures, keep, sizes = _network(dims, sources, network, targets, copies, len)
+        plan = _cached_elimination(*_network_key(signatures, keep, sizes))
+    shapes = [tuple(sizes[x] for x in signature) for signature in signatures]
+    fixed = tuple(_read_only(np.eye(n, dtype=bool)) for n, _ in shapes[len(network) :])
+    program = _Program(
+        tuple(map(tuple, signatures)), tuple(keep), tuple(sizes.items()),
+        tuple(shapes[: len(network)]), fixed, plan, (),
+    )
+    count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
+    if kind != "operators":
+        return program._replace(shape=(count_in,) * copies + (count_out,) * copies)
+
+    def to_kron(wires):
+        spaces = (PartitionedSpace.from_dims(range(len(dims[w])), dims[w]) for w in wires)
+        return kron_to_canonical(*spaces)
+
+    gathers = tuple(
+        (slice(None), _read_only(to_kron(box.outputs)[:, None]), _read_only(to_kron(box.inputs)))
+        if len(box.inputs) > 1 or len(box.outputs) > 1 else None
+        for box in network
+    )
+    # the plan's Kraus index of each operator, the last box's index outermost
+    kraus = np.arange(math.prod(sizes[x] for x in plan.batch))
+    kraus = kraus.reshape([sizes[x] for x in plan.batch])
+    order = kraus.transpose([plan.batch.index(x) for x in sorted(plan.batch, reverse=True)])
+    entry = np.argsort(to_kron(targets))[:, None] + count_out * np.argsort(to_kron(sources))
+    take = _read_only(order.reshape(-1, 1)), _read_only(entry.reshape(1, -1))
+    return program._replace(shape=(kraus.size, count_out, count_in), gathers=gathers, take=take)
+
+
+def _insertion_program(routes: _Program, targets: tuple) -> _Program:
+    """The route program ``routes``, whose kept axes are the slice
+    ``targets``, pinned for :func:`_accessible_by_insertion`."""
+    sizes = dict(routes.sizes)
+    shape = tuple(sizes[w] for w in targets)
+    candidates = _read_only(np.indices(shape).reshape(len(shape), math.prod(shape)))
+    position = {(w, 0): i for i, w in enumerate(targets)}
+    pins, signatures = [], []
+    for vars_ in routes.signatures:
+        pinned = [i for i, v in enumerate(vars_) if v in position]
+        free = [i for i, v in enumerate(vars_) if v not in position]
+        pins.append((tuple(pinned + free), tuple(candidates[position[vars_[i]]] for i in pinned)))
+        signatures.append([_CANDIDATE] * bool(pinned) + [vars_[i] for i in free])
+    sizes[_CANDIDATE] = candidates.shape[1]
+    plan = _cached_elimination(*_network_key(signatures, [_CANDIDATE], sizes))
+    return routes._replace(
+        signatures=tuple(map(tuple, signatures)), keep=(_CANDIDATE,), sizes=tuple(sizes.items()),
+        plan=plan, shape=shape, pins=tuple(pins),
+    )
+
+
+def _route_tables(
+    circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str], copies: int
+) -> list[np.ndarray]:
+    """The tables of a route program: each box's route matrix in its shape
+    (with one copy in CPM mode, a read-only view of the coherence route's
+    diagonal), then the identities."""
+    routes = [circuit.boxes[b].op.route for b in box_ids]
+    diagonal = copies == 1 and circuit.mode == "cpm"
+    matrices = map(rel.diagonal_view, routes) if diagonal else (r.matrix for r in routes)
+    return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
 
 
 def _route_network(
@@ -561,14 +749,20 @@ def _route_network(
     box_ids: Sequence[str],
     targets: Sequence[str],
     copies: int,
-) -> tuple[list, list, list, dict]:
-    """The boxes' routes as boolean tables for :func:`_elimination_plan`,
-    from :func:`_network` on sector counts: a box's table is its plain route
-    (its diagonal in CPM mode), or with two copies its coherence route.
-    """
-    routes = [_box_route(circuit, b) if copies == 1 else circuit.boxes[b].op.route for b in box_ids]
-    boxes = [(circuit.boxes[b], route.matrix) for b, route in zip(box_ids, routes)]
-    return _network(circuit, sources, boxes, targets, copies, lambda space: len(space.sector_dims))
+) -> tuple[tuple, list, tuple, dict]:
+    """The network :func:`_contracted_route` sums: the signatures, the
+    tables, the kept axes and the sizes."""
+    program = _program(circuit, ("routes", "coherence")[copies - 1], sources, box_ids, targets)
+    tables = _route_tables(circuit, program, box_ids, copies)
+    return program.signatures, tables, program.keep, dict(program.sizes)
+
+
+def _run_routes(
+    circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str], copies: int
+) -> np.ndarray:
+    """Sum the route program ``program`` over the boxes' route tables."""
+    tables = _route_tables(circuit, program, box_ids, copies)
+    return _run_plan(program.plan, tables).reshape(program.shape)
 
 
 def _contracted_route(
@@ -582,21 +776,12 @@ def _contracted_route(
     interface ``sources`` to ``targets``.
 
     Each wire carries ``copies`` sector axes: one for plain routes, indexed
-    ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.
+    ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.  A
+    box's table is its plain route (its diagonal in CPM mode), or with two
+    copies its coherence route.
     """
-    signatures, tables, keep, sizes = _route_network(circuit, sources, box_ids, targets, copies)
-    array = _run_plan(_cached_elimination(*_network_key(signatures, keep, sizes)), tables)
-    count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
-    return array.reshape([count_in] * copies + [count_out] * copies)
-
-
-def _route(
-    circuit: RoutedCircuit, sources: Sequence[str], box_ids: Sequence[str], targets: Sequence[str]
-) -> Relation:
-    """The route of the boxes, applied in order, from the interface
-    ``sources`` to ``targets``; in CPM mode, the diagonal of that route."""
-    domain, codomain = (_interface_space(circuit, w).sector_labels for w in (sources, targets))
-    return Relation(domain, codomain, _contracted_route(circuit, sources, box_ids, targets, 1))
+    program = _program(circuit, ("routes", "coherence")[copies - 1], sources, box_ids, targets)
+    return _run_routes(circuit, program, box_ids, copies)
 
 
 def _contracted_operators(
@@ -608,36 +793,23 @@ def _contracted_operators(
     """The ``(count, d_out, d_in)`` operator stack of the boxes, applied in
     order, from the interface ``sources`` to ``targets``.
 
-    The network comes from :func:`_network` on dimensions: a box's table
-    is its operators with an axis per wire in that wire's own basis (they
-    leave the canonical basis of its interfaces through
+    A box's table is its operators with an axis per wire in that wire's
+    own basis (they leave the canonical basis of its interfaces through
     :func:`kron_to_canonical`, the identity on one wire) and one per Kraus
     index.  One gather of whole operators and of entries takes the result
     (the sources' axes, then the targets') to the canonical bases and the
     Kraus order of composing the boxes one at a time, the last box's
     index outermost, whatever order the plan contracts them in.
     """
-
-    def to_kron(wires):
-        return kron_to_canonical(*(circuit.wires[w] for w in wires))
-
-    boxes = []
-    for box in (circuit.boxes[b] for b in box_ids):
-        stack = box.op.kraus_stack
-        if len(box.inputs) > 1 or len(box.outputs) > 1:
-            stack = stack[:, to_kron(box.outputs)[:, None], to_kron(box.inputs)]
-        boxes.append((box, stack.transpose(0, 2, 1)))
-    signatures, tables, keep, sizes = _network(
-        circuit, sources, boxes, targets, 1, lambda space: space.total_dim
-    )
-    plan = _cached_contraction(*_network_key(signatures, keep, sizes))
-    d_out, d_in = (math.prod(sizes[w] for w in wires) for wires in (targets, sources))
-    flat = _run_contraction(plan, tables).reshape(-1, d_in * d_out)
-    # the plan's Kraus index of each operator, the last box's index outermost
-    kraus = np.arange(len(flat)).reshape([sizes[x] for x in plan.batch])
-    order = kraus.transpose([plan.batch.index(x) for x in sorted(plan.batch, reverse=True)])
-    entry = np.argsort(to_kron(targets))[:, None] + d_out * np.argsort(to_kron(sources))
-    return flat[np.ix_(order.ravel(), entry.ravel())].reshape(-1, d_out, d_in)
+    program = _program(circuit, "operators", sources, box_ids, targets)
+    tables = []
+    for box_id, gather, shape in zip(box_ids, program.gathers, program.shapes):
+        stack = circuit.boxes[box_id].op.kraus_stack
+        if gather is not None:
+            stack = stack[gather]
+        tables.append(stack.transpose(0, 2, 1).reshape(shape))
+    result = _run_contraction(program.plan, tables + list(program.fixed))
+    return result.reshape(program.shape[0], -1)[program.take].reshape(program.shape)
 
 
 def _contracted(
@@ -675,7 +847,8 @@ def _permutation_route(
     circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
 ) -> Relation:
     """The route of the wire reordering from interface ``current`` to ``target``."""
-    return _route(circuit, current, (), target)
+    domain, codomain = (_interface_space(circuit, w).sector_labels for w in (current, target))
+    return Relation(domain, codomain, _contracted_route(circuit, current, (), target, 1))
 
 
 def _permutation_map(
@@ -748,11 +921,11 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
     acc_route: Relation | None = None
     acc_boxes: tuple[str, ...] = ()
     checks: list[InterfaceCheck] = []
-    steps = list(_walk(circuit.input_wires, circuit.boxes, _foliation_layers(circuit)))
-    for position, step in enumerate(steps):
-        # the gate reads only the downstream domain: the last order is free
-        after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
-        layer_route = _route(circuit, step.inputs, step.layer, after)
+    for position, (layer, inputs, after, program) in enumerate(
+        _program(circuit, "check", circuit.input_wires)
+    ):
+        domain, codomain = (_interface_space(circuit, w).sector_labels for w in (inputs, after))
+        layer_route = Relation(domain, codomain, _run_routes(circuit, program, layer, 1))
         if acc_route is None:
             acc_route = layer_route
         else:
@@ -763,14 +936,14 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
                 InterfaceCheck(
                     position=position,
                     upstream=acc_boxes,
-                    downstream=tuple(step.layer),
+                    downstream=layer,
                     passed=not escaped_in and not escaped_out,
                     escaped_inputs=escaped_in,
                     escaped_outputs=escaped_out,
                 )
             )
             acc_route = rel.compose(layer_route, acc_route)
-        acc_boxes += tuple(step.layer)
+        acc_boxes += layer
     return CircuitReport(mode=mode, interfaces=tuple(checks))
 
 
@@ -812,10 +985,8 @@ class AccessibleSpace:
 def _accessible_by_recipe(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     """Index-summation recipe: contract every route, summing out all indices
     except the slice's."""
-    boxes = sorted(circuit.boxes)
-    signatures, tables, keep, sizes = _route_network(circuit, (), boxes, cut.wires, 1)
-    allowed = _run_plan(_cached_elimination(*_network_key(signatures, keep, sizes)), tables)
-    return allowed.reshape([sizes[w] for w in cut.wires])
+    allowed = _contracted_route(circuit, (), sorted(circuit.boxes), cut.wires, 1)
+    return allowed.reshape([len(circuit.wires[w].sector_dims) for w in cut.wires])
 
 
 def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
@@ -829,20 +1000,11 @@ def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     table holds one copy of its non-slice axes per candidate, so the run
     takes the candidate count times the memory of one pinned network.
     """
-    variables, tables, _, sizes = _route_network(circuit, (), sorted(circuit.boxes), cut.wires, 1)
-    shape = [sizes[w] for w in cut.wires]
-    candidates = np.indices(shape).reshape(len(shape), math.prod(shape))
-    position = {(w, 0): i for i, w in enumerate(cut.wires)}
-    signatures, gathered = [], []
-    for vars_, table in zip(variables, tables):
-        pinned = [i for i, v in enumerate(vars_) if v in position]
-        free = [i for i, v in enumerate(vars_) if v not in position]
-        at = tuple(candidates[[position[vars_[i]] for i in pinned]])
-        gathered.append(table.transpose(pinned + free)[at])
-        signatures.append([_CANDIDATE] * bool(pinned) + [vars_[i] for i in free])
-    sizes[_CANDIDATE] = candidates.shape[1]
-    plan = _cached_elimination(*_network_key(signatures, [_CANDIDATE], sizes))
-    return _run_plan(plan, gathered).reshape(shape)
+    boxes = sorted(circuit.boxes)
+    program = _program(circuit, "insertion", (), boxes, cut.wires)
+    tables = _route_tables(circuit, program, boxes, 1)
+    gathered = [t.transpose(order)[at] for t, (order, at) in zip(tables, program.pins)]
+    return _run_plan(program.plan, gathered).reshape(program.shape)
 
 
 def accessible_space(

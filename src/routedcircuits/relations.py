@@ -126,6 +126,9 @@ class Relation:
 
     # -- basic protocol -----------------------------------------------
 
+    def __reduce__(self):
+        return type(self), (self.domain, self.codomain, self.matrix)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Relation)
@@ -272,6 +275,9 @@ class CPRelation:
                 f"(k={k}, k'={k2}, l={l}, l'={l2}))"
             )
 
+    def __reduce__(self):
+        return type(self), (self.base_domain, self.base_codomain, self.matrix)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CPRelation)
@@ -316,11 +322,15 @@ def is_completely_positive(matrix) -> bool:
     return _cp_violation(matrix) is None
 
 
+def diagonal_view(route: CPRelation) -> np.ndarray:
+    """The (k, k, l, l) entries of the route's matrix, indexed ``[k, l]``,
+    as a read-only view."""
+    return route.matrix.diagonal().diagonal()
+
+
 def diagonal(route: CPRelation) -> Relation:
     """The plain relation formed by the (k, k, l, l) entries."""
-    return Relation(
-        route.base_domain, route.base_codomain, np.einsum("kkll->kl", route.matrix)
-    )
+    return Relation(route.base_domain, route.base_codomain, diagonal_view(route))
 
 
 def full_coherence(connectivity: Relation) -> CPRelation:

@@ -197,6 +197,7 @@ class RoutedCPM:
 
     # the pairwise algebra of routed maps, which reads only ``kraus_stack``
     __eq__, tensor, relabel = RoutedMap.__eq__, RoutedMap.tensor, RoutedMap.relabel
+    __reduce__ = RoutedMap.__reduce__
 
 
 def lift_pure(routed: RoutedMap) -> RoutedCPM:

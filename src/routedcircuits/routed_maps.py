@@ -157,6 +157,12 @@ class RoutedMap:
         (matrix,) = stack
         return cls(route, matrix, domain, codomain, tolerance)
 
+    def __reduce__(self):
+        """Rebuild through the constructor, so that a copy's arrays are
+        read-only views of one another, as the original's are."""
+        stack = self.kraus_stack
+        return self.from_stack, (self.route, stack, self.domain, self.codomain, self.tolerance)
+
     def __repr__(self) -> str:
         return (
             f"RoutedMap({self.domain!r} -> {self.codomain!r}, "
