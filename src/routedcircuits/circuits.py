@@ -20,10 +20,10 @@ run.  A network's layout and plan depend only on the circuit's shape:
 its mode, its wires' sector dimensions, and its boxes' wires and Kraus
 counts, which a circuit derives once, with its foliation, when it is
 built.  Each network is compiled once per shape into a frozen program,
-behind one bounded module-level cache: the signatures and shapes of its
-tables, its plan, its gathers and foliation steps, and nothing of the
-circuit's matrices, routes or labels.  A call reshapes the boxes' own
-arrays and runs the plan.
+behind one bounded module-level cache, the only cache of plans: the
+signatures and shapes of its tables, its plan, its gathers and foliation
+steps, and nothing of the circuit's matrices, routes or labels.  A call
+reshapes the boxes' own arrays and runs the plan.
 """
 
 from __future__ import annotations
@@ -436,22 +436,6 @@ def _frozen(value):
     return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
 
 
-def _network_key(signatures: Sequence[Sequence], labels: Sequence, sizes: Mapping) -> tuple:
-    """The key of a network in the plan caches: its signatures, the kept or
-    open labels, and the size of every label in the network (``sizes`` may
-    hold more)."""
-    signatures = tuple(map(tuple, signatures))
-    network = dict.fromkeys(itertools.chain(labels, *signatures))
-    return signatures, tuple(labels), tuple((x, sizes[x]) for x in network)
-
-
-@lru_cache
-def _cached_contraction(signatures: tuple, open_labels: tuple, sizes: tuple) -> _Contraction:
-    """The plan of :func:`_contraction_plan`, made once per network key
-    (see :func:`_network_key`) and frozen into nested tuples."""
-    return _frozen(_contraction_plan(signatures, open_labels, dict(sizes)))
-
-
 def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Carry out ``plan`` on tables of the signatures it was made for: each
     step reshapes its two tables to matrices and multiplies them with one
@@ -535,13 +519,6 @@ def _elimination_plan(
     return _Plan(loads, steps, left, tuple(dims[: len(keep)]))
 
 
-@lru_cache
-def _cached_elimination(signatures: tuple, keep: tuple, sizes: tuple) -> _Plan:
-    """The plan of :func:`_elimination_plan`, made once per network key
-    (see :func:`_network_key`) and frozen into nested tuples."""
-    return _frozen(_elimination_plan(signatures, keep, dict(sizes)))
-
-
 def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Carry out ``plan`` on boolean tables of the signatures it was made for."""
     slots = [t if order is None else t.transpose(order) for t, order in zip(tables, plan.loads)]
@@ -604,7 +581,6 @@ class _Program(NamedTuple):
     """A network of a circuit compiled for its shape; see :func:`_compiled`."""
 
     signatures: tuple  # the boxes' tables, then the identities'
-    keep: tuple  # the kept axes: the sources', then the targets'
     sizes: tuple  # (label, size) pairs
     shapes: tuple  # per box: the shape its table is read in
     fixed: tuple  # the identity tables, read-only
@@ -676,17 +652,17 @@ def _network_program(
     network = [boxes[b] for b in box_ids]
     if kind == "operators":
         signatures, keep, sizes = _network(dims, sources, network, targets, 1, sum)
-        plan = _cached_contraction(*_network_key(signatures, keep, sizes))
+        plan = _frozen(_contraction_plan(signatures, keep, sizes))
     else:
         copies = 2 if kind == "coherence" else 1
         network = [box._replace(count=1) for box in network]
         signatures, keep, sizes = _network(dims, sources, network, targets, copies, len)
-        plan = _cached_elimination(*_network_key(signatures, keep, sizes))
+        plan = _frozen(_elimination_plan(signatures, keep, sizes))
     shapes = [tuple(sizes[x] for x in signature) for signature in signatures]
     fixed = tuple(_read_only(np.eye(n, dtype=bool)) for n, _ in shapes[len(network) :])
     program = _Program(
-        tuple(map(tuple, signatures)), tuple(keep), tuple(sizes.items()),
-        tuple(shapes[: len(network)]), fixed, plan, (),
+        tuple(map(tuple, signatures)), tuple(sizes.items()), tuple(shapes[: len(network)]),
+        fixed, plan, (),
     )
     count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
     if kind != "operators":
@@ -724,10 +700,10 @@ def _insertion_program(routes: _Program, targets: tuple) -> _Program:
         pins.append((tuple(pinned + free), tuple(candidates[position[vars_[i]]] for i in pinned)))
         signatures.append([_CANDIDATE] * bool(pinned) + [vars_[i] for i in free])
     sizes[_CANDIDATE] = candidates.shape[1]
-    plan = _cached_elimination(*_network_key(signatures, [_CANDIDATE], sizes))
+    plan = _frozen(_elimination_plan(signatures, [_CANDIDATE], sizes))
     return routes._replace(
-        signatures=tuple(map(tuple, signatures)), keep=(_CANDIDATE,), sizes=tuple(sizes.items()),
-        plan=plan, shape=shape, pins=tuple(pins),
+        signatures=tuple(map(tuple, signatures)), sizes=tuple(sizes.items()), plan=plan,
+        shape=shape, pins=tuple(pins),
     )
 
 
@@ -741,20 +717,6 @@ def _route_tables(
     diagonal = copies == 1 and circuit.mode == "cpm"
     matrices = map(rel.diagonal_view, routes) if diagonal else (r.matrix for r in routes)
     return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
-
-
-def _route_network(
-    circuit: RoutedCircuit,
-    sources: Sequence[str],
-    box_ids: Sequence[str],
-    targets: Sequence[str],
-    copies: int,
-) -> tuple[tuple, list, tuple, dict]:
-    """The network :func:`_contracted_route` sums: the signatures, the
-    tables, the kept axes and the sizes."""
-    program = _program(circuit, ("routes", "coherence")[copies - 1], sources, box_ids, targets)
-    tables = _route_tables(circuit, program, box_ids, copies)
-    return program.signatures, tables, program.keep, dict(program.sizes)
 
 
 def _run_routes(
@@ -841,21 +803,6 @@ def _contracted(
             f"composite of boxes {', '.join(map(repr, box_ids))}: {exc}; the weight "
             "accumulated over these boxes, each of which was accepted on its own"
         ) from None
-
-
-def _permutation_route(
-    circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
-) -> Relation:
-    """The route of the wire reordering from interface ``current`` to ``target``."""
-    domain, codomain = (_interface_space(circuit, w).sector_labels for w in (current, target))
-    return Relation(domain, codomain, _contracted_route(circuit, current, (), target, 1))
-
-
-def _permutation_map(
-    circuit: RoutedCircuit, current: Sequence[str], target: Sequence[str]
-) -> BoxOp:
-    """The wire-reordering map from interface ``current`` to ``target``."""
-    return _contracted(circuit, current, (), target)
 
 
 def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> BoxOp:
@@ -1034,27 +981,37 @@ def accessible_space(
 # -- export --------------------------------------------------------------
 
 
+def _dot_quoted(text: str, markup: str = "") -> str:
+    """``text`` as a DOT quoted string, with its ``\\`` and ``"`` escaped,
+    followed by ``markup`` (such as a ``\\n`` line break) as it is."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + markup + '"'
+
+
+def _dot_edge(graph, wire: str, label: str) -> str:
+    """A wire of ``graph`` (a circuit or an indexed graph) as a DOT edge, from
+    its producer (or its input point) to its consumer (or its output point)."""
+    producer, consumer = graph.producer_of(wire), graph.consumer_of(wire)
+    src = _dot_quoted("in:" + wire if producer is None else producer)
+    dst = _dot_quoted("out:" + wire if consumer is None else consumer)
+    return f"  {src} -> {dst} [label={_dot_quoted(label)}];"
+
+
+def _dot_points(inputs: Iterable[str], outputs: Iterable[str]) -> list[str]:
+    """The input and output points of a graph's wires, as DOT nodes."""
+    ends = [("in:", w) for w in inputs] + [("out:", w) for w in outputs]
+    return [f"  {_dot_quoted(end + w)} [shape=point, xlabel={_dot_quoted(w)}];" for end, w in ends]
+
+
 def circuit_to_dot(circuit: RoutedCircuit) -> str:
     """Graphviz rendering with routes summarised on boxes and spaces on wires."""
     lines = ["digraph routed_circuit {", "  rankdir=BT;"]
-    for wire in circuit.input_wires:
-        lines.append(f'  "in:{wire}" [shape=point, xlabel="{wire}"];')
-    for wire in circuit.output_wires:
-        lines.append(f'  "out:{wire}" [shape=point, xlabel="{wire}"];')
+    lines += _dot_points(circuit.input_wires, circuit.output_wires)
     for box_id in sorted(circuit.boxes):
-        box = circuit.boxes[box_id]
         route = _box_route(circuit, box_id)
-        weight = int(route.matrix.sum())
-        size = route.matrix.size
-        lines.append(
-            f'  "{box_id}" [shape=box, label="{box_id}\\nroute {weight}/{size}"];'
-        )
+        summary = f"\\nroute {int(route.matrix.sum())}/{route.matrix.size}"
+        lines.append(f"  {_dot_quoted(box_id)} [shape=box, label={_dot_quoted(box_id, summary)}];")
     for wire in sorted(circuit.wires):
-        producer = circuit.producer_of(wire)
-        consumer = circuit.consumer_of(wire)
-        src = f'"{producer}"' if producer else f'"in:{wire}"'
-        dst = f'"{consumer}"' if consumer else f'"out:{wire}"'
         dims = "+".join(str(d) for d in circuit.wires[wire].sector_dims)
-        lines.append(f'  {src} -> {dst} [label="{wire} ({dims})"];')
+        lines.append(_dot_edge(circuit, wire, f"{wire} ({dims})"))
     lines.append("}")
     return "\n".join(lines) + "\n"

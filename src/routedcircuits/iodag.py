@@ -24,6 +24,7 @@ import numpy as np
 from . import relations as rel
 from . import routed_maps as rmap
 from .circuits import CircuitBuilder, _kahn_layers, _walk, evaluate
+from .circuits import _dot_edge, _dot_points, _dot_quoted
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -1205,22 +1206,15 @@ def iodag_to_dot(g: IODAG) -> str:
         name: sorted(g.equivalence.block_of(name))[0] for name in g.placement
     }
     lines = ["digraph indexed_graph {", "  rankdir=BT;"]
-    for wire in g.inputs:
-        lines.append(f'  "in:{wire}" [shape=point, xlabel="{wire}"];')
-    for wire in g.outputs:
-        lines.append(f'  "out:{wire}" [shape=point, xlabel="{wire}"];')
+    lines += _dot_points(g.inputs, g.outputs)
     for node_id in sorted(g.nodes):
         shape = "circle" if node_id in g.empty_nodes else "box"
-        lines.append(f'  "{node_id}" [shape={shape}, label="{node_id}"];')
+        lines.append(f"  {_dot_quoted(node_id)} [shape={shape}, label={_dot_quoted(node_id)}];")
     for wire in sorted(g.wire_ids):
-        producer = g.producer_of(wire)
-        consumer = g.consumer_of(wire)
-        src = f'"{producer}"' if producer else f'"in:{wire}"'
-        dst = f'"{consumer}"' if consumer else f'"out:{wire}"'
         decorations = ",".join(
             f"{name}~{class_rep[name]}" for name in g.indices_on(wire)
         )
         label = wire if not decorations else f"{wire}^{{{decorations}}}"
-        lines.append(f'  {src} -> {dst} [label="{label}"];')
+        lines.append(_dot_edge(g, wire, label))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,8 @@ from routedcircuits.circuits import (
     RoutedCircuit,
     Slice,
     _elimination_plan,
-    _route_network,
+    _program,
+    _route_tables,
     _run_plan,
 )
 
@@ -71,7 +72,10 @@ def accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     candidates.  Each table's slice axes are moved to the front once, and
     a candidate pins them by indexing.
     """
-    variables, tables, _, sizes = _route_network(circuit, (), sorted(circuit.boxes), cut.wires, 1)
+    boxes = sorted(circuit.boxes)
+    program = _program(circuit, "routes", (), boxes, cut.wires)
+    variables, sizes = program.signatures, dict(program.sizes)
+    tables = _route_tables(circuit, program, boxes, 1)
     position = {(w, 0): i for i, w in enumerate(cut.wires)}
     moved, pins, signatures = [], [], []
     for vars_, table in zip(variables, tables):

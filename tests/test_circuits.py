@@ -404,3 +404,33 @@ class TestDotExport:
         assert text.startswith("digraph")
         assert '"encode"' in text and 'label="A (1+2)"' in text
         assert text == circuit_to_dot(circuit)
+
+    def test_bundled_rendering(self):
+        text = circuit_to_dot(load_bundled("copy_discard.json").payload)
+        assert text.splitlines() == [
+            "digraph routed_circuit {",
+            "  rankdir=BT;",
+            '  "in:X" [shape=point, xlabel="X"];',
+            '  "out:Cc" [shape=point, xlabel="Cc"];',
+            r'  "copy" [shape=box, label="copy\nroute 2/4"];',
+            r'  "dropB" [shape=box, label="dropB\nroute 2/2"];',
+            '  "copy" -> "dropB" [label="B (1+1)"];',
+            '  "copy" -> "out:Cc" [label="Cc (1+1)"];',
+            '  "in:X" -> "copy" [label="X (2)"];',
+            "}",
+        ]
+        assert text.endswith("}\n")
+
+    def test_quotes_and_backslashes_are_escaped_and_an_empty_box_id_is_a_node(self):
+        space = PartitionedSpace.trivial(1)
+        builder = CircuitBuilder("pure").wire('a"b', space).wire("c\\d", space)
+        builder.box("", ['a"b'], ["c\\d"], RoutedMap.identity(space))
+        circuit = builder.inputs('a"b').outputs("c\\d").build()
+        assert circuit_to_dot(circuit).splitlines()[2:] == [
+            r'  "in:a\"b" [shape=point, xlabel="a\"b"];',
+            r'  "out:c\\d" [shape=point, xlabel="c\\d"];',
+            r'  "" [shape=box, label="\nroute 1/1"];',
+            r'  "in:a\"b" -> "" [label="a\"b (1)"];',
+            r'  "" -> "out:c\\d" [label="c\\d (1)"];',
+            "}",
+        ]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import _permutation_map
+from routedcircuits.circuits import _contracted
 from routedcircuits.errors import RouteViolation
 from routedcircuits.relations import Relation
 from routedcircuits.routed_cpms import (
@@ -83,7 +83,7 @@ def test_lifting_a_wide_permutation_builds_no_choi_matrix():
         builder.wire(wire, four)
     wires = ["w0", "w1", "w3", "w4"]
     circuit = builder.inputs(*wires).outputs(*wires).build()
-    pure = _permutation_map(circuit, wires, ["w3", "w0", "w4", "w1"])
+    pure = _contracted(circuit, wires, (), ["w3", "w0", "w4", "w1"])
     assert pure.matrix.shape == (192, 192)
     tracemalloc.start()
     try:

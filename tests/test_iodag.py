@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from routedcircuits.errors import (
     NotPracticalIsometry,
     UnknownNode,
 )
-from routedcircuits.io import load_bundled
+from routedcircuits.io import bundled_path, load_bundled, parse
 from routedcircuits.iodag import (
     Corelation,
     IODAG,
@@ -722,3 +724,22 @@ class TestIsomorphism:
         text = iodag_to_dot(diamond_graph())
         assert text.startswith("digraph")
         assert "kL~kL" in text
+
+    def test_dot_export_of_awkward_ids(self):
+        """An empty node id, which documents may use, stays the node its
+        wires meet at; quotes and backslashes in ids are escaped."""
+        with open(bundled_path("figure1b.json"), encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["nodes"][0]["id"] = ""
+        # the wires X and Y become a"b and c\d
+        document = json.dumps(data).replace('"X"', json.dumps('a"b'))
+        document = document.replace('"Y"', json.dumps("c\\d"))
+        text = iodag_to_dot(parse(document).payload)
+        assert text.splitlines()[2:] == [
+            r'  "in:a\"b" [shape=point, xlabel="a\"b"];',
+            r'  "out:c\\d" [shape=point, xlabel="c\\d"];',
+            '  "" [shape=box, label=""];',
+            r'  "in:a\"b" -> "" [label="a\"b^{kX~kX}"];',
+            r'  "" -> "out:c\\d" [label="c\\d^{kY~kX}"];',
+            "}",
+        ]

@@ -1,7 +1,8 @@
-"""The per-shape caches in ``circuits``: plans against fresh plans from the
-two planners (equal plans, one per size assignment, nothing mutable
-inside, a bounded cache), and interface spaces that keep their wires'
-own labels."""
+"""The frozen plans that compiled programs in ``circuits`` hold, against
+fresh plans from the two planners (equal plans, one per size assignment,
+nothing mutable inside, the same results to the bit), and interface
+spaces that keep their wires' own labels.  The one cache above them, of
+compiled programs, is tested in ``test_programs``."""
 
 from __future__ import annotations
 
@@ -10,12 +11,10 @@ from hypothesis import given, settings
 
 from routedcircuits import CircuitBuilder
 from routedcircuits.circuits import (
-    _cached_contraction,
-    _cached_elimination,
     _contraction_plan,
     _elimination_plan,
+    _frozen,
     _interface_space,
-    _network_key,
     _run_contraction,
     _run_plan,
 )
@@ -28,7 +27,7 @@ from test_elimination import factor_graphs
 
 def as_tuples(value):
     """``value`` with every list in it, at any depth, a tuple, for comparing
-    a fresh plan with a cached one."""
+    a fresh plan with a frozen one."""
     if isinstance(value, (list, tuple)):
         return tuple(map(as_tuples, value))
     return value
@@ -42,46 +41,43 @@ def assert_no_mutable_part(value) -> None:
 
 
 def contraction(signatures, opened, sizes):
-    return _cached_contraction(*_network_key(signatures, opened, sizes))
+    return _frozen(_contraction_plan(signatures, opened, sizes))
 
 
 def elimination(signatures, keep, sizes):
-    return _cached_elimination(*_network_key(signatures, keep, sizes))
+    return _frozen(_elimination_plan(signatures, keep, sizes))
 
 
-class TestCachedEqualsFresh:
+class TestFrozenEqualsFresh:
     @settings(max_examples=200, deadline=None)
     @given(networks())
     def test_contraction(self, network):
         signatures, opened, sizes, rng = network
-        cached = contraction(signatures, opened, sizes)
+        frozen = contraction(signatures, opened, sizes)
         fresh = _contraction_plan(signatures, opened, sizes)
-        assert type(cached) is type(fresh)
-        assert as_tuples(cached) == as_tuples(fresh)
-        assert_no_mutable_part(cached)
-        assert contraction(signatures, opened, sizes) is cached
+        assert type(frozen) is type(fresh)
+        assert as_tuples(frozen) == as_tuples(fresh)
+        assert_no_mutable_part(frozen)
         tables = draw_tables(signatures, sizes, rng, boolean=False)
-        assert np.array_equal(_run_contraction(cached, tables), _run_contraction(fresh, tables))
+        assert np.array_equal(_run_contraction(frozen, tables), _run_contraction(fresh, tables))
 
     @settings(max_examples=200, deadline=None)
     @given(factor_graphs())
     def test_elimination(self, graph):
         factors, keep, sizes = graph
         signatures = [vars_ for vars_, _ in factors]
-        cached = elimination(signatures, keep, sizes)
+        frozen = elimination(signatures, keep, sizes)
         fresh = _elimination_plan(signatures, keep, sizes)
-        assert type(cached) is type(fresh)
-        assert as_tuples(cached) == as_tuples(fresh)
-        assert_no_mutable_part(cached)
-        assert elimination(signatures, keep, sizes) is cached
+        assert type(frozen) is type(fresh)
+        assert as_tuples(frozen) == as_tuples(fresh)
+        assert_no_mutable_part(frozen)
         tables = [table for _, table in factors]
-        assert np.array_equal(_run_plan(cached, tables), _run_plan(fresh, tables))
+        assert np.array_equal(_run_plan(frozen, tables), _run_plan(fresh, tables))
 
 
 def test_equal_signatures_with_other_sizes_get_their_own_plans():
     """The large label moves from ``y`` to ``x``: the contraction takes the
-    other pair first, and the elimination sums the other variable first.
-    Labels outside the network do not split the key."""
+    other pair first, and the elimination sums the other variable first."""
     signatures = [["a", "x"], ["x", "y"], ["y", "c"]]
     small = {"a": 1, "x": 2, "y": 8, "c": 2}
     large = {"a": 1, "x": 8, "y": 2, "c": 2}
@@ -92,17 +88,6 @@ def test_equal_signatures_with_other_sizes_get_their_own_plans():
         assert as_tuples(elimination(signatures, ["a"], sizes)) == as_tuples(fresh)
     assert contraction(signatures, ["a", "c"], small) != contraction(signatures, ["a", "c"], large)
     assert elimination(signatures, ["a"], small) != elimination(signatures, ["a"], large)
-    assert contraction(signatures, ["a", "c"], {**small, "unused": 5}) is contraction(
-        signatures, ["a", "c"], small
-    )
-
-
-def test_caches_stay_within_their_bound():
-    for cached in (_cached_contraction, _cached_elimination):
-        bound = cached.cache_info().maxsize
-        for n in range(1, bound + 20):
-            cached(*_network_key([["x", "y"], ["y"]], ["x"], {"x": n, "y": 2}))
-        assert cached.cache_info().currsize == bound
 
 
 def test_interface_spaces_keep_their_label_types():

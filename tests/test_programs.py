@@ -60,8 +60,7 @@ def results(circuit, box_order=None) -> list:
 def uncached_results(circuit, box_order=None) -> list:
     """:func:`results` with every program and plan built afresh."""
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_compiled", "_cached_contraction", "_cached_elimination"):
-            patch.setattr(circuits, name, getattr(circuits, name).__wrapped__)
+        patch.setattr(circuits, "_compiled", circuits._compiled.__wrapped__)
         return results(circuit, box_order)
 
 
@@ -169,6 +168,13 @@ def test_programs_hold_nothing_mutable(mode):
                 assert not value.flags.writeable
                 arrays += 1
     assert arrays  # the identities, gathers and pins are there
+
+
+def test_programs_are_the_only_plan_cache():
+    """The planners keep no cache of their own: besides the programs, only
+    the interface spaces are cached."""
+    cached = {name for name, value in vars(circuits).items() if hasattr(value, "cache_info")}
+    assert cached == {"_compiled", "_tensor_of"}
 
 
 def test_cache_stays_within_its_bound():

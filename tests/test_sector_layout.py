@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import _permutation_map, _permutation_route
+from routedcircuits.circuits import _contracted, _contracted_route, _interface_space
 from routedcircuits.errors import RouteViolation, UnknownLabel
 from routedcircuits.relations import CPRelation, Relation
 from routedcircuits.routed_cpms import RoutedCPM, _choi_block_excess, choi_matrix, follows_cp
@@ -282,10 +282,11 @@ class TestPermutations:
         circuit = builder.inputs(*wires).outputs(*wires).build()
         target = [wires[p] for p in positions]
         matrix, route = permutation_by_tables(factors, positions)
-        op = _permutation_map(circuit, wires, target)
+        op = _contracted(circuit, wires, (), target)
         got = op.matrix if mode == "pure" else op.kraus[0]
         assert got.dtype == matrix.dtype and got.tobytes() == matrix.tobytes()
-        relation = _permutation_route(circuit, wires, target)
+        domain, codomain = (_interface_space(circuit, w).sector_labels for w in (wires, target))
+        relation = Relation(domain, codomain, _contracted_route(circuit, wires, (), target, 1))
         assert np.array_equal(relation.matrix, route)
         assert relation.domain == tensor_many(factors).sector_labels
         assert relation.codomain == tensor_many([factors[p] for p in positions]).sector_labels
