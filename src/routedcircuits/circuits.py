@@ -987,31 +987,44 @@ def _dot_quoted(text: str, markup: str = "") -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + markup + '"'
 
 
-def _dot_edge(graph, wire: str, label: str) -> str:
-    """A wire of ``graph`` (a circuit or an indexed graph) as a DOT edge, from
-    its producer (or its input point) to its consumer (or its output point)."""
-    producer, consumer = graph.producer_of(wire), graph.consumer_of(wire)
-    src = _dot_quoted("in:" + wire if producer is None else producer)
-    dst = _dot_quoted("out:" + wire if consumer is None else consumer)
-    return f"  {src} -> {dst} [label={_dot_quoted(label)}];"
-
-
-def _dot_points(inputs: Iterable[str], outputs: Iterable[str]) -> list[str]:
-    """The input and output points of a graph's wires, as DOT nodes."""
-    ends = [("in:", w) for w in inputs] + [("out:", w) for w in outputs]
-    return [f"  {_dot_quoted(end + w)} [shape=point, xlabel={_dot_quoted(w)}];" for end, w in ends]
+def _dot_graph(name: str, graph, inputs, outputs, nodes: dict, wires: dict) -> str:
+    """Graphviz text of ``graph`` (a circuit or an indexed graph), drawn
+    bottom to top: a point per input and output wire, the nodes (id: DOT
+    attributes), and the wires (id: label) as edges from their producer (or
+    input point) to their consumer (or output point).  The point of wire
+    ``w`` is named ``in:w`` or ``out:w``, unless a node id takes that name:
+    then it takes the first free suffix ``#2``, ``#3``, ..."""
+    points = {f"in:{w}": w for w in inputs} | {f"out:{w}": w for w in outputs}
+    taken = set(nodes) | set(points)
+    names = {}
+    for point in points:
+        free, k = point, 2
+        while point in nodes and free in taken:
+            free, k = f"{point}#{k}", k + 1
+        names[point] = free
+        taken.add(free)
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    for point, wire in points.items():
+        lines.append(f"  {_dot_quoted(names[point])} [shape=point, xlabel={_dot_quoted(wire)}];")
+    lines += [f"  {_dot_quoted(node)} [{attributes}];" for node, attributes in nodes.items()]
+    for wire, label in wires.items():
+        producer, consumer = graph.producer_of(wire), graph.consumer_of(wire)
+        src = names["in:" + wire] if producer is None else producer
+        dst = names["out:" + wire] if consumer is None else consumer
+        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} [label={_dot_quoted(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def circuit_to_dot(circuit: RoutedCircuit) -> str:
     """Graphviz rendering with routes summarised on boxes and spaces on wires."""
-    lines = ["digraph routed_circuit {", "  rankdir=BT;"]
-    lines += _dot_points(circuit.input_wires, circuit.output_wires)
+    nodes, wires = {}, {}
     for box_id in sorted(circuit.boxes):
         route = _box_route(circuit, box_id)
         summary = f"\\nroute {int(route.matrix.sum())}/{route.matrix.size}"
-        lines.append(f"  {_dot_quoted(box_id)} [shape=box, label={_dot_quoted(box_id, summary)}];")
+        nodes[box_id] = f"shape=box, label={_dot_quoted(box_id, summary)}"
     for wire in sorted(circuit.wires):
         dims = "+".join(str(d) for d in circuit.wires[wire].sector_dims)
-        lines.append(_dot_edge(circuit, wire, f"{wire} ({dims})"))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        wires[wire] = f"{wire} ({dims})"
+    inputs, outputs = circuit.input_wires, circuit.output_wires
+    return _dot_graph("routed_circuit", circuit, inputs, outputs, nodes, wires)

@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from . import relations as rel
 from .circuits import Slice, accessible_space, check_circuit, circuit_to_dot, evaluate
 from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
-from .io import CircuitDocument, parse
+from .io import CircuitDocument, label_to_json, parse
 from .iodag import _layer_corelations, explain_improper, iodag_to_dot, lint, normalize
 from .routed_cpms import is_practically_trace_preserving
 from .routed_maps import is_practical_isometry, is_practical_unitary
@@ -30,8 +29,8 @@ def _interface_json(check) -> dict:
     return {
         "position": check.position,
         "downstream": list(check.downstream),
-        "escaped_inputs": [rel.label_to_json(l) for l in check.escaped_inputs],
-        "escaped_outputs": [rel.label_to_json(l) for l in check.escaped_outputs],
+        "escaped_inputs": [label_to_json(l) for l in check.escaped_inputs],
+        "escaped_outputs": [label_to_json(l) for l in check.escaped_outputs],
     }
 
 
@@ -152,7 +151,7 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
         "command": "accessible",
         "file": os.path.basename(args.file),
         "slice": list(wires),
-        "accessible": [[rel.label_to_json(l) for l in t] for t in recipe.tuples],
+        "accessible": [[label_to_json(l) for l in t] for t in recipe.tuples],
         "sector_dims": list(recipe.sector_dims),
         "total_dim": recipe.total_dim,
         "algorithms_agree": recipe.tuples == oracle.tuples,

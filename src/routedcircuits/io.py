@@ -1,11 +1,13 @@
 """JSON document layer: parsing, validation and canonical serialization.
 
 Documents carry either a routed circuit or an indexed graph (optionally
-with an interpretation).  One reader serves routed maps and routed CP maps
-alike, in circuit boxes and in the standalone loaders: the two differ only
-in their route's keys and their operator key.  Structural problems raise
-SchemaError with a JSON-pointer-style location; semantic problems surface
-the originating error prefixed with the offending element's location.
+with an interpretation).  This module alone holds the document format: one
+table, ``_MAP_FORMS``, is read by ``_map_from_json`` and written by
+``_map_to_json`` for routed maps and routed CP maps alike, in circuit boxes
+and standalone.  The two differ only in their route's keys and their
+operator key.  Structural problems raise SchemaError with a
+JSON-pointer-style location; semantic problems surface the originating
+error prefixed with the offending element's location.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from typing import Any
 
 import numpy as np
 
-from . import relations as rel
 from .circuits import Box, RoutedCircuit
 from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .iodag import IODAG, IndexFamily, Interpretation, IONode, Partition
 from .iodag import expected_wire_labels, node_route
-from .relations import CPRelation, IndexSet, Relation
+from .relations import CPRelation, IndexSet, Label, Relation
 from .routed_cpms import RoutedCPM
-from .routed_maps import RoutedMap, matrix_from_json, matrix_to_json
+from .routed_maps import RoutedMap
 from .spaces import PartitionedSpace, tensor_many
 
 FORMAT_VERSION = "1"
@@ -102,7 +103,14 @@ def _matrix(rows, location: str):
                 raise SchemaError(
                     "matrix entry must be a [re, im] pair of numbers", f"{location}/{i}/{j}"
                 )
-    return matrix_from_json(rows)
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+
+def matrix_to_json(matrix) -> list:
+    """A complex matrix, or a stack of them, as nested lists of ``[re, im]``
+    pairs: the form ``_matrix`` reads."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def _label(value, location: str, *path: int):
@@ -113,6 +121,13 @@ def _label(value, location: str, *path: int):
         kind, pointer = type(value).__name__, "/".join([location, *map(str, path)])
         raise SchemaError(f"label must be a string, an integer or a list, got {kind}", pointer)
     return value
+
+
+def label_to_json(label: Label):
+    """A label as ``_label`` reads it: a tuple becomes a list."""
+    if isinstance(label, tuple):
+        return [label_to_json(part) for part in label]
+    return label
 
 
 def _route_matrix(data, depth: int, location: str) -> np.ndarray:
@@ -157,8 +172,9 @@ def _kraus(operators: list, location: str) -> tuple:
     return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
 
 
-#: per mode: the map class, the route class, its keys and the depth of its
-#: matrix, the operator key and the operator reader
+#: per mode: the map class, the route class, its keys (also the route's
+#: attribute names) and the depth of its matrix, the operator key (also the
+#: map's attribute name) and the operator reader
 _MAP_FORMS = {
     "pure": (RoutedMap, Relation, ("domain", "codomain"), 2, "matrix", _matrix),
     "cpm": (RoutedCPM, CPRelation, ("base_domain", "base_codomain"), 4, "kraus", _kraus),
@@ -184,6 +200,15 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     )
     with _context(location or f"/{operator_key}"):
         return map_class(route, operators, domain, codomain, tolerance)
+
+
+def _map_to_json(op, mode: str) -> dict:
+    """The document form of a routed map or routed CP map, as
+    ``_map_from_json`` reads it in the given mode."""
+    _, _, route_keys, _, operator_key, _ = _MAP_FORMS[mode]
+    route = {key: list(map(label_to_json, getattr(op.route, key))) for key in route_keys}
+    route["matrix"] = op.route.matrix.astype(int).tolist()
+    return {"route": route, operator_key: matrix_to_json(getattr(op, operator_key))}
 
 
 # -- circuits ----------------------------------------------------------------
@@ -237,7 +262,7 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
 
 def _sectors_to_json(space: PartitionedSpace) -> list:
     return [
-        {"label": rel.label_to_json(label), "dim": dim}
+        {"label": label_to_json(label), "dim": dim}
         for label, dim in zip(space.sector_labels, space.sector_dims)
     ]
 
@@ -254,22 +279,12 @@ def _circuit_to_json(circuit: RoutedCircuit) -> dict:
     boxes_json = []
     for box_id in sorted(circuit.boxes):
         box = circuit.boxes[box_id]
-        if circuit.mode == "pure":
-            map_json = {
-                "route": rel.relation_to_json(box.op.route),
-                "matrix": matrix_to_json(box.op.matrix),
-            }
-        else:
-            map_json = {
-                "route": rel.cp_relation_to_json(box.op.route),
-                "kraus": [matrix_to_json(k) for k in box.op.kraus],
-            }
         boxes_json.append(
             {
                 "id": box_id,
                 "inputs": list(box.inputs),
                 "outputs": list(box.outputs),
-                "map": map_json,
+                "map": _map_to_json(box.op, circuit.mode),
             }
         )
     return {
@@ -498,6 +513,16 @@ def routed_map_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> Rou
 def routed_cpm_from_json(data: dict, spaces: dict[str, PartitionedSpace]) -> RoutedCPM:
     """Load a standalone routed CP map; spaces are resolved by name."""
     return _standalone_map_from_json(data, spaces, "cpm")
+
+
+def routed_map_to_json(routed: RoutedMap, domain_name: str, codomain_name: str) -> dict:
+    """A standalone routed map, naming its spaces as ``routed_map_from_json`` resolves them."""
+    return {**_map_to_json(routed, "pure"), "domain": domain_name, "codomain": codomain_name}
+
+
+def routed_cpm_to_json(channel: RoutedCPM, domain_name: str, codomain_name: str) -> dict:
+    """A standalone routed CP map, naming its spaces as ``routed_cpm_from_json`` resolves them."""
+    return {**_map_to_json(channel, "cpm"), "domain": domain_name, "codomain": codomain_name}
 
 
 def bundled_path(name: str) -> str:

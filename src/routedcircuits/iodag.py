@@ -24,7 +24,7 @@ import numpy as np
 from . import relations as rel
 from . import routed_maps as rmap
 from .circuits import CircuitBuilder, _kahn_layers, _walk, evaluate
-from .circuits import _dot_edge, _dot_points, _dot_quoted
+from .circuits import _dot_graph, _dot_quoted
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -1205,16 +1205,13 @@ def iodag_to_dot(g: IODAG) -> str:
     class_rep = {
         name: sorted(g.equivalence.block_of(name))[0] for name in g.placement
     }
-    lines = ["digraph indexed_graph {", "  rankdir=BT;"]
-    lines += _dot_points(g.inputs, g.outputs)
+    nodes, wires = {}, {}
     for node_id in sorted(g.nodes):
         shape = "circle" if node_id in g.empty_nodes else "box"
-        lines.append(f"  {_dot_quoted(node_id)} [shape={shape}, label={_dot_quoted(node_id)}];")
+        nodes[node_id] = f"shape={shape}, label={_dot_quoted(node_id)}"
     for wire in sorted(g.wire_ids):
         decorations = ",".join(
             f"{name}~{class_rep[name]}" for name in g.indices_on(wire)
         )
-        label = wire if not decorations else f"{wire}^{{{decorations}}}"
-        lines.append(_dot_edge(g, wire, label))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        wires[wire] = wire if not decorations else f"{wire}^{{{decorations}}}"
+    return _dot_graph("indexed_graph", g, g.inputs, g.outputs, nodes, wires)

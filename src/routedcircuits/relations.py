@@ -399,58 +399,3 @@ def is_proper_for_channels(first: CPRelation, second: CPRelation) -> bool:
     image under the upstream ``diag ∘ diagᵀ``.
     """
     return is_proper_for_isometries(diagonal(first), diagonal(second))
-
-
-# -- serialization ----------------------------------------------------
-
-
-def label_to_json(label: Label):
-    if isinstance(label, tuple):
-        return [label_to_json(part) for part in label]
-    return label
-
-
-def label_from_json(value) -> Label:
-    if isinstance(value, list):
-        return tuple(label_from_json(part) for part in value)
-    return value
-
-
-def index_set_to_json(index_set: IndexSet) -> list:
-    return [label_to_json(label) for label in index_set.labels]
-
-
-def index_set_from_json(values) -> IndexSet:
-    return IndexSet(label_from_json(v) for v in values)
-
-
-def relation_to_json(relation: Relation) -> dict:
-    return {
-        "domain": index_set_to_json(relation.domain),
-        "codomain": index_set_to_json(relation.codomain),
-        "matrix": relation.matrix.astype(int).tolist(),
-    }
-
-
-def relation_from_json(data: dict) -> Relation:
-    return Relation(
-        index_set_from_json(data["domain"]),
-        index_set_from_json(data["codomain"]),
-        np.array(data["matrix"], dtype=bool),
-    )
-
-
-def cp_relation_to_json(route: CPRelation) -> dict:
-    return {
-        "base_domain": index_set_to_json(route.base_domain),
-        "base_codomain": index_set_to_json(route.base_codomain),
-        "matrix": route.matrix.astype(int).tolist(),
-    }
-
-
-def cp_relation_from_json(data: dict) -> CPRelation:
-    return CPRelation(
-        index_set_from_json(data["base_domain"]),
-        index_set_from_json(data["base_codomain"]),
-        np.array(data["matrix"], dtype=bool),
-    )

@@ -33,7 +33,6 @@ from .routed_maps import (
     _require_proper,
     compose,
     follows,
-    matrix_to_json,
 )
 from .routed_maps import dagger as dagger_cpm
 from .routed_maps import tensor_map as tensor_cpm
@@ -296,12 +295,3 @@ def discard(space: PartitionedSpace, tolerance: float = DEFAULT_TOLERANCE) -> Ro
         codomain,
         tolerance,
     )
-
-
-def routed_cpm_to_json(channel: RoutedCPM, domain_name: str, codomain_name: str) -> dict:
-    return {
-        "route": rel.cp_relation_to_json(channel.route),
-        "kraus": [matrix_to_json(k) for k in channel.kraus],
-        "domain": domain_name,
-        "codomain": codomain_name,
-    }

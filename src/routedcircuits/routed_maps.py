@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, TypeVar
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .relations import Relation
-from .spaces import PartitionedSpace, subset_projector, tensor, tensor_many, tensor_matrix
+from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -256,18 +255,6 @@ def tensor_map(left: Routed, right: Routed) -> Routed:
     )
 
 
-def tensor_maps_flat(maps: list[RoutedMap]) -> RoutedMap:
-    """Left-fold tensor with labels flattened to one component per factor."""
-    if not maps:
-        return RoutedMap.identity(PartitionedSpace.trivial())
-    acc = reduce(RoutedMap.tensor, maps)
-    if len(maps) == 1:
-        return acc
-    return acc.relabel(
-        tensor_many([m.domain for m in maps]), tensor_many([m.codomain for m in maps])
-    )
-
-
 def dagger(op: Routed) -> Routed:
     """Adjoint: every operator conjugate-transposed, with the transposed route."""
     return op.from_stack(
@@ -331,20 +318,3 @@ def _require_proper(first: Relation, second: Relation, kind: str, both_sides: bo
             side="output",
             witness=outputs,
         )
-
-
-def routed_map_to_json(routed: RoutedMap, domain_name: str, codomain_name: str) -> dict:
-    return {
-        "route": rel.relation_to_json(routed.route),
-        "domain": domain_name,
-        "codomain": codomain_name,
-        "matrix": matrix_to_json(routed.matrix),
-    }
-
-
-def matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class PartitionedSpace:
         pos = self.sector_labels.position(label)
         return SectorRange(label, self.sector_offsets[pos], self.sector_dims[pos])
 
-    def sector_ranges(self) -> list[SectorRange]:
-        return [
-            SectorRange(label, offset, dim)
-            for label, offset, dim in zip(self.sector_labels, self.sector_offsets, self.sector_dims)
-        ]
-
     def sector_slice(self, label: Label) -> slice:
         r = self.sector_range(label)
         return slice(r.offset, r.offset + r.dim)
@@ -119,26 +113,6 @@ def subset_projector(space: PartitionedSpace, labels: Iterable[Label]) -> np.nda
     return np.diag(np.isin(space.sector_index, positions)).astype(complex)
 
 
-def operator_partition_projector(
-    space: PartitionedSpace, row_label: Label, col_label: Label
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The superoperator ``rho -> P_row @ rho @ P_col``.
-
-    Over all label pairs these tile the operator space into blocks that are
-    orthogonal under the Hilbert-Schmidt inner product and sum to the
-    identity map.
-    """
-    rows = space.sector_slice(row_label)
-    cols = space.sector_slice(col_label)
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho, dtype=complex)
-        out[rows, cols] = rho[rows, cols]
-        return out
-
-    return apply
-
-
 # -- tensor products ---------------------------------------------------
 
 
@@ -149,11 +123,7 @@ def tensor(left: PartitionedSpace, right: PartitionedSpace) -> PartitionedSpace:
     projector equals the Kronecker product of the component projectors once
     coordinates are passed through :func:`kron_to_canonical`.
     """
-    labels = left.sector_labels.product(right.sector_labels)
-    dims = tuple(
-        dl * dr for dl in left.sector_dims for dr in right.sector_dims
-    )
-    return PartitionedSpace(labels, dims)
+    return tensor_many((left, right))
 
 
 def kron_to_canonical(*spaces: PartitionedSpace) -> np.ndarray:

@@ -434,3 +434,22 @@ class TestDotExport:
             r'  "" -> "out:c\\d" [label="c\\d (1)"];',
             "}",
         ]
+
+    def test_points_avoid_box_ids(self):
+        """An input point whose name a box id takes gets the first free
+        ``#k`` suffix, so the wire runs from a point of its own into the box."""
+        space = PartitionedSpace.trivial(1)
+        builder = CircuitBuilder("pure").wire("a", space).wire("a#2", space).wire("b", space)
+        builder.box("in:a", ["a"], ["b"], RoutedMap.identity(space))
+        circuit = builder.inputs("a", "a#2").outputs("b", "a#2").build()
+        assert circuit_to_dot(circuit).splitlines()[2:] == [
+            '  "in:a#3" [shape=point, xlabel="a"];',
+            '  "in:a#2" [shape=point, xlabel="a#2"];',
+            '  "out:b" [shape=point, xlabel="b"];',
+            '  "out:a#2" [shape=point, xlabel="a#2"];',
+            r'  "in:a" [shape=box, label="in:a\nroute 1/1"];',
+            '  "in:a#3" -> "in:a" [label="a (1)"];',
+            '  "in:a#2" -> "out:a#2" [label="a#2 (1)"];',
+            '  "in:a" -> "out:b" [label="b (1)"];',
+            "}",
+        ]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -11,7 +13,20 @@ import numpy as np
 import pytest
 
 from routedcircuits.errors import InvariantViolation, ParseError, SchemaError
-from routedcircuits.io import bundled_path, load_bundled, parse, serialize
+from routedcircuits.io import (
+    bundled_path,
+    load_bundled,
+    parse,
+    routed_cpm_from_json,
+    routed_cpm_to_json,
+    routed_map_from_json,
+    routed_map_to_json,
+    serialize,
+)
+from routedcircuits.relations import IndexSet, Relation, full_coherence
+from routedcircuits.routed_cpms import RoutedCPM, lift_pure
+from routedcircuits.routed_maps import RoutedMap
+from routedcircuits.spaces import PartitionedSpace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -121,12 +136,6 @@ class TestParsing:
         assert once == twice
 
     def test_standalone_routed_map_round_trip(self):
-        from routedcircuits.io import routed_map_from_json, routed_cpm_from_json
-        from routedcircuits.routed_maps import RoutedMap, routed_map_to_json
-        from routedcircuits.routed_cpms import lift_pure, routed_cpm_to_json
-        from routedcircuits.relations import Relation
-        from routedcircuits.spaces import PartitionedSpace
-
         space = PartitionedSpace.from_dims([0, 1], [1, 1])
         original = RoutedMap(
             Relation.identity(space.sector_labels),
@@ -142,6 +151,54 @@ class TestParsing:
         assert routed_cpm_from_json(cp_data, registry) == channel
 
 
+class TestRouteRoundTrip:
+    """Routes written by ``io``'s standalone writers and read back by its
+    readers, on maps whose operators are zero, so any route holds."""
+
+    ROUTE = Relation(
+        IndexSet((1, 2, 3, 4)),
+        IndexSet(("a", "b", "c")),
+        np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=bool),
+    )
+    SPACES = {
+        "dom": PartitionedSpace.from_dims((1, 2, 3, 4), (1, 1, 1, 1)),
+        "cod": PartitionedSpace.from_dims(("a", "b", "c"), (1, 1, 1)),
+    }
+
+    def test_relation_round_trip(self):
+        routed = RoutedMap(self.ROUTE, np.zeros((3, 4)), self.SPACES["dom"], self.SPACES["cod"])
+        data = routed_map_to_json(routed, "dom", "cod")
+        assert data["route"]["matrix"][1] == [0, 1, 1]
+        assert routed_map_from_json(data, self.SPACES).route == self.ROUTE
+
+    def test_cp_relation_round_trip(self):
+        route = full_coherence(self.ROUTE)
+        channel = RoutedCPM(route, [np.zeros((3, 4))], self.SPACES["dom"], self.SPACES["cod"])
+        data = routed_cpm_to_json(channel, "dom", "cod")
+        assert routed_cpm_from_json(data, self.SPACES).route == route
+
+    def test_tuple_labels_survive(self):
+        pairs = IndexSet(((0, 0), (0, 1)))
+        space = PartitionedSpace(pairs, (1, 1))
+        data = routed_map_to_json(RoutedMap.identity(space), "pairs", "pairs")
+        assert data["route"]["domain"] == [[0, 0], [0, 1]]
+        assert routed_map_from_json(data, {"pairs": space}).route.domain == pairs
+
+
+def test_only_io_and_cli_know_the_document_format():
+    """The document format lives in ``io`` (and ``cli`` writes its reports):
+    no other module of the package has a public name ending in ``_json``."""
+    package = importlib.import_module("routedcircuits")
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name not in ("io", "cli"):
+            module = importlib.import_module(f"routedcircuits.{info.name}")
+            names = [n for n in vars(module) if n.endswith("_json") and not n.startswith("_")]
+            if names:
+                found[info.name] = names
+    assert found == {}
+
+
 class TestStandaloneLoaders:
     """How ``routed_map_from_json`` and ``routed_cpm_from_json`` report a
     single fault: the SchemaError pointer, or the class and full message
@@ -149,17 +206,10 @@ class TestStandaloneLoaders:
 
     @pytest.fixture
     def space(self):
-        from routedcircuits.spaces import PartitionedSpace
-
         return PartitionedSpace.from_dims([0, 1], [1, 1])
 
     @pytest.fixture(params=["pure", "cpm"])
     def case(self, request, space, monkeypatch):
-        from routedcircuits.io import routed_cpm_from_json, routed_map_from_json
-        from routedcircuits.relations import Relation
-        from routedcircuits.routed_cpms import lift_pure, routed_cpm_to_json
-        from routedcircuits.routed_maps import RoutedMap, routed_map_to_json
-
         monkeypatch.delenv("ROUTED_TOLERANCE", raising=False)
         pure = RoutedMap(
             Relation.identity(space.sector_labels), np.diag([1.0, 1j]), space, space

@@ -647,8 +647,8 @@ class TestCompositionTheorems:
             {**interp_e.morphs, **interp_f3.morphs},
         )
         whole = interpret(both, combined, mode="iso")
-        lifted = rmap.tensor_maps_flat(
-            [interpret(e, interp_e, mode="iso"), interpret(f3, interp_f3, mode="iso")]
+        lifted = rmap.tensor_map(
+            interpret(e, interp_e, mode="iso"), interpret(f3, interp_f3, mode="iso")
         )
         assert np.abs(whole.matrix - lifted.matrix).max() < 1e-9
 
@@ -741,5 +741,21 @@ class TestIsomorphism:
             '  "" [shape=box, label=""];',
             r'  "in:a\"b" -> "" [label="a\"b^{kX~kX}"];',
             r'  "" -> "out:c\\d" [label="c\\d^{kY~kX}"];',
+            "}",
+        ]
+
+    def test_dot_points_avoid_node_ids(self):
+        """A node id that an output point would take leaves the point the
+        suffix ``#2``, so no wire loops from the node to itself."""
+        with open(bundled_path("figure1b.json"), encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["nodes"][0]["id"] = "out:Y"
+        text = iodag_to_dot(parse(json.dumps(data)).payload)
+        assert text.splitlines()[2:] == [
+            '  "in:X" [shape=point, xlabel="X"];',
+            '  "out:Y#2" [shape=point, xlabel="Y"];',
+            '  "out:Y" [shape=box, label="out:Y"];',
+            '  "in:X" -> "out:Y" [label="X^{kX~kX}"];',
+            '  "out:Y" -> "out:Y#2" [label="Y^{kY~kX}"];',
             "}",
         ]

@@ -422,24 +422,6 @@ class TestChannelGate:
             assert coherent == decohered == rel.is_proper_for_isometries(lam, sig)
 
 
-class TestSerialization:
-    def test_relation_round_trip(self):
-        data = rel.relation_to_json(EXAMPLE)
-        assert data["matrix"][1] == [0, 1, 1]
-        assert rel.relation_from_json(data) == EXAMPLE
-
-    def test_cp_relation_round_trip(self):
-        route = rel.full_coherence(EXAMPLE)
-        data = rel.cp_relation_to_json(route)
-        assert rel.cp_relation_from_json(data) == route
-
-    def test_tuple_labels_survive(self):
-        pairs = idx((0, 0), (0, 1))
-        data = rel.index_set_to_json(pairs)
-        assert data == [[0, 0], [0, 1]]
-        assert rel.index_set_from_json(data) == pairs
-
-
 class TestIndexSet:
     def test_rejects_duplicates(self):
         with pytest.raises(InvariantViolation):

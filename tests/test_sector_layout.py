@@ -70,9 +70,6 @@ class TestSectorLayout:
         assert [(r.start, r.stop) for r in bounds(space)] == [
             (space.sector_slice(k).start, space.sector_slice(k).stop) for k in space.sector_labels
         ]
-        assert [(r.offset, r.dim) for r in space.sector_ranges()] == [
-            (o, d) for o, d in zip(space.sector_offsets, space.sector_dims)
-        ]
         index = space.sector_index
         assert index.shape == (space.total_dim,)
         for position, rows in enumerate(bounds(space)):

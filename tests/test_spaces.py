@@ -1,4 +1,4 @@
-"""Partitioned spaces: projectors, tensor products, operator partitions."""
+"""Partitioned spaces: projectors and tensor products."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from routedcircuits.relations import IndexSet
 from routedcircuits.spaces import (
     PartitionedSpace,
     kron_to_canonical,
-    operator_partition_projector,
     projector,
     subset_projector,
     tensor,
@@ -46,10 +45,6 @@ class TestConstruction:
         assert space.sector_dims == (1, 2)
         assert all(type(d) is int for d in space.sector_dims)
 
-    def test_sector_ranges_contiguous(self, small):
-        ranges = small.sector_ranges()
-        assert [(r.label, r.offset, r.dim) for r in ranges] == [(0, 0, 1), (1, 1, 2)]
-
     def test_sector_of_coordinate(self, small):
         assert [small.sector_of_coordinate(i) for i in range(3)] == [0, 1, 1]
         with pytest.raises(UnknownLabel):
@@ -71,37 +66,6 @@ class TestProjectors:
 
     def test_subset_projector(self, small):
         assert np.array_equal(np.diagonal(subset_projector(small, [0])).real, [1, 0, 0])
-
-
-class TestOperatorPartition:
-    def test_blocks_tile_any_matrix(self, small, rng):
-        rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        total = np.zeros_like(rho)
-        for k in small.sector_labels:
-            for l in small.sector_labels:
-                total = total + operator_partition_projector(small, k, l)(rho)
-        assert np.allclose(total, rho)
-
-    def test_block_extraction(self, small, rng):
-        rho = rng.standard_normal((3, 3))
-        block = operator_partition_projector(small, 1, 0)(rho)
-        assert np.allclose(block[1:, :1], rho[1:, :1])
-        block[1:, :1] = 0
-        assert np.allclose(block, 0)
-
-    def test_composition_orthogonality(self, small, rng):
-        rho = rng.standard_normal((3, 3)) + 0j
-        p01 = operator_partition_projector(small, 0, 1)
-        p10 = operator_partition_projector(small, 1, 0)
-        assert np.allclose(p01(p10(rho)), 0)
-        assert np.allclose(p01(p01(rho)), p01(rho))
-
-    def test_hilbert_schmidt_orthogonality(self, small, rng):
-        rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a = operator_partition_projector(small, 0, 1)(rho)
-        b = operator_partition_projector(small, 1, 1)(sigma)
-        assert abs(np.trace(a.conj().T @ b)) < 1e-12
 
 
 class TestTensor:
