@@ -184,6 +184,18 @@ class TestRouteRoundTrip:
         assert data["route"]["domain"] == [[0, 0], [0, 1]]
         assert routed_map_from_json(data, {"pairs": space}).route.domain == pairs
 
+    def test_kraus_stack_round_trip(self):
+        space = self.SPACES["dom"]
+        stack = np.array([0.6 * np.diag([1, 1j, -1, -0.0]), 0.8 * np.diag([-1j, 1, 1j, 1])])
+        route = full_coherence(Relation.identity(space.sector_labels))
+        channel = RoutedCPM(route, stack, space, space)
+        data = routed_cpm_to_json(channel, "dom", "dom")
+        assert np.array(data["kraus"]).shape == (2, 4, 4, 2)
+        back = routed_cpm_from_json(data, self.SPACES)
+        assert back == channel
+        assert np.array_equal(back.kraus_stack, channel.kraus_stack)
+        assert np.signbit(back.kraus_stack[0, 3, 3].real)
+
 
 def test_only_io_and_cli_know_the_document_format():
     """The document format lives in ``io`` (and ``cli`` writes its reports):

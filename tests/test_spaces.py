@@ -45,6 +45,10 @@ class TestConstruction:
         assert space.sector_dims == (1, 2)
         assert all(type(d) is int for d in space.sector_dims)
 
+    def test_sector_ranges_contiguous(self, small):
+        ranges = [small.sector_range(k) for k in small.sector_labels]
+        assert [(r.label, r.offset, r.dim) for r in ranges] == [(0, 0, 1), (1, 1, 2)]
+
     def test_sector_of_coordinate(self, small):
         assert [small.sector_of_coordinate(i) for i in range(3)] == [0, 1, 1]
         with pytest.raises(UnknownLabel):
