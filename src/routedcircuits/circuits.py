@@ -587,7 +587,7 @@ class _Program(NamedTuple):
     plan: Union[_Plan, _Contraction]
     shape: tuple  # the result's
     gathers: tuple = ()  # operators: per box, None or its index into its wires' Kronecker bases
-    take: tuple = ()  # operators: the (Kraus index, entry) gather into the result's order
+    take: np.ndarray | None = None  # operators: each entry's offset into the plan's last slot
     pins: tuple = ()  # insertion: per table, its axis order (slice axes first) and candidates
 
 
@@ -682,8 +682,13 @@ def _network_program(
     kraus = kraus.reshape([sizes[x] for x in plan.batch])
     order = kraus.transpose([plan.batch.index(x) for x in sorted(plan.batch, reverse=True)])
     entry = np.argsort(to_kron(targets))[:, None] + count_out * np.argsort(to_kron(sources))
-    take = _read_only(order.reshape(-1, 1)), _read_only(entry.reshape(1, -1))
-    return program._replace(shape=(kraus.size, count_out, count_in), gathers=gathers, take=take)
+    # that gather as flat offsets into the plan's last slot, which it then hands over untransposed
+    axes = [kraus.size] * bool(plan.batch) + [sizes[x] for x in keep]
+    last = np.arange(math.prod(axes)).reshape([axes[i] for i in np.argsort(plan.result)])
+    take = last.transpose(plan.result).reshape(kraus.size, -1)[order.reshape(-1, 1), entry.ravel()]
+    take = _read_only(take.reshape(kraus.size, count_out, count_in))
+    plan = plan._replace(result=tuple(range(len(axes))))
+    return program._replace(plan=plan, shape=take.shape, gathers=gathers, take=take)
 
 
 def _insertion_program(routes: _Program, targets: tuple) -> _Program:
@@ -746,6 +751,18 @@ def _contracted_route(
     return _run_routes(circuit, program, box_ids, copies)
 
 
+def _operator_tables(circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str]) -> list:
+    """The tables of an operator program: each box's Kraus stack in its
+    wires' Kronecker bases, read in its shape, then the identities."""
+    tables = []
+    for box_id, gather, shape in zip(box_ids, program.gathers, program.shapes):
+        stack = circuit.boxes[box_id].op.kraus_stack
+        if gather is not None:
+            stack = stack[gather]
+        tables.append(stack.transpose(0, 2, 1).reshape(shape))
+    return tables + list(program.fixed)
+
+
 def _contracted_operators(
     circuit: RoutedCircuit,
     sources: Sequence[str],
@@ -758,20 +775,16 @@ def _contracted_operators(
     A box's table is its operators with an axis per wire in that wire's
     own basis (they leave the canonical basis of its interfaces through
     :func:`kron_to_canonical`, the identity on one wire) and one per Kraus
-    index.  One gather of whole operators and of entries takes the result
-    (the sources' axes, then the targets') to the canonical bases and the
-    Kraus order of composing the boxes one at a time, the last box's
-    index outermost, whatever order the plan contracts them in.
+    index.  One gather through the program's compiled index takes the
+    last product to the canonical bases and the Kraus order of composing
+    the boxes one at a time, the last box's index outermost, whatever order
+    the plan contracts them in.  The result is read-only and owns its data,
+    so a routed CP map keeps it without a copy.
     """
     program = _program(circuit, "operators", sources, box_ids, targets)
-    tables = []
-    for box_id, gather, shape in zip(box_ids, program.gathers, program.shapes):
-        stack = circuit.boxes[box_id].op.kraus_stack
-        if gather is not None:
-            stack = stack[gather]
-        tables.append(stack.transpose(0, 2, 1).reshape(shape))
-    result = _run_contraction(program.plan, tables + list(program.fixed))
-    return result.reshape(program.shape[0], -1)[program.take].reshape(program.shape)
+    result = _run_contraction(program.plan, _operator_tables(circuit, program, box_ids))
+    # an index, unlike np.take, reads the read-only offsets without a copy
+    return _read_only(result.reshape(-1)[program.take])
 
 
 def _contracted(

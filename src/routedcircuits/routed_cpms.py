@@ -42,11 +42,11 @@ from .spaces import PartitionedSpace, subset_projector
 def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
     """The operators as one ``(count, d_out, d_in)`` complex array.
 
-    Without ``copy``, a stacked complex array comes back as it is.
+    Without ``copy``, a stacked complex array comes back as it is; with
+    it, the operators are copied into a new array in C order.
     """
-    convert = np.array if copy else np.asarray
     try:
-        stack = convert(kraus, dtype=complex)
+        stack = np.array(kraus, dtype=complex, order="C") if copy else np.asarray(kraus, complex)
     except ValueError:
         raise ShapeMismatch("Kraus operators must all have the same shape") from None
     if not len(stack):
@@ -92,7 +92,8 @@ def _choi_block_bound(
     output sector ``l``, the bound is the largest ``top[k, l] *
     top[k', l']`` over the forbidden ``(k, k', l, l')``.
     """
-    norms = np.linalg.norm(stack, axis=0)  # per (out, in) coordinate
+    # per (out, in) coordinate, from views of the stack: no copy of it is made
+    norms = np.sqrt(sum(np.einsum("koi,koi->oi", part, part) for part in (stack.real, stack.imag)))
     top = np.maximum.reduceat(norms, codomain.sector_offsets, axis=0)
     top = np.maximum.reduceat(top, domain.sector_offsets, axis=1).T
     pairs = top[:, None, :, None] * top[None, :, None, :]
@@ -146,7 +147,9 @@ class RoutedCPM:
 
     ``kraus`` may be given as a sequence of operators or as one stacked
     array; it is kept as a tuple of read-only views into ``kraus_stack``,
-    the operators stacked along a leading axis.
+    the operators stacked along a leading axis.  A stacked array that is
+    complex, C-contiguous, read-only and owns its data becomes
+    ``kraus_stack`` as it is; anything else is copied.
     """
 
     route: CPRelation
@@ -158,7 +161,10 @@ class RoutedCPM:
     _kind, _route_prefix = "channels", "cp_"
 
     def __post_init__(self):
-        stack = _stacked(self.kraus, copy=True)
+        given = self.kraus
+        kept = isinstance(given, np.ndarray) and given.dtype == complex and given.base is None
+        kept = kept and given.flags.c_contiguous and not given.flags.writeable
+        stack = _stacked(given, copy=not kept)
         stack.setflags(write=False)
         object.__setattr__(self, "kraus_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))

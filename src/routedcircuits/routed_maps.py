@@ -123,7 +123,7 @@ class RoutedMap:
     _kind, _route_prefix = "maps", ""
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = np.array(self.matrix, dtype=complex, order="C")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2:
