@@ -75,8 +75,72 @@ class Slice:
         object.__setattr__(self, "wires", wires)
 
 
+class _WireGraph:
+    """What a circuit and an indexed graph share: an open DAG of wires, whose
+    ends and Kahn layers :func:`_wire_graph` checks and derives once."""
+
+    def producer_of(self, wire: str) -> str | None:
+        """Node producing a wire, or None at the input boundary."""
+        return self._producers.get(wire)
+
+    def consumer_of(self, wire: str) -> str | None:
+        """Node consuming a wire, or None at the output boundary."""
+        return self._consumers.get(wire)
+
+
+def _wire_graph(
+    inputs: Sequence[str], outputs: Sequence[str], nodes: Mapping, wires: Iterable[str]
+) -> tuple[dict, dict, tuple]:
+    """Check an open DAG of wires; return its wire-to-producer and
+    wire-to-consumer maps (None at the boundary) and its Kahn layers (see
+    :func:`_kahn_layers`) as tuples.
+
+    ``nodes`` maps ids to objects with ``inputs`` and ``outputs`` wire
+    tuples, and ``wires`` holds the declared wire ids.  Every declared wire
+    has one producer, a node or the input boundary, and one consumer, a
+    node or the output boundary; it may run from one boundary to the other.
+    """
+    wires = dict.fromkeys(wires)  # in their order, for the first missing end
+    ends: tuple[dict, dict] = ({}, {})  # producers, consumers
+
+    def name(side: int, node: str | None) -> str:
+        return f"the {('input', 'output')[side]} boundary" if node is None else f"node {node!r}"
+
+    def claim(side: int, wire: str, node: str | None) -> None:
+        if wire not in wires:
+            raise InvariantViolation(f"{name(side, node)} uses undeclared wire {wire!r}")
+        if wire in ends[side]:
+            first, second = name(side, ends[side][wire]), name(side, node)
+            twice = f"is listed twice by {first}" if first == second else (
+                f"has two {('producers', 'consumers')[side]}: {first} and {second}"
+            )
+            raise InvariantViolation(f"wire {wire!r} {twice}")
+        ends[side][wire] = node
+
+    for side, boundary in enumerate((inputs, outputs)):
+        for wire in boundary:
+            claim(side, wire, None)
+    for node_id, node in nodes.items():
+        for side, touched in enumerate((node.outputs, node.inputs)):
+            for wire in touched:
+                claim(side, wire, node_id)
+    for side, end in enumerate(("producer", "consumer")):
+        for wire in wires:
+            if wire not in ends[side]:
+                raise InvariantViolation(f"wire {wire!r} has no {end}")
+    layers = tuple(map(tuple, _kahn_layers(inputs, nodes)))
+    stuck = sorted(set(nodes).difference(*layers))
+    if stuck:
+        waiting = sorted(w for w, node in ends[1].items() if node in stuck and ends[0][w] in stuck)
+        raise InvariantViolation(
+            f"the graph has a cycle: nodes {', '.join(map(repr, stuck))} wait on wires "
+            f"{', '.join(map(repr, waiting))}, which only they produce"
+        )
+    return *ends, layers
+
+
 @dataclass(frozen=True)
-class RoutedCircuit:
+class RoutedCircuit(_WireGraph):
     """An immutable routed circuit; see :class:`CircuitBuilder` for assembly."""
 
     wires: Mapping[str, PartitionedSpace]
@@ -102,16 +166,6 @@ class RoutedCircuit:
         wires, boxes = dict(self.wires), dict(self.boxes)
         return type(self), (wires, boxes, self.input_wires, self.output_wires, self.mode)
 
-    # -- graph helpers -------------------------------------------------
-
-    def producer_of(self, wire: str) -> str | None:
-        """Box producing a wire, or None for circuit inputs."""
-        return self._producers.get(wire)
-
-    def consumer_of(self, wire: str) -> str | None:
-        """Box consuming a wire, or None for circuit outputs."""
-        return self._consumers.get(wire)
-
     def wire_ancestors(self, wire: str) -> set[str]:
         """All wires strictly upstream of ``wire``."""
         seen: set[str] = set()
@@ -130,8 +184,8 @@ class RoutedCircuit:
 
 def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type, tuple]:
     """Check the circuit; return its wire-to-producer and wire-to-consumer
-    maps (None at the circuit boundary), the class of its box maps and its
-    Kahn layers (see :func:`_kahn_layers`) as tuples."""
+    maps, the class of its box maps and its layers (see
+    :func:`_wire_graph`)."""
     if circuit.mode not in ("pure", "cpm"):
         raise InvariantViolation(f"unknown circuit mode {circuit.mode!r}")
     expected_type = RoutedMap if circuit.mode == "pure" else RoutedCPM
@@ -141,42 +195,8 @@ def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type, tuple]:
                 f"box {box_id!r} holds a {type(box.op).__name__}, but the circuit "
                 f"mode is {circuit.mode!r}"
             )
-
-    producers: dict[str, str | None] = {}
-    consumers: dict[str, str | None] = {}
-    for wire in circuit.input_wires:
-        if wire in producers:
-            raise InvariantViolation(f"wire {wire!r} listed as input twice")
-        producers[wire] = None
-    for wire in circuit.output_wires:
-        if wire in consumers:
-            raise InvariantViolation(f"wire {wire!r} listed as output twice")
-        consumers[wire] = None
-    for box_id, box in circuit.boxes.items():
-        for wire in box.outputs:
-            if wire in producers:
-                raise InvariantViolation(
-                    f"wire {wire!r} has two producers ({producers[wire] or '<input>'}, {box_id})"
-                )
-            producers[wire] = box_id
-        for wire in box.inputs:
-            if wire in consumers:
-                raise InvariantViolation(
-                    f"wire {wire!r} has two consumers ({consumers[wire] or '<output>'}, {box_id})"
-                )
-            consumers[wire] = box_id
-    for wire in circuit.wires:
-        if wire not in producers:
-            raise InvariantViolation(f"wire {wire!r} has no producer")
-        if wire not in consumers:
-            raise InvariantViolation(f"wire {wire!r} has no consumer")
-    for wire in itertools.chain(producers, consumers):
-        if wire not in circuit.wires:
-            raise InvariantViolation(f"wire {wire!r} has no declared space")
-
-    layers = tuple(map(tuple, _kahn_layers(circuit.input_wires, circuit.boxes)))
-    if sum(map(len, layers)) != len(circuit.boxes):
-        raise InvariantViolation("circuit graph contains a cycle")
+    graph = circuit.input_wires, circuit.output_wires, circuit.boxes, circuit.wires
+    producers, consumers, layers = _wire_graph(*graph)
 
     # box typing against the tensor of its wires' spaces
     for box_id, box in circuit.boxes.items():
@@ -313,15 +333,15 @@ def _foliation_layers(
         return circuit._layers
     if sorted(box_order) != sorted(circuit.boxes):
         raise InvariantViolation("box_order must enumerate every box exactly once")
-    available = set(circuit.input_wires)
+    fired = {None}  # the input boundary
     for box_id in box_order:
-        box = circuit.boxes[box_id]
-        if not set(box.inputs) <= available:
-            raise InvariantViolation(
-                f"box_order is not topological: {box_id!r} fires before its inputs"
-            )
-        available |= set(box.outputs)
-        available -= set(box.inputs)
+        for wire in circuit.boxes[box_id].inputs:
+            if circuit.producer_of(wire) not in fired:
+                raise InvariantViolation(
+                    f"box_order is not topological: {box_id!r} fires before "
+                    f"{circuit.producer_of(wire)!r}, which produces its input {wire!r}"
+                )
+        fired.add(box_id)
     return [[box_id] for box_id in box_order]
 
 

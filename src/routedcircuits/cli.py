@@ -53,8 +53,6 @@ def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
             {**_interface_json(check), "passed": check.passed} for check in report.interfaces
         ]
         payload = {
-            "command": "validate",
-            "file": os.path.basename(args.file),
             "kind": "circuit",
             "mode": mode,
             "passed": report.passed,
@@ -67,8 +65,6 @@ def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
         raise SchemaError("mode 'channel' does not apply to an indexed graph")
     report = lint(doc.payload, mode)
     payload = {
-        "command": "validate",
-        "file": os.path.basename(args.file),
         "kind": "iodag",
         "mode": mode,
         "passed": report.passed,
@@ -105,8 +101,6 @@ def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
             raise SchemaError("document has no interpretation to evaluate")
         meaning = interpret(doc.payload, doc.interpretation, mode=args.iodag_mode)
         payload = {
-            "command": "eval",
-            "file": os.path.basename(args.file),
             "kind": "iodag",
             "result": _matrix_summary(meaning.matrix),
             "practical_isometry": is_practical_isometry(meaning),
@@ -116,8 +110,6 @@ def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
     result = evaluate(doc.payload)
     if doc.payload.mode == "pure":
         payload = {
-            "command": "eval",
-            "file": os.path.basename(args.file),
             "kind": "circuit",
             "mode": "pure",
             "result": _matrix_summary(result.matrix),
@@ -126,8 +118,6 @@ def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
         }
     else:
         payload = {
-            "command": "eval",
-            "file": os.path.basename(args.file),
             "kind": "circuit",
             "mode": "cpm",
             "kraus_count": len(result.kraus),
@@ -148,8 +138,6 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
     recipe = accessible_space(doc.payload, cut, algorithm="recipe")
     oracle = accessible_space(doc.payload, cut, algorithm="insertion")
     payload = {
-        "command": "accessible",
-        "file": os.path.basename(args.file),
         "slice": list(wires),
         "accessible": [[label_to_json(l) for l in t] for t in recipe.tuples],
         "sector_dims": list(recipe.sector_dims),
@@ -165,8 +153,6 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
         report = check_circuit(doc.payload, mode)
         failures = [_interface_json(check) for check in report.interfaces if not check.passed]
         payload = {
-            "command": "explain",
-            "file": os.path.basename(args.file),
             "kind": "circuit",
             "mode": mode,
             "witnesses": failures,
@@ -186,12 +172,7 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
                     "pair": list(witness.pair),
                 }
             )
-    payload = {
-        "command": "explain",
-        "file": os.path.basename(args.file),
-        "kind": "iodag",
-        "witnesses": witnesses,
-    }
+    payload = {"kind": "iodag", "witnesses": witnesses}
     return (0 if not witnesses else 1), payload
 
 
@@ -199,12 +180,7 @@ def _cmd_export_dot(doc: CircuitDocument, args) -> tuple[int, dict]:
     text = circuit_to_dot(doc.payload) if doc.kind == "circuit" else iodag_to_dot(doc.payload)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
-    return 0, {
-        "command": "export-dot",
-        "file": os.path.basename(args.file),
-        "output": args.output,
-        "bytes": len(text),
-    }
+    return 0, {"output": args.output, "bytes": len(text)}
 
 
 # -- rendering ------------------------------------------------------------------
@@ -301,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except RoutedError as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 1
+    payload = {"command": args.command, "file": os.path.basename(args.file), **payload}
     if args.human:
         sys.stdout.write(_render_human(payload))
     else:

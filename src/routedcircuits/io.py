@@ -86,6 +86,14 @@ def _ids(data, key: str, location: str, what: str = "wire") -> list:
     return ids
 
 
+def _new_id(data, key: str, taken, location: str) -> str:
+    """The string under ``key``, which no earlier entry of its list took."""
+    value = _expect(data, key, str, location)
+    if value in taken:
+        raise SchemaError(f"repeated {key} {value!r}", f"{location}/{key}")
+    return value
+
+
 #: the types a JSON number decodes to; true and false decode to bool
 _NUMBERS = frozenset({int, float})
 
@@ -235,7 +243,7 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
         spaces[name] = _space_from_json(sectors, f"/spaces/{name}/sectors")
     wires: dict[str, PartitionedSpace] = {}
     for i, wire_data in enumerate(_expect(data, "wires", list, "")):
-        wire_id = _expect(wire_data, "id", str, f"/wires/{i}")
+        wire_id = _new_id(wire_data, "id", wires, f"/wires/{i}")
         space_name = _expect(wire_data, "space", str, f"/wires/{i}")
         if space_name not in spaces:
             raise SchemaError(f"unknown space {space_name!r}", f"/wires/{i}/space")
@@ -243,7 +251,7 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
     boxes: dict[str, Box] = {}
     for i, box_data in enumerate(_expect(data, "boxes", list, "")):
         location = f"/boxes/{i}"
-        box_id = _expect(box_data, "id", str, location)
+        box_id = _new_id(box_data, "id", boxes, location)
         inputs = _ids(box_data, "inputs", location)
         outputs = _ids(box_data, "outputs", location)
         for wire_id in list(inputs) + list(outputs):
@@ -309,7 +317,7 @@ def _iodag_from_json(data: dict) -> IODAG:
     edges = _ids(data, "edges", "")
     nodes: dict[str, IONode] = {}
     for i, node_data in enumerate(_expect(data, "nodes", list, "")):
-        node_id = _expect(node_data, "id", str, f"/nodes/{i}")
+        node_id = _new_id(node_data, "id", nodes, f"/nodes/{i}")
         nodes[node_id] = IONode(
             _ids(node_data, "in", f"/nodes/{i}"),
             _ids(node_data, "out", f"/nodes/{i}"),
@@ -317,7 +325,7 @@ def _iodag_from_json(data: dict) -> IODAG:
     placement: dict[str, str] = {}
     class_tags: dict[str, str] = {}
     for i, index_data in enumerate(_expect(data, "indices", list, "")):
-        name = _expect(index_data, "name", str, f"/indices/{i}")
+        name = _new_id(index_data, "name", placement, f"/indices/{i}")
         placement[name] = _expect(index_data, "wire", str, f"/indices/{i}")
         class_tags[name] = _expect(index_data, "class", str, f"/indices/{i}")
     blocks: dict[str, list[str]] = {}

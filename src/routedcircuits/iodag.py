@@ -23,7 +23,7 @@ import numpy as np
 
 from . import relations as rel
 from . import routed_maps as rmap
-from .circuits import CircuitBuilder, _kahn_layers, _walk, evaluate
+from .circuits import CircuitBuilder, _WireGraph, _walk, _wire_graph, evaluate
 from .circuits import _dot_graph, _dot_quoted
 from .errors import (
     IncompatibleRestrictions,
@@ -416,7 +416,7 @@ class IONode:
 
 
 @dataclass(frozen=True, eq=False)
-class IODAG:
+class IODAG(_WireGraph):
     """An indexed open DAG: wires, nodes, index placements, matched classes.
 
     Every index name sits on exactly one wire; the equivalence relation over
@@ -440,9 +440,10 @@ class IODAG:
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
         object.__setattr__(self, "placement", MappingProxyType(dict(self.placement)))
         object.__setattr__(self, "empty_nodes", frozenset(self.empty_nodes))
-        producers, consumers = _validate_iodag(self)
+        producers, consumers, layers = _validate_iodag(self)
         object.__setattr__(self, "_producers", producers)
         object.__setattr__(self, "_consumers", consumers)
+        object.__setattr__(self, "_layers", layers)
 
     # -- lookups --------------------------------------------------------
 
@@ -467,12 +468,6 @@ class IODAG:
     def output_index_names(self) -> tuple[str, ...]:
         return tuple(n for wire in self.outputs for n in self.indices_on(wire))
 
-    def producer_of(self, wire: str) -> str | None:
-        return self._producers.get(wire)
-
-    def consumer_of(self, wire: str) -> str | None:
-        return self._consumers.get(wire)
-
     def __eq__(self, other) -> bool:
         """Structural equality on the nose; see :func:`iodag_isomorphic`."""
         return (
@@ -493,48 +488,17 @@ class IODAG:
         )
 
 
-def _validate_iodag(g: IODAG) -> tuple[dict, dict]:
-    """Check the graph; return its wire-to-producer and wire-to-consumer maps."""
-    wire_list = list(g.inputs) + list(g.inner_edges) + list(g.outputs)
-    if len(set(wire_list)) != len(wire_list):
-        raise InvariantViolation("wire ids are not pairwise distinct")
-    wires = set(wire_list)
-    consumers: dict[str, str] = {}
-    producers: dict[str, str] = {}
-    for node_id, node in g.nodes.items():
-        for wire in node.inputs:
-            if wire in consumers:
-                raise InvariantViolation(
-                    f"wire {wire!r} consumed twice ({consumers[wire]}, {node_id})"
-                )
-            consumers[wire] = node_id
-        for wire in node.outputs:
-            if wire in producers:
-                raise InvariantViolation(
-                    f"wire {wire!r} produced twice ({producers[wire]}, {node_id})"
-                )
-            producers[wire] = node_id
-        for wire in node.inputs + node.outputs:
-            if wire not in wires:
-                raise InvariantViolation(f"node {node_id!r} uses undeclared wire {wire!r}")
-    for wire in list(g.inputs) + list(g.inner_edges):
-        if wire not in consumers:
-            raise InvariantViolation(f"wire {wire!r} enters no node")
-    for wire in list(g.inner_edges) + list(g.outputs):
-        if wire not in producers:
-            raise InvariantViolation(f"wire {wire!r} leaves no node")
-    for wire in g.inputs:
-        if wire in producers:
-            raise InvariantViolation(f"input wire {wire!r} is produced by {producers[wire]!r}")
-    for wire in g.outputs:
-        if wire in consumers:
-            raise InvariantViolation(f"output wire {wire!r} is consumed by {consumers[wire]!r}")
-
-    if sum(map(len, _kahn_layers(g.inputs, g.nodes))) != len(g.nodes):
-        raise InvariantViolation("indexed graph contains a cycle")
-
+def _validate_iodag(g: IODAG) -> tuple[dict, dict, tuple]:
+    """Check the graph; return its wire ends and layers (see
+    :func:`circuits._wire_graph`).  Its wire ids are pairwise distinct, so
+    no wire runs from the input boundary straight to the output."""
+    wire_ids = g.wire_ids
+    if len(set(wire_ids)) != len(wire_ids):
+        twice = next(w for i, w in enumerate(wire_ids) if w in wire_ids[:i])
+        raise InvariantViolation(f"wire {twice!r} is listed twice among the graph's wires")
+    producers, consumers, layers = _wire_graph(g.inputs, g.outputs, g.nodes, wire_ids)
     for name, wire in g.placement.items():
-        if wire not in wires:
+        if wire not in producers:
             raise InvariantViolation(f"index {name!r} placed on unknown wire {wire!r}")
     if g.equivalence.universe != set(g.placement):
         raise InvariantViolation("equivalence universe differs from the placed index names")
@@ -551,7 +515,7 @@ def _validate_iodag(g: IODAG) -> tuple[dict, dict]:
             raise InvariantViolation(
                 f"empty node {node_id!r} has no index bijection between its wires"
             )
-    return producers, consumers
+    return producers, consumers, layers
 
 
 def _empty_node_pairing(g: IODAG, node_id: str) -> list[tuple[str, str]] | None:
@@ -902,7 +866,7 @@ def _layer_corelations(
     earlier layer) and its downstream fold (the upstream fold followed by
     the layer)."""
     downstream = preprocessing(g, lengths)
-    for step in _walk(g.inputs, g.nodes, _kahn_layers(g.inputs, g.nodes)):
+    for step in _walk(g.inputs, g.nodes, g._layers):
         parts = [node_corelation(g, n, lengths) for n in step.layer]
         parts += [
             Corelation.identity(_family(g, g.indices_on(wire), lengths))

@@ -146,14 +146,14 @@ class RoutedCPM:
     """A CP map (as a Kraus list) together with the coherence route it follows.
 
     ``kraus`` may be given as a sequence of operators or as one stacked
-    array; it is kept as a tuple of read-only views into ``kraus_stack``,
-    the operators stacked along a leading axis.  A stacked array that is
-    complex, C-contiguous, read-only and owns its data becomes
-    ``kraus_stack`` as it is; anything else is copied.
+    array; it is kept as ``kraus_stack`` itself, the operators stacked
+    read-only along a leading axis.  A stacked array that is complex,
+    C-contiguous, read-only and owns its data is kept as it is; anything
+    else is copied.
     """
 
     route: CPRelation
-    kraus: tuple[np.ndarray, ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
     domain: PartitionedSpace
     codomain: PartitionedSpace
     tolerance: float = DEFAULT_TOLERANCE
@@ -167,7 +167,7 @@ class RoutedCPM:
         stack = _stacked(given, copy=not kept)
         stack.setflags(write=False)
         object.__setattr__(self, "kraus_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "kraus", stack)
         _check_numbers(self.tolerance, (stack,), "Kraus operators")
         _check_typing(stack, self.route, self.domain, self.codomain)
         # half the tolerance leaves room for rounding in the bound

@@ -222,12 +222,16 @@ def _require_composable(second: Routed, first: Routed) -> None:
 
 def compose(second: Routed, first: Routed) -> Routed:
     """Pairwise sequential composition: the routes compose and the operators
-    multiply pairwise, ``second``'s operator index outermost."""
+    multiply pairwise, ``second``'s operator index outermost, straight into
+    a read-only stack that a routed CP map keeps without a copy."""
     _require_composable(second, first)
-    kraus = second.kraus_stack[:, None] @ first.kraus_stack[None]
+    a, b = second.kraus_stack, first.kraus_stack
+    kraus = np.empty((len(a) * len(b), a.shape[1], b.shape[2]), dtype=complex)
+    np.matmul(a[:, None], b[None], out=kraus.reshape(len(a), len(b), *kraus.shape[1:]))
+    kraus.setflags(write=False)
     return first.from_stack(
         _routes(first, "compose")(second.route, first.route),
-        kraus.reshape(-1, *kraus.shape[2:]),
+        kraus,
         first.domain,
         second.codomain,
         max(first.tolerance, second.tolerance),

@@ -691,3 +691,42 @@ class TestMalformedFields:
             payload = json.loads(result.stdout)
             assert payload["kind"] == "SchemaError"
             assert location in payload["error"]
+
+
+def _repeated_id(name: str, key: str, field: str) -> tuple[dict, str]:
+    """The bundled document with its first ``key`` entry repeated at the end
+    (an index moved to wire X), and the pointer of the repeated id."""
+    data = _bundled_json(name)
+    first = data[key][0]
+    data[key].append({**first, "wire": "X"} if key == "indices" else first)
+    return data, f"/{key}/{len(data[key]) - 1}/{field}"
+
+
+class TestRepeatedIds:
+    """A list entry with the id of an earlier one is a schema error at its
+    pointer: the later entry replaced the earlier before."""
+
+    CASES = [
+        ("two_trajectories.json", "wires", "id"),
+        ("two_trajectories.json", "boxes", "id"),
+        ("iodag_e.json", "nodes", "id"),
+        ("iodag_e.json", "indices", "name"),
+    ]
+
+    @pytest.mark.parametrize("name, key, field", CASES)
+    def test_parse(self, name, key, field):
+        data, pointer = _repeated_id(name, key, field)
+        with pytest.raises(SchemaError, match="repeated") as err:
+            parse(json.dumps(data))
+        assert err.value.location == pointer
+
+    @pytest.mark.parametrize("name, key, field", CASES)
+    def test_cli_exits_two(self, name, key, field, tmp_path):
+        data, pointer = _repeated_id(name, key, field)
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        result = run_cli("validate", str(path))
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["kind"] == "SchemaError"
+        assert pointer in payload["error"]

@@ -119,7 +119,7 @@ def test_kraus_are_read_only_views_of_a_private_stack():
     copy = RoutedCPM(channel.route, given_stack, channel.domain, channel.codomain)
     given_stack[:] = 0
     assert np.array_equal(copy.kraus_stack, channel.kraus_stack)
-    assert isinstance(copy.kraus, tuple) and len(copy.kraus) == 3
+    assert isinstance(copy.kraus, np.ndarray) and len(copy.kraus) == 3
     for i, k in enumerate(copy.kraus):
         assert np.shares_memory(k, copy.kraus_stack) and not k.flags.writeable
         assert np.array_equal(k, copy.kraus_stack[i])
