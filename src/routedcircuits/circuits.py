@@ -820,10 +820,9 @@ def _contracted(
     so checked against its route, once; forbidden weight adds up over the
     boxes, so a rejection names them.
     """
-    pure = circuit.mode == "pure"
+    route_type = Relation if circuit.mode == "pure" else CPRelation
     domain, codomain = (_interface_space(circuit, w) for w in (sources, targets))
-    matrix = _contracted_route(circuit, sources, box_ids, targets, 1 if pure else 2)
-    route_type = Relation if pure else CPRelation
+    matrix = _contracted_route(circuit, sources, box_ids, targets, route_type.copies)
     route = route_type(domain.sector_labels, codomain.sector_labels, matrix)
     stack = _contracted_operators(circuit, sources, box_ids, targets)
     tolerance = max(

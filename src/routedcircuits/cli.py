@@ -178,8 +178,11 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
 
 def _cmd_export_dot(doc: CircuitDocument, args) -> tuple[int, dict]:
     text = circuit_to_dot(doc.payload) if doc.kind == "circuit" else iodag_to_dot(doc.payload)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
     return 0, {"output": args.output, "bytes": len(text)}
 
 

@@ -180,12 +180,11 @@ def _kraus(operators: list, location: str) -> tuple:
     return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
 
 
-#: per mode: the map class, the route class, its keys (also the route's
-#: attribute names) and the depth of its matrix, the operator key (also the
-#: map's attribute name) and the operator reader
+#: per mode: the map class, the route class and its keys (also its attribute
+#: names), the operator key (also the map's attribute name), the operator reader
 _MAP_FORMS = {
-    "pure": (RoutedMap, Relation, ("domain", "codomain"), 2, "matrix", _matrix),
-    "cpm": (RoutedCPM, CPRelation, ("base_domain", "base_codomain"), 4, "kraus", _kraus),
+    "pure": (RoutedMap, Relation, ("domain", "codomain"), "matrix", _matrix),
+    "cpm": (RoutedCPM, CPRelation, ("base_domain", "base_codomain"), "kraus", _kraus),
 }
 
 
@@ -194,13 +193,13 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     ('cpm': a coherence route and a Kraus list) between the given spaces.
     Its semantic errors are prefixed with ``location``, or at the top level
     with the operator key."""
-    map_class, route_class, route_keys, depth, operator_key, read_operators = _MAP_FORMS[mode]
+    map_class, route_class, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
     route_data = _expect(data, "route", dict, location)
     at = f"{location}/route"
     for key in (*route_keys, "matrix"):
         _expect(route_data, key, list, at)
     labels = [_label(route_data[key], f"{at}/{key}") for key in route_keys]
-    matrix = _route_matrix(route_data["matrix"], depth, f"{at}/matrix")
+    matrix = _route_matrix(route_data["matrix"], 2 * route_class.copies, f"{at}/matrix")
     with _context(at):
         route = route_class(*map(IndexSet, labels), matrix)
     operators = read_operators(
@@ -213,7 +212,7 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
 def _map_to_json(op, mode: str) -> dict:
     """The document form of a routed map or routed CP map, as
     ``_map_from_json`` reads it in the given mode."""
-    _, _, route_keys, _, operator_key, _ = _MAP_FORMS[mode]
+    _, _, route_keys, operator_key, _ = _MAP_FORMS[mode]
     route = {key: list(map(label_to_json, getattr(op.route, key))) for key in route_keys}
     route["matrix"] = op.route.matrix.astype(int).tolist()
     return {"route": route, operator_key: matrix_to_json(getattr(op, operator_key))}
@@ -374,10 +373,15 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
         with _context(f"/interpretation/lengths/{name}"):
             lengths[name] = _expect(lengths_data, name, int, "/interpretation/lengths")
             IndexFamily({name: lengths[name]})  # rejects a length below 1
+    missing = sorted(set(g.placement) - set(lengths))
+    if missing:
+        raise SchemaError(f"no length for placed index {missing[0]!r}", "/interpretation/lengths")
     spaces: dict[str, PartitionedSpace] = {}
     spaces_data = _expect(data, "spaces", dict, "/interpretation")
     for wire in sorted(spaces_data):
         location = f"/interpretation/spaces/{wire}"
+        if wire not in g.wire_ids:
+            raise SchemaError(f"unknown wire {wire!r}", location)
         sectors = _expect(spaces_data, wire, list, "/interpretation/spaces")
         space = _space_from_json(sectors, location)
         expected = expected_wire_labels(g, wire, lengths)
@@ -392,6 +396,9 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
             raise SchemaError(f"unknown node {node_id!r}", location)
         matrix = _matrix(_expect(morph_data, "matrix", list, location), f"{location}/matrix")
         node = g.nodes[node_id]
+        bare = [w for w in node.inputs + node.outputs if w not in spaces]
+        if bare:
+            raise SchemaError(f"wire {bare[0]!r} of node {node_id!r} has no space", location)
         domain = tensor_many([spaces[w] for w in node.inputs])
         codomain = tensor_many([spaces[w] for w in node.outputs])
         with _context(location):
@@ -419,10 +426,15 @@ class _Constant(str):
     """A NaN or Infinity token met while decoding, kept to locate it."""
 
 
-def _non_finite(data, location: str = ""):
-    """(JSON pointer, token) of the first NaN or Infinity in decoded data."""
+class _Repeated(dict):
+    """A decoded object in which the key ``repeated`` came more than once."""
+
+
+def _fault(data, location: str = ""):
+    """(JSON pointer, message) of the first NaN, Infinity or repeated key in
+    decoded data; a repeated key is met where it first came."""
     if isinstance(data, _Constant):
-        return location, str(data)
+        return location, f"non-finite number {data} is not allowed"
     if isinstance(data, dict):
         items = data.items()
     elif isinstance(data, list):
@@ -430,8 +442,10 @@ def _non_finite(data, location: str = ""):
     else:
         return None
     for key, value in items:
-        pointer = str(key).replace("~", "~0").replace("/", "~1")
-        found = _non_finite(value, f"{location}/{pointer}")
+        pointer = f"{location}/" + str(key).replace("~", "~0").replace("/", "~1")
+        if isinstance(data, _Repeated) and key == data.repeated:
+            return pointer, f"repeated key {key!r}"
+        found = _fault(value, pointer)
         if found is not None:
             return found
     return None
@@ -446,19 +460,27 @@ def parse(text_or_path: str) -> CircuitDocument:
                 text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {text_or_path!r}: {exc}") from None
-    constants: list[str] = []
+    faults: list = []  # one entry per NaN, Infinity or object with a repeated key
 
     def constant(token: str) -> str:
-        constants.append(token)
+        faults.append(token)
         return _Constant(token)
 
+    def mapping(pairs: list) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            data = _Repeated(data)
+            data.repeated = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+            faults.append(data)
+        return data
+
     try:
-        data = json.loads(text, parse_constant=constant)
+        data = json.loads(text, parse_constant=constant, object_pairs_hook=mapping)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    found = _non_finite(data) if constants else None
+    found = _fault(data) if faults else None
     if found is not None:
-        raise SchemaError(f"non-finite number {found[1]} is not allowed", found[0])
+        raise SchemaError(found[1], found[0])
     if not isinstance(data, dict) or not data:
         raise SchemaError("document must be a non-empty JSON object", "")
     version = _expect(data, "format_version", str, "")

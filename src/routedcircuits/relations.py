@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, TypeVar, Union
 
 import numpy as np
 
@@ -93,13 +93,14 @@ class Relation:
     codomain: IndexSet
     matrix: np.ndarray = field(repr=False)
 
+    #: sector axes per side of ``matrix``, which the algebra below flattens
+    copies = 1
+
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze_bool(self.matrix))
-        if self.matrix.shape != (self.domain.size, self.codomain.size):
-            raise ShapeMismatch(
-                f"relation matrix has shape {self.matrix.shape}, expected "
-                f"{(self.domain.size, self.codomain.size)}"
-            )
+        want = (self.domain.size,) * self.copies + (self.codomain.size,) * self.copies
+        if self.matrix.shape != want:
+            raise ShapeMismatch(f"relation matrix has shape {self.matrix.shape}, expected {want}")
 
     # -- constructors -------------------------------------------------
 
@@ -131,7 +132,7 @@ class Relation:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Relation)
+            isinstance(other, type(self))
             and self.domain == other.domain
             and self.codomain == other.codomain
             and np.array_equal(self.matrix, other.matrix)
@@ -153,36 +154,45 @@ class Relation:
         ]
 
 
-# -- relation algebra -------------------------------------------------
+# -- relation algebra, for plain and coherence routes alike ------------
+
+Routes = TypeVar("Routes")  # a Relation or a CPRelation
 
 
-def compose(second: Relation, first: Relation) -> Relation:
-    """Sequential composition ``second ∘ first`` (boolean matrix product).
+def compose(second: Routes, first: Routes) -> Routes:
+    """Sequential composition ``second ∘ first``: a float32 product of the
+    matrices flattened to one axis per side, thresholded at zero.
 
     Requires the interface index sets to be equal, including label order;
     there is no implicit reordering.
     """
     if first.codomain != second.domain:
-        raise DomainMismatch(
-            f"cannot compose: interface {first.codomain!r} != {second.domain!r}"
-        )
-    paths = first.matrix.astype(np.float32) @ second.matrix.astype(np.float32)
-    return Relation(first.domain, second.codomain, paths > 0)
+        raise DomainMismatch(f"cannot compose: interface {first.codomain!r} != {second.domain!r}")
+    a, b, n = first.matrix, second.matrix, first.copies
+    middle = first.codomain.size**n
+    paths = a.reshape(-1, middle).astype(np.float32) @ b.reshape(middle, -1).astype(np.float32)
+    matrix = (paths > 0).reshape(a.shape[:n] + b.shape[n:])
+    return type(first)(first.domain, second.codomain, matrix)
 
 
-def product(left: Relation, right: Relation) -> Relation:
-    """Parallel composition on the cartesian product of the index sets."""
-    matrix = np.kron(left.matrix, right.matrix)
-    return Relation(
-        left.domain.product(right.domain),
-        left.codomain.product(right.codomain),
-        matrix,
+def product(left: Routes, right: Routes) -> Routes:
+    """Parallel composition on the cartesian product of the index sets: each
+    axis of ``left``'s matrix pairs row-major with the same axis of
+    ``right``'s, so that entry ``((k, m), (l, n))`` of a plain product is
+    ``left[k, l] AND right[m, n]``."""
+    a, b = left.matrix, right.matrix
+    pairs = [axis for i in range(a.ndim) for axis in (i, a.ndim + i)]
+    matrix = np.multiply.outer(a, b).transpose(pairs).reshape(np.multiply(a.shape, b.shape))
+    return type(left)(
+        left.domain.product(right.domain), left.codomain.product(right.codomain), matrix
     )
 
 
-def transpose(relation: Relation) -> Relation:
-    """The opposite relation (matrix transposition)."""
-    return Relation(relation.codomain, relation.domain, relation.matrix.T)
+def transpose(relation: Routes) -> Routes:
+    """The opposite relation: the two sides of the matrix swapped (used by adjoints)."""
+    n = relation.copies
+    matrix = relation.matrix.transpose((*range(n, 2 * n), *range(n)))
+    return type(relation)(relation.codomain, relation.domain, matrix)
 
 
 def practical_input_set(relation: Relation) -> frozenset:
@@ -248,25 +258,20 @@ class CPRelation:
     ``matrix[k, k2, l, l2]`` says whether the (k -> l) connection may be
     coherent with the (k2 -> l2) connection.  Non-symmetric or non-dominant
     arrays express nothing a valid one cannot, so construction rejects them
-    instead of normalising.
+    instead of normalising.  Its algebra is that of :class:`Relation`, over
+    two sector axes per side; ``domain`` and ``codomain`` name the base sets.
     """
 
     base_domain: IndexSet
     base_codomain: IndexSet
     matrix: np.ndarray = field(repr=False)
 
+    copies = 2
+    domain = property(lambda self: self.base_domain)
+    codomain = property(lambda self: self.base_codomain)
+
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze_bool(self.matrix))
-        expected = (
-            self.base_domain.size,
-            self.base_domain.size,
-            self.base_codomain.size,
-            self.base_codomain.size,
-        )
-        if self.matrix.shape != expected:
-            raise ShapeMismatch(
-                f"coherence route has shape {self.matrix.shape}, expected {expected}"
-            )
+        Relation.__post_init__(self)
         witness = _cp_violation(self.matrix)
         if witness is not None:
             kind, (k, k2, l, l2) = witness
@@ -275,16 +280,7 @@ class CPRelation:
                 f"(k={k}, k'={k2}, l={l}, l'={l2}))"
             )
 
-    def __reduce__(self):
-        return type(self), (self.base_domain, self.base_codomain, self.matrix)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CPRelation)
-            and self.base_domain == other.base_domain
-            and self.base_codomain == other.base_codomain
-            and np.array_equal(self.matrix, other.matrix)
-        )
+    __eq__, __reduce__ = Relation.__eq__, Relation.__reduce__
 
     def __repr__(self) -> str:
         return (
@@ -349,46 +345,6 @@ def full_decoherence(connectivity: Relation) -> CPRelation:
         & connectivity.matrix[:, None, :, None]
     )
     return CPRelation(connectivity.domain, connectivity.codomain, matrix)
-
-
-def cp_compose(second: CPRelation, first: CPRelation) -> CPRelation:
-    """Sequential composition of coherence routes (4-D boolean product)."""
-    if first.base_codomain != second.base_domain:
-        raise DomainMismatch(
-            f"cannot compose: interface {first.base_codomain!r} != {second.base_domain!r}"
-        )
-    k, l, m = first.matrix.shape[0], first.matrix.shape[2], second.matrix.shape[2]
-    flat_first = first.matrix.reshape(k * k, l * l).astype(np.float32)
-    flat_second = second.matrix.reshape(l * l, m * m).astype(np.float32)
-    matrix = (flat_first @ flat_second > 0).reshape(k, k, m, m)
-    return CPRelation(first.base_domain, second.base_codomain, matrix)
-
-
-def cp_product(left: CPRelation, right: CPRelation) -> CPRelation:
-    """Parallel composition, reshuffled to the tensor convention.
-
-    Base labels pair row-major; entry ((k,m), (k2,m2), (l,n), (l2,n2)) is
-    left[k,k2,l,l2] AND right[m,m2,n,n2].
-    """
-    a = left.matrix
-    b = right.matrix
-    # outer product with axes (k,k2,l,l2,m,m2,n,n2) -> (k,m,k2,m2,l,n,l2,n2)
-    joined = np.multiply.outer(a, b).transpose(0, 4, 1, 5, 2, 6, 3, 7)
-    dk = left.base_domain.size * right.base_domain.size
-    dl = left.base_codomain.size * right.base_codomain.size
-    matrix = joined.reshape(dk, dk, dl, dl)
-    return CPRelation(
-        left.base_domain.product(right.base_domain),
-        left.base_codomain.product(right.base_codomain),
-        matrix,
-    )
-
-
-def cp_transpose(route: CPRelation) -> CPRelation:
-    """The opposite coherence route (used by adjoints)."""
-    return CPRelation(
-        route.base_codomain, route.base_domain, route.matrix.transpose(2, 3, 0, 1)
-    )
 
 
 def is_proper_for_channels(first: CPRelation, second: CPRelation) -> bool:

@@ -11,8 +11,10 @@ elsewhere in the package is likewise Choi comparison; Kraus lists are never
 minimised.  A channel stores its operators as one read-only
 ``(count, d_out, d_in)`` array, ``kraus_stack``, which the Choi matrix
 works on whole.  ``compose``, ``tensor_cpm``, ``dagger_cpm``, ``relabel``
-and ``==`` are those of :mod:`routed_maps`, written once over Kraus stacks,
-here on the coherence routes' algebra (``relations.cp_*``).
+and ``==`` are those of :mod:`routed_maps`, written once over Kraus stacks;
+their routes compose, tensor and transpose by the one algebra of
+:mod:`relations`, which reads a coherence route's two sector axes per side
+as one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .routed_maps import (
     DEFAULT_TOLERANCE,
     RoutedMap,
     _check_numbers,
+    _check_typing,
     _require_composable,
     _require_proper,
     compose,
@@ -67,17 +70,6 @@ def choi_matrix(kraus: Sequence[np.ndarray]) -> np.ndarray:
 def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     stack = _stacked(kraus)
     return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
-
-
-def _check_typing(
-    stack: np.ndarray, route: CPRelation, domain: PartitionedSpace, codomain: PartitionedSpace
-) -> None:
-    """Raise unless the stacked operators and the route are typed by the spaces."""
-    shape = (codomain.total_dim, domain.total_dim)
-    if stack.shape[1:] != shape:
-        raise ShapeMismatch(f"Kraus operators must all have shape {shape}")
-    if route.base_domain != domain.sector_labels or route.base_codomain != codomain.sector_labels:
-        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
 
 
 def _choi_block_bound(
@@ -158,7 +150,7 @@ class RoutedCPM:
     codomain: PartitionedSpace
     tolerance: float = DEFAULT_TOLERANCE
 
-    _kind, _route_prefix = "channels", "cp_"
+    _kind = "channels"
 
     def __post_init__(self):
         given = self.kraus

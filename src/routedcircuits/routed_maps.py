@@ -45,6 +45,18 @@ def _check_numbers(tolerance: float, arrays: Iterable[np.ndarray], what: str) ->
         raise InvariantViolation(f"non-finite entries in the {what}")
 
 
+def _check_typing(matrix: np.ndarray, route, domain, codomain) -> None:
+    """Raise unless a matrix, or a ``(count, rows, columns)`` stack of them,
+    and its plain or coherence route are typed by the spaces."""
+    if matrix.shape[-2:] != (codomain.total_dim, domain.total_dim):
+        raise ShapeMismatch(
+            f"matrix shape {matrix.shape} does not match spaces "
+            f"({codomain.total_dim}, {domain.total_dim})"
+        )
+    if route.domain != domain.sector_labels or route.codomain != codomain.sector_labels:
+        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+
+
 def _forbidden_block_excess(
     matrix: np.ndarray, route: Relation, domain: PartitionedSpace, codomain: PartitionedSpace
 ) -> float:
@@ -57,13 +69,7 @@ def _forbidden_block_excess(
     A stack of matrices, with ``matrix`` of shape ``(count, rows, columns)``,
     is checked as a whole.
     """
-    if matrix.shape[-2:] != (codomain.total_dim, domain.total_dim):
-        raise ShapeMismatch(
-            f"matrix shape {matrix.shape} does not match spaces "
-            f"({codomain.total_dim}, {domain.total_dim})"
-        )
-    if route.domain != domain.sector_labels or route.codomain != codomain.sector_labels:
-        raise ShapeMismatch("route is not typed by the given spaces' sector labels")
+    _check_typing(matrix, route, domain, codomain)
     forbidden_columns = ~route.matrix[domain.sector_index]
     worst = 0.0
     for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
@@ -119,8 +125,7 @@ class RoutedMap:
     codomain: PartitionedSpace
     tolerance: float = DEFAULT_TOLERANCE
 
-    # the kind in messages, and the prefix of its route algebra in ``relations``
-    _kind, _route_prefix = "maps", ""
+    _kind = "maps"  # in messages
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex, order="C")
@@ -207,12 +212,6 @@ class RoutedMap:
 Routed = TypeVar("Routed")  # a RoutedMap or a routed_cpms.RoutedCPM
 
 
-def _routes(op, operation: str):
-    """The ``relations`` function of ``operation`` on the routes of ``op``'s
-    class, looked up on each call so that a replaced function is honoured."""
-    return getattr(rel, op._route_prefix + operation)
-
-
 def _require_composable(second: Routed, first: Routed) -> None:
     if first.codomain != second.domain:
         raise DomainMismatch(
@@ -230,7 +229,7 @@ def compose(second: Routed, first: Routed) -> Routed:
     np.matmul(a[:, None], b[None], out=kraus.reshape(len(a), len(b), *kraus.shape[1:]))
     kraus.setflags(write=False)
     return first.from_stack(
-        _routes(first, "compose")(second.route, first.route),
+        rel.compose(second.route, first.route),
         kraus,
         first.domain,
         second.codomain,
@@ -251,7 +250,7 @@ def tensor_map(left: Routed, right: Routed) -> Routed:
         right.codomain,
     )
     return left.from_stack(
-        _routes(left, "product")(left.route, right.route),
+        rel.product(left.route, right.route),
         kraus.reshape(-1, *kraus.shape[2:]),
         tensor(left.domain, right.domain),
         tensor(left.codomain, right.codomain),
@@ -262,7 +261,7 @@ def tensor_map(left: Routed, right: Routed) -> Routed:
 def dagger(op: Routed) -> Routed:
     """Adjoint: every operator conjugate-transposed, with the transposed route."""
     return op.from_stack(
-        _routes(op, "transpose")(op.route),
+        rel.transpose(op.route),
         op.kraus_stack.conj().transpose(0, 2, 1),
         op.codomain,
         op.domain,

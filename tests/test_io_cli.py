@@ -730,3 +730,116 @@ class TestRepeatedIds:
         payload = json.loads(result.stdout)
         assert payload["kind"] == "SchemaError"
         assert pointer in payload["error"]
+
+
+def _write(data, tmp_path) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _assert_cli_schema_error(path: str, location: str) -> None:
+    for command in ("validate", "eval", "explain"):
+        result = run_cli(command, path)
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["kind"] == "SchemaError"
+        assert payload["error"].startswith(f"{location}: ")
+
+
+def _no_length(data):
+    del data["interpretation"]["lengths"]["kL2"]
+
+
+def _unknown_wire(data):
+    data["interpretation"]["spaces"]["ZZ"] = [{"label": "*", "dim": 1}]
+
+
+def _no_space(data):
+    del data["interpretation"]["spaces"]["L2"]
+
+
+class TestIncompleteInterpretations:
+    """An interpretation that leaves a placed index without a length, gives
+    a space to a wire the graph lacks, or interprets a node touching a wire
+    without a space is a schema error at its pointer, and the CLI exits 2."""
+
+    CASES = [
+        (_no_length, "/interpretation/lengths"),
+        (_unknown_wire, "/interpretation/spaces/ZZ"),
+        (_no_space, "/interpretation/morphs/u2"),
+    ]
+
+    @pytest.mark.parametrize("edit, location", CASES)
+    def test_parse(self, edit, location):
+        data = _bundled_json("diamond.json")
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            parse(json.dumps(data))
+        assert err.value.location == location
+
+    @pytest.mark.parametrize("edit, location", CASES)
+    def test_cli_exits_two(self, edit, location, tmp_path):
+        data = _bundled_json("diamond.json")
+        edit(data)
+        _assert_cli_schema_error(_write(data, tmp_path), location)
+
+
+def _with_repeat(value: dict, path: list) -> str:
+    """JSON text of ``value`` in which the object reached by the keys
+    ``path[:-1]`` has its key ``path[-1]`` twice, first with its own value."""
+    if len(path) == 1:
+        return "{" + f"{json.dumps(path[0])}: {json.dumps(value[path[0]])}, " + json.dumps(value)[1:]
+    items = (
+        f"{json.dumps(k)}: {_with_repeat(v, path[1:]) if k == path[0] else json.dumps(v)}"
+        for k, v in value.items()
+    )
+    return "{" + ", ".join(items) + "}"
+
+
+def _repeated_key(name: str, pointer: str) -> str:
+    return _with_repeat(_bundled_json(name), pointer.strip("/").split("/"))
+
+
+class TestRepeatedKeys:
+    """A key that comes twice in one JSON object is a schema error at its
+    pointer, rather than the later value replacing the earlier."""
+
+    CASES = [
+        ("two_trajectories.json", "/spaces/space0"),
+        ("diamond.json", "/interpretation/lengths/kL"),
+        ("diamond.json", "/interpretation/spaces/L"),
+        ("diamond.json", "/interpretation/morphs/u1"),
+        ("diamond.json", "/kind"),
+    ]
+
+    @pytest.mark.parametrize("name, pointer", CASES)
+    def test_parse(self, name, pointer):
+        text = _repeated_key(name, pointer)
+        assert json.loads(text) == _bundled_json(name)  # the same document but for the repeat
+        with pytest.raises(SchemaError, match="repeated key") as err:
+            parse(text)
+        assert err.value.location == pointer
+
+    @pytest.mark.parametrize("name, pointer", CASES)
+    def test_cli_exits_two(self, name, pointer, tmp_path):
+        _assert_cli_schema_error(_write(_repeated_key(name, pointer), tmp_path), pointer)
+
+    def test_a_repeat_and_a_constant_are_reported_in_document_order(self):
+        text = '{"a": NaN, "b": 1, "b": 2}'
+        with pytest.raises(SchemaError, match="non-finite") as err:
+            parse(text)
+        assert err.value.location == "/a"
+        with pytest.raises(SchemaError, match="repeated key 'b'") as err:
+            parse('{"b": 1, "b": 2, "a": NaN}')
+        assert err.value.location == "/b"
+
+
+def test_export_dot_into_a_missing_directory_exits_two(tmp_path):
+    target = tmp_path / "missing" / "out.dot"
+    result = run_cli("export-dot", bundled_path("diamond.json"), "-o", str(target))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == ""
+    payload = json.loads(result.stdout)
+    assert payload["kind"] == "UsageError"
+    assert str(target) in payload["error"]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import relations as rel
+from routedcircuits import routed_maps as rm
 from routedcircuits.errors import (
     DomainMismatch,
     InvariantViolation,
@@ -17,6 +18,14 @@ from routedcircuits.errors import (
     UnknownLabel,
 )
 from routedcircuits.relations import CPRelation, IndexSet, Relation
+from routedcircuits.routed_maps import RoutedMap
+from routedcircuits.sampling import (
+    random_coherent_cpm,
+    random_decohered_cpm,
+    random_matrix_following,
+    random_relation,
+    random_space,
+)
 
 
 def idx(*labels):
@@ -138,7 +147,102 @@ class TestComposeAsMatmul:
         want = (
             first.matrix[:, :, :, :, None, None] & second.matrix[None, None, :, :, :, :]
         ).any(axis=(2, 3))
-        assert np.array_equal(rel.cp_compose(second, first).matrix, want)
+        assert np.array_equal(rel.compose(second, first).matrix, want)
+
+
+# the per-kind formulas that the one algebra replaced, kept as references
+
+
+def reference_compose(second, first):
+    if not isinstance(first, CPRelation):
+        return first.matrix.astype(np.float32) @ second.matrix.astype(np.float32) > 0
+    k, l, m = first.matrix.shape[0], first.matrix.shape[2], second.matrix.shape[2]
+    flat_first = first.matrix.reshape(k * k, l * l).astype(np.float32)
+    flat_second = second.matrix.reshape(l * l, m * m).astype(np.float32)
+    return (flat_first @ flat_second > 0).reshape(k, k, m, m)
+
+
+def reference_product(left, right):
+    if not isinstance(left, CPRelation):
+        return np.kron(left.matrix, right.matrix)
+    joined = np.multiply.outer(left.matrix, right.matrix).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    dk = left.matrix.shape[0] * right.matrix.shape[0]
+    dl = left.matrix.shape[2] * right.matrix.shape[2]
+    return joined.reshape(dk, dk, dl, dl)
+
+
+def reference_transpose(route):
+    return route.matrix.transpose(2, 3, 0, 1) if isinstance(route, CPRelation) else route.matrix.T
+
+
+@st.composite
+def routed_pair(draw, cp: bool):
+    """Two composable random routed maps, or with ``cp`` routed CP maps with
+    fully coherent or fully decohering routes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spaces = [random_space(rng, max_sectors=3, max_dim=2) for _ in range(3)]
+    pair = []
+    for domain, codomain in zip(spaces, spaces[1:]):
+        density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+        route = random_relation(domain.sector_labels, codomain.sector_labels, rng, density)
+        if not cp:
+            matrix = random_matrix_following(route, domain, codomain, rng)
+            pair.append(RoutedMap(route, matrix, domain, codomain))
+        elif draw(st.booleans()):
+            pair.append(random_coherent_cpm(route, domain, codomain, rng, count=2))
+        else:
+            pair.append(random_decohered_cpm(route, domain, codomain, rng, ops_per_block=1))
+    return pair
+
+
+class TestOneAlgebra:
+    """``compose``, ``product`` and ``transpose`` are written once over the
+    sector axes per side; on plain and coherence routes alike they equal
+    the per-kind formulas, bit for bit, and keep the class of the route."""
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_kind_formulas(self, cp, data):
+        first, second = data.draw(composable(max_size=4, cp=cp))
+        cases = [
+            (rel.compose(second, first), reference_compose(second, first),
+             first.domain, second.codomain),
+            (rel.product(first, second), reference_product(first, second),
+             first.domain.product(second.domain), first.codomain.product(second.codomain)),
+            (rel.product(second, first), reference_product(second, first),
+             second.domain.product(first.domain), second.codomain.product(first.codomain)),
+            (rel.transpose(first), reference_transpose(first), first.codomain, first.domain),
+        ]
+        for got, matrix, domain, codomain in cases:
+            assert type(got) is type(first) and got.copies == (2 if cp else 1)
+            assert (got.domain, got.codomain) == (domain, codomain)
+            assert got.matrix.dtype == bool and np.array_equal(got.matrix, matrix)
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_interface_mismatch(self, cp, data):
+        first, second = data.draw(composable(max_size=4, cp=cp))
+        renamed = IndexSet(("x", label) for label in second.domain)
+        with pytest.raises(DomainMismatch):
+            rel.compose(type(second)(renamed, second.codomain, second.matrix), first)
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_routes_of_the_routed_algebra(self, cp, data):
+        first, second = data.draw(routed_pair(cp))
+        cases = [
+            (rm.compose(second, first).route, reference_compose(second.route, first.route)),
+            (rm.tensor_map(first, second).route, reference_product(first.route, second.route)),
+            (rm.dagger(first).route, reference_transpose(first.route)),
+        ]
+        for got, matrix in cases:
+            assert type(got) is type(first.route)
+            assert np.array_equal(got.matrix, matrix)
+
+    def test_a_coherence_route_is_typed_by_its_base_sets(self):
+        route = rel.full_coherence(EXAMPLE)
+        assert route.domain is route.base_domain and route.codomain is route.base_codomain
+        assert (Relation.copies, CPRelation.copies) == (1, 2)
 
 
 class TestProduct:
@@ -377,8 +481,8 @@ class TestDiagonalAndExtremes:
             idx(0, 1), IndexSet.trivial(), np.eye(2, dtype=bool).reshape(2, 2, 1, 1)
         )
         id_route = rel.full_coherence(Relation.identity(survivor))
-        second = rel.cp_product(discard_route, id_route)
-        composed = rel.cp_compose(second, copy_route)
+        second = rel.product(discard_route, id_route)
+        composed = rel.compose(second, copy_route)
         expected = rel.full_decoherence(
             Relation.full(IndexSet.trivial(), composed.base_codomain)
         )
@@ -391,9 +495,9 @@ class TestDiagonalAndExtremes:
             lam2 = Relation(IndexSet(range(b)), IndexSet(range(c)), rng.random((b, c)) < 0.6)
             first = rel.full_coherence(lam1)
             second = rel.full_decoherence(lam2)
-            composed = rel.cp_compose(second, first)  # constructor re-validates
+            composed = rel.compose(second, first)  # constructor re-validates
             assert rel.is_completely_positive(composed.matrix)
-            tensored = rel.cp_product(first, second)
+            tensored = rel.product(first, second)
             assert rel.is_completely_positive(tensored.matrix)
 
 

@@ -86,7 +86,7 @@ class TestCompose:
             first = random_sector_preserving_channel(small, rng)
             second = random_sector_preserving_channel(small, rng)
             composed = rc.compose(second, first)
-            assert composed.route == rel.cp_compose(second.route, first.route)
+            assert composed.route == rel.compose(second.route, first.route)
 
     def test_copy_then_discard_decoheres(self, rng):
         source = PartitionedSpace.trivial(2)
@@ -309,7 +309,7 @@ class TestLiftAndDagger:
     def test_dagger_transposes_route(self, small, rng):
         channel = random_sector_preserving_channel(small, rng)
         flipped = dagger_cpm(channel)
-        assert flipped.route == rel.cp_transpose(channel.route)
+        assert flipped.route == rel.transpose(channel.route)
         assert np.allclose(flipped.kraus[0], channel.kraus[0].conj().T)
 
 
