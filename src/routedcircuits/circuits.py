@@ -552,8 +552,8 @@ def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
-    op = circuit.boxes[box_id].op
-    return op.route if circuit.mode == "pure" else rel.diagonal(op.route)
+    """The plain view of a box's route (see :func:`relations.diagonal`)."""
+    return rel.diagonal(circuit.boxes[box_id].op.route)
 
 
 def _network(
@@ -736,11 +736,10 @@ def _route_tables(
     circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str], copies: int
 ) -> list[np.ndarray]:
     """The tables of a route program: each box's route matrix in its shape
-    (with one copy in CPM mode, a read-only view of the coherence route's
-    diagonal), then the identities."""
+    (with one copy, its plain view: see :func:`relations.diagonal_view`),
+    then the identities."""
     routes = [circuit.boxes[b].op.route for b in box_ids]
-    diagonal = copies == 1 and circuit.mode == "cpm"
-    matrices = map(rel.diagonal_view, routes) if diagonal else (r.matrix for r in routes)
+    matrices = map(rel.diagonal_view, routes) if copies == 1 else (r.matrix for r in routes)
     return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
 
 

@@ -204,6 +204,8 @@ def _render_human(payload: dict) -> str:
             )
             if interface["escaped_inputs"]:
                 lines.append(f"    escaping sectors: {interface['escaped_inputs']}")
+            if interface["escaped_outputs"]:
+                lines.append(f"    escaping sectors (output side): {interface['escaped_outputs']}")
     elif payload["command"] == "accessible":
         lines.append(f"slice: {', '.join(payload['slice'])}")
         for entry in payload["accessible"]:

@@ -370,6 +370,8 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths: dict[str, int] = {}
     for name in lengths_data:
+        if name not in g.placement:
+            raise SchemaError(f"unknown index {name!r}", f"/interpretation/lengths/{name}")
         with _context(f"/interpretation/lengths/{name}"):
             lengths[name] = _expect(lengths_data, name, int, "/interpretation/lengths")
             IndexFamily({name: lengths[name]})  # rejects a length below 1
@@ -487,7 +489,7 @@ def parse(text_or_path: str) -> CircuitDocument:
     if version != FORMAT_VERSION:
         raise SchemaError(f"unsupported format_version {version!r}", "/format_version")
     kind = _expect(data, "kind", str, "")
-    metadata = data.get("metadata", {})
+    metadata = _expect(data, "metadata", dict, "") if "metadata" in data else {}
     tolerance = default_tolerance()
     if kind == "circuit":
         payload = _circuit_from_json(data, tolerance)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -511,33 +512,21 @@ def _validate_iodag(g: IODAG) -> tuple[dict, dict, tuple]:
             raise InvariantViolation(
                 f"empty node {node_id!r} must have exactly one input and one output wire"
             )
-        if _empty_node_pairing(g, node_id) is None:
+        if not _empty_node_matches(g, node_id):
             raise InvariantViolation(
                 f"empty node {node_id!r} has no index bijection between its wires"
             )
     return producers, consumers, layers
 
 
-def _empty_node_pairing(g: IODAG, node_id: str) -> list[tuple[str, str]] | None:
-    """Pair up the in-wire and out-wire indices of an empty node classwise."""
+def _empty_node_matches(g: IODAG, node_id: str) -> bool:
+    """Whether each class has as many names on the empty node's input wire
+    as on its output wire, so that the two wires' names pair up classwise."""
     node = g.nodes[node_id]
-    incoming = g.indices_on(node.inputs[0])
-    outgoing = g.indices_on(node.outputs[0])
-    by_class_in: dict = {}
-    by_class_out: dict = {}
-    for name in incoming:
-        by_class_in.setdefault(g.equivalence.find(name), []).append(name)
-    for name in outgoing:
-        by_class_out.setdefault(g.equivalence.find(name), []).append(name)
-    if set(by_class_in) != set(by_class_out):
-        return None
-    pairs: list[tuple[str, str]] = []
-    for root, members in sorted(by_class_in.items(), key=lambda kv: repr(kv[0])):
-        partners = by_class_out[root]
-        if len(members) != len(partners):
-            return None
-        pairs.extend(zip(sorted(members), sorted(partners)))
-    return pairs
+    incoming, outgoing = (
+        Counter(map(g.equivalence.find, g.indices_on(wire))) for wire in node.inputs + node.outputs
+    )
+    return incoming == outgoing
 
 
 # -- normalisation -----------------------------------------------------------
@@ -563,7 +552,6 @@ def normalize(g: IODAG) -> IODAG:
             return current
         node_id, a, b = candidate
         keep, drop = (a, b) if (a in current.inputs or b not in current.outputs) else (b, a)
-        pairs = _empty_node_pairing(current, node_id) or []
         dropped_names = set(current.indices_on(drop))
         keep_placement = {
             name: (keep if wire == drop else wire)

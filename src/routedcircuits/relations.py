@@ -211,8 +211,9 @@ def image(relation: Relation, subset: Iterable[Label]) -> frozenset:
     return frozenset(itertools.compress(relation.codomain.labels, reached))
 
 
-def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
-    """Labels breaking the route-level properness gate of ``second ∘ first``.
+def escaped(first: Routes, second: Routes) -> tuple[tuple, tuple]:
+    """Labels breaking the route-level properness gate of ``second ∘ first``,
+    read on the routes' plain views (see :func:`diagonal_view`).
 
     The input side holds the labels that the image of the downstream
     practical input set under ``first ∘ firstᵀ`` adds to that set; the
@@ -225,7 +226,7 @@ def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
         raise DomainMismatch(
             f"cannot gate: interface {first.codomain!r} != {second.domain!r}"
         )
-    f, g = first.matrix, second.matrix
+    f, g = diagonal_view(first), diagonal_view(second)
     s, t = g.any(1), f.any(0)  # the practical sets, as masks of the middle labels
     inputs = f[f[:, s].any(1)].any(0) & ~s
     outputs = g[:, g[t].any(0)].any(1) & ~t
@@ -233,7 +234,7 @@ def escaped(first: Relation, second: Relation) -> tuple[tuple, tuple]:
     return tuple(tuple(sorted(itertools.compress(labels, m), key=repr)) for m in (inputs, outputs))
 
 
-def is_proper_for_isometries(first: Relation, second: Relation) -> bool:
+def is_proper_for_isometries(first: Routes, second: Routes) -> bool:
     """Route-level gate for composing isometry-like maps, ``second ∘ first``.
 
     The practical input set of the downstream route must absorb its own
@@ -242,7 +243,7 @@ def is_proper_for_isometries(first: Relation, second: Relation) -> bool:
     return not escaped(first, second)[0]
 
 
-def is_proper_for_unitaries(first: Relation, second: Relation) -> bool:
+def is_proper_for_unitaries(first: Routes, second: Routes) -> bool:
     """Route-level gate for unitary-like maps: the isometry condition plus
     the mirror condition on the upstream practical output set."""
     return escaped(first, second) == ((), ())
@@ -318,15 +319,18 @@ def is_completely_positive(matrix) -> bool:
     return _cp_violation(matrix) is None
 
 
-def diagonal_view(route: CPRelation) -> np.ndarray:
-    """The (k, k, l, l) entries of the route's matrix, indexed ``[k, l]``,
-    as a read-only view."""
-    return route.matrix.diagonal().diagonal()
+def diagonal_view(route: Routes) -> np.ndarray:
+    """The plain view of a route, indexed ``[k, l]``, as a read-only array:
+    a plain route's own matrix, or the (k, k, l, l) entries of a coherence
+    route's."""
+    return route.matrix if route.copies == 1 else route.matrix.diagonal().diagonal()
 
 
-def diagonal(route: CPRelation) -> Relation:
-    """The plain relation formed by the (k, k, l, l) entries."""
-    return Relation(route.base_domain, route.base_codomain, diagonal_view(route))
+def diagonal(route: Routes) -> Relation:
+    """The plain relation of :func:`diagonal_view`: a plain route itself."""
+    if route.copies == 1:
+        return route
+    return Relation(route.domain, route.codomain, diagonal_view(route))
 
 
 def full_coherence(connectivity: Relation) -> CPRelation:
@@ -348,10 +352,6 @@ def full_decoherence(connectivity: Relation) -> CPRelation:
 
 
 def is_proper_for_channels(first: CPRelation, second: CPRelation) -> bool:
-    """Route-level gate for composing channel-like maps, ``second ∘ first``.
-
-    Applies the isometry-style condition to the routes' diagonals: the
-    practical input set of the downstream diagonal must absorb its own
-    image under the upstream ``diag ∘ diagᵀ``.
-    """
-    return is_proper_for_isometries(diagonal(first), diagonal(second))
+    """Route-level gate for composing channel-like maps, ``second ∘ first``:
+    the isometry gate, which reads the routes' diagonals."""
+    return is_proper_for_isometries(first, second)

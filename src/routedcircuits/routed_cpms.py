@@ -14,7 +14,10 @@ works on whole.  ``compose``, ``tensor_cpm``, ``dagger_cpm``, ``relabel``
 and ``==`` are those of :mod:`routed_maps`, written once over Kraus stacks;
 their routes compose, tensor and transpose by the one algebra of
 :mod:`relations`, which reads a coherence route's two sector axes per side
-as one.
+as one.  ``is_practically_trace_preserving`` is
+:func:`routed_maps.is_practical_isometry`, and the channel gate is the
+isometry gate: both read a route's plain view, which for a coherence route
+is its diagonal.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from .routed_maps import (
     follows,
 )
 from .routed_maps import dagger as dagger_cpm
+from .routed_maps import is_practical_isometry as is_practically_trace_preserving
 from .routed_maps import tensor_map as tensor_cpm
-from .spaces import PartitionedSpace, subset_projector
+from .spaces import PartitionedSpace
 
 
 def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
@@ -208,19 +212,6 @@ def lift_pure(routed: RoutedMap) -> RoutedCPM:
     )
 
 
-def is_practically_trace_preserving(channel: RoutedCPM, tol: float | None = None) -> bool:
-    """Trace preservation restricted to the practical input space of the
-    route's diagonal."""
-    tol = channel.tolerance if tol is None else tol
-    p = subset_projector(
-        channel.domain, rel.practical_input_set(rel.diagonal(channel.route))
-    )
-    flat = channel.kraus_stack.reshape(-1, channel.domain.total_dim)
-    gram = flat.conj().T @ flat
-    sandwich = p @ gram @ p
-    return float(np.abs(sandwich - p).max(initial=0.0)) <= tol
-
-
 def checked_compose_channel(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
     """Compose with the channel properness gate on the routes' diagonals.
 
@@ -228,7 +219,7 @@ def checked_compose_channel(second: RoutedCPM, first: RoutedCPM) -> RoutedCPM:
     practically trace-preserving channel.
     """
     _require_composable(second, first)
-    _require_proper(rel.diagonal(first.route), rel.diagonal(second.route), "channels", False)
+    _require_proper(first.route, second.route, "channels", False)
     return compose(second, first)
 
 

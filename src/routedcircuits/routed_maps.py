@@ -269,17 +269,16 @@ def dagger(op: Routed) -> Routed:
     )
 
 
-def practical_input_projector(routed: RoutedMap) -> np.ndarray:
-    return subset_projector(routed.domain, rel.practical_input_set(routed.route))
-
-
-def is_practical_isometry(routed: RoutedMap, tol: float | None = None) -> bool:
-    """Whether the matrix is a partial isometry with initial domain the
-    practical input space (the sectors the route relates to anything)."""
-    tol = routed.tolerance if tol is None else tol
-    p = practical_input_projector(routed)
-    gram = p @ routed.matrix.conj().T @ routed.matrix @ p
-    return float(np.abs(gram - p).max(initial=0.0)) <= tol
+def is_practical_isometry(op: Routed, tol: float | None = None) -> bool:
+    """Whether ``Σ K†K`` over the operators, read between projectors onto
+    the practical input space (the sectors the route's plain view relates
+    to anything), is that projector: a partial isometry for a map, and
+    practical trace preservation for a channel."""
+    tol = op.tolerance if tol is None else tol
+    p = subset_projector(op.domain, rel.practical_input_set(rel.diagonal(op.route)))
+    flat = op.kraus_stack.reshape(-1, op.domain.total_dim)
+    sandwich = p @ (flat.conj().T @ flat) @ p
+    return float(np.abs(sandwich - p).max(initial=0.0)) <= tol
 
 
 def is_practical_unitary(routed: RoutedMap, tol: float | None = None) -> bool:
@@ -303,9 +302,10 @@ def checked_compose(second: RoutedMap, first: RoutedMap, mode: str = "none") -> 
     return compose(second, first)
 
 
-def _require_proper(first: Relation, second: Relation, kind: str, both_sides: bool) -> None:
+def _require_proper(first, second, kind: str, both_sides: bool) -> None:
     """Raise ImproperComposition with the labels escaping the gate of
-    ``second ∘ first``; the output side counts only with ``both_sides``."""
+    ``second ∘ first``, two routes of either kind; the output side counts
+    only with ``both_sides``."""
     inputs, outputs = rel.escaped(first, second)
     if inputs:
         raise ImproperComposition(

@@ -12,8 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+from routedcircuits.circuits import CircuitBuilder
 from routedcircuits.errors import InvariantViolation, ParseError, SchemaError
 from routedcircuits.io import (
+    FORMAT_VERSION,
+    CircuitDocument,
     bundled_path,
     load_bundled,
     parse,
@@ -759,6 +762,10 @@ def _no_space(data):
     del data["interpretation"]["spaces"]["L2"]
 
 
+def _stray_length(data):
+    data["interpretation"]["lengths"]["zz"] = 3
+
+
 class TestIncompleteInterpretations:
     """An interpretation that leaves a placed index without a length, gives
     a space to a wire the graph lacks, or interprets a node touching a wire
@@ -768,6 +775,7 @@ class TestIncompleteInterpretations:
         (_no_length, "/interpretation/lengths"),
         (_unknown_wire, "/interpretation/spaces/ZZ"),
         (_no_space, "/interpretation/morphs/u2"),
+        (_stray_length, "/interpretation/lengths/zz"),
     ]
 
     @pytest.mark.parametrize("edit, location", CASES)
@@ -843,3 +851,53 @@ def test_export_dot_into_a_missing_directory_exits_two(tmp_path):
     payload = json.loads(result.stdout)
     assert payload["kind"] == "UsageError"
     assert str(target) in payload["error"]
+
+
+class TestMetadata:
+    """``metadata`` is an object; any other JSON value there is a schema
+    error at ``/metadata``, rather than being read and written back."""
+
+    def test_an_object_round_trips(self):
+        data = _bundled_json("two_trajectories.json")
+        data["metadata"] = {"note": "x"}
+        assert json.loads(serialize(parse(json.dumps(data))))["metadata"] == {"note": "x"}
+
+    @pytest.mark.parametrize("value", ["x", [], 1, None])
+    def test_parse(self, value):
+        data = _bundled_json("two_trajectories.json")
+        data["metadata"] = value
+        with pytest.raises(SchemaError, match="must be dict") as err:
+            parse(json.dumps(data))
+        assert err.value.location == "/metadata"
+
+    def test_cli_exits_two(self, tmp_path):
+        data = _bundled_json("diamond.json")
+        data["metadata"] = "x"
+        _assert_cli_schema_error(_write(data, tmp_path), "/metadata")
+
+
+def test_human_validate_names_escapes_on_the_output_side(tmp_path):
+    """``f`` then ``g`` on one wire with sectors {0, 1}: ``g`` lets sector 1
+    in, which ``f`` never sends out, so the unitary gate fails on the
+    output side only."""
+    space = PartitionedSpace(IndexSet([0, 1]), (1, 1))
+    f = Relation.from_pairs(space.sector_labels, space.sector_labels, [(0, 0)])
+    g = Relation.from_pairs(space.sector_labels, space.sector_labels, [(0, 0), (1, 0)])
+    circuit = (
+        CircuitBuilder()
+        .wire("a", space).wire("b", space).wire("c", space)
+        .box("f", ["a"], ["b"], RoutedMap(f, np.diag([1.0, 0.0]), space, space))
+        .box("g", ["b"], ["c"], RoutedMap(g, [[1.0, 1.0], [0.0, 0.0]], space, space))
+        .inputs("a").outputs("c")
+        .build()
+    )
+    path = tmp_path / "doc.json"
+    path.write_text(serialize(CircuitDocument(FORMAT_VERSION, "circuit", circuit)))
+    report = json.loads(run_cli("validate", "--mode", "uni", str(path)).stdout)
+    assert [i["escaped_outputs"] for i in report["interfaces"]] == [[1]]
+    result = run_cli("--human", "validate", "--mode", "uni", str(path))
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines()[-2:] == [
+        "  interface before layer 1 (g): IMPROPER",
+        "    escaping sectors (output side): [1]",
+    ]

@@ -323,6 +323,33 @@ class TestIODAGValidation:
             )
 
 
+@pytest.mark.parametrize(
+    "outgoing, blocks, accepted",
+    [
+        (["y", "z"], [["a", "z"], ["b", "y"]], True),  # the classes in swapped order
+        (["z"], [["a", "z"], ["b"]], False),  # class b on the input wire only
+        (["z"], [["a", "b", "z"]], False),  # two names of class a in, one out
+    ],
+)
+def test_an_empty_node_matches_names_classwise(outgoing, blocks, accepted):
+    placement = {"a": "x", "b": "x"} | {name: "w" for name in outgoing}
+
+    def build():
+        return IODAG(
+            inputs=("x",), outputs=("w",), inner_edges=(),
+            nodes={"n": IONode(("x",), ("w",))},
+            placement=placement,
+            equivalence=Partition.from_blocks(blocks),
+            empty_nodes={"n"},
+        )
+
+    if accepted:
+        assert build().empty_nodes == {"n"}
+    else:
+        with pytest.raises(InvariantViolation, match="no index bijection"):
+            build()
+
+
 class TestLint:
     def test_figure_verdicts_from_bundled_files(self):
         diamond = load_bundled("diamond.json").payload
