@@ -396,6 +396,8 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
         location = f"/interpretation/morphs/{node_id}"
         if node_id not in g.nodes:
             raise SchemaError(f"unknown node {node_id!r}", location)
+        if node_id in g.empty_nodes:
+            raise SchemaError(f"empty node {node_id!r} takes no morphism", location)
         matrix = _matrix(_expect(morph_data, "matrix", list, location), f"{location}/matrix")
         node = g.nodes[node_id]
         bare = [w for w in node.inputs + node.outputs if w not in spaces]

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,6 +173,9 @@ class IndexFamily:
                 raise InvariantViolation(f"index {name!r} has length {length} < 1")
         object.__setattr__(self, "lengths", MappingProxyType(lengths))
         object.__setattr__(self, "names", tuple(sorted(lengths)))
+
+    def __reduce__(self):
+        return type(self), (dict(self.lengths),)
 
     def length(self, name: str) -> int:
         return self.lengths[name]
@@ -441,10 +444,20 @@ class IODAG(_WireGraph):
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
         object.__setattr__(self, "placement", MappingProxyType(dict(self.placement)))
         object.__setattr__(self, "empty_nodes", frozenset(self.empty_nodes))
+        names_on: dict[str, list[str]] = {}
+        for name, wire in self.placement.items():
+            names_on.setdefault(wire, []).append(name)
+        sorted_on = {wire: tuple(sorted(names)) for wire, names in names_on.items()}
+        object.__setattr__(self, "_names_on", MappingProxyType(sorted_on))
         producers, consumers, layers = _validate_iodag(self)
         object.__setattr__(self, "_producers", producers)
         object.__setattr__(self, "_consumers", consumers)
         object.__setattr__(self, "_layers", layers)
+
+    def __reduce__(self):
+        """Rebuild through the constructor, which derives the rest again."""
+        fields = (self.inputs, self.outputs, self.inner_edges, dict(self.nodes))
+        return type(self), (*fields, dict(self.placement), self.equivalence, self.empty_nodes)
 
     # -- lookups --------------------------------------------------------
 
@@ -453,21 +466,23 @@ class IODAG(_WireGraph):
         return self.inputs + self.inner_edges + self.outputs
 
     def indices_on(self, wire: str) -> tuple[str, ...]:
-        return tuple(sorted(n for n, w in self.placement.items() if w == wire))
+        """The names on a wire in sorted order (none on an unknown wire)."""
+        return self._names_on.get(wire, ())
+
+    def _names_along(self, wires: Iterable[str]) -> tuple[str, ...]:
+        return tuple(name for wire in wires for name in self.indices_on(wire))
 
     def incoming_indices(self, node: str) -> tuple[str, ...]:
-        spec = self.nodes[node]
-        return tuple(n for wire in spec.inputs for n in self.indices_on(wire))
+        return self._names_along(self.nodes[node].inputs)
 
     def outgoing_indices(self, node: str) -> tuple[str, ...]:
-        spec = self.nodes[node]
-        return tuple(n for wire in spec.outputs for n in self.indices_on(wire))
+        return self._names_along(self.nodes[node].outputs)
 
     def input_index_names(self) -> tuple[str, ...]:
-        return tuple(n for wire in self.inputs for n in self.indices_on(wire))
+        return self._names_along(self.inputs)
 
     def output_index_names(self) -> tuple[str, ...]:
-        return tuple(n for wire in self.outputs for n in self.indices_on(wire))
+        return self._names_along(self.outputs)
 
     def __eq__(self, other) -> bool:
         """Structural equality on the nose; see :func:`iodag_isomorphic`."""
@@ -522,11 +537,9 @@ def _validate_iodag(g: IODAG) -> tuple[dict, dict, tuple]:
 def _empty_node_matches(g: IODAG, node_id: str) -> bool:
     """Whether each class has as many names on the empty node's input wire
     as on its output wire, so that the two wires' names pair up classwise."""
-    node = g.nodes[node_id]
-    incoming, outgoing = (
-        Counter(map(g.equivalence.find, g.indices_on(wire))) for wire in node.inputs + node.outputs
-    )
-    return incoming == outgoing
+    find = g.equivalence.find
+    incoming, outgoing = g.incoming_indices(node_id), g.outgoing_indices(node_id)
+    return Counter(map(find, incoming)) == Counter(map(find, outgoing))
 
 
 # -- normalisation -----------------------------------------------------------
@@ -538,44 +551,32 @@ def normalize(g: IODAG) -> IODAG:
     Strands running directly from a global input to a global output keep
     their empty node (there is nothing to merge them into).
     """
-    current = g
     while True:
-        candidate = None
-        for node_id in sorted(current.empty_nodes):
-            node = current.nodes[node_id]
-            a, b = node.inputs[0], node.outputs[0]
-            if a in current.inputs and b in current.outputs:
-                continue
-            candidate = (node_id, a, b)
-            break
-        if candidate is None:
-            return current
-        node_id, a, b = candidate
-        keep, drop = (a, b) if (a in current.inputs or b not in current.outputs) else (b, a)
-        dropped_names = set(current.indices_on(drop))
-        keep_placement = {
-            name: (keep if wire == drop else wire)
-            for name, wire in current.placement.items()
-            if name not in dropped_names
-        }
-        new_equivalence = current.equivalence.restrict(set(keep_placement))
-        nodes = {}
-        for other_id, other in current.nodes.items():
-            if other_id == node_id:
-                continue
-            nodes[other_id] = IONode(
-                tuple(keep if w == drop else w for w in other.inputs),
-                tuple(keep if w == drop else w for w in other.outputs),
-            )
-        current = IODAG(
-            inputs=current.inputs,
-            outputs=tuple(keep if w == drop else w for w in current.outputs),
-            inner_edges=tuple(w for w in current.inner_edges if w not in (drop, keep))
-            + ((keep,) if keep in current.inner_edges else ()),
-            nodes=nodes,
-            placement=keep_placement,
-            equivalence=new_equivalence,
-            empty_nodes=current.empty_nodes - {node_id},
+        strands = {n: (*g.nodes[n].inputs, *g.nodes[n].outputs) for n in sorted(g.empty_nodes)}
+        removable = [n for n, (a, b) in strands.items() if a not in g.inputs or b not in g.outputs]
+        if not removable:
+            return g
+        node_id = removable[0]
+        a, b = strands[node_id]
+        keep, drop = (a, b) if (a in g.inputs or b not in g.outputs) else (b, a)
+
+        def moved(wires: Iterable[str]) -> tuple[str, ...]:
+            return tuple(keep if w == drop else w for w in wires)
+
+        placement = {name: wire for name, wire in g.placement.items() if wire != drop}
+        g = IODAG(
+            inputs=g.inputs,
+            outputs=moved(g.outputs),
+            inner_edges=tuple(w for w in g.inner_edges if w not in (drop, keep))
+            + ((keep,) if keep in g.inner_edges else ()),
+            nodes={
+                other_id: IONode(moved(other.inputs), moved(other.outputs))
+                for other_id, other in g.nodes.items()
+                if other_id != node_id
+            },
+            placement=placement,
+            equivalence=g.equivalence.restrict(placement),
+            empty_nodes=g.empty_nodes - {node_id},
         )
 
 
@@ -628,74 +629,71 @@ def lint(g: IODAG, mode: str) -> LintReport:
     if mode not in ("iso", "uni"):
         raise ValueError(f"unknown mode {mode!r}")
     g = normalize(g)
-    input_names = set(g.input_index_names())
-    output_names = set(g.output_index_names())
+    find = g.equivalence.find
+    starting: dict[str, list[str]] = {}  # class representative -> nodes
+    ending: dict[str, list[str]] = {}
+    for node_id in sorted(g.nodes):
+        incoming = set(map(find, g.incoming_indices(node_id)))
+        outgoing = set(map(find, g.outgoing_indices(node_id)))
+        for root in outgoing - incoming:
+            starting.setdefault(root, []).append(node_id)
+        for root in incoming - outgoing:
+            ending.setdefault(root, []).append(node_id)
+    input_roots = set(map(find, g.input_index_names()))
+    rules = [("multiple-starting-points", "starting-point-for-input-index", starting, input_roots)]
+    if mode == "uni":
+        output_roots = set(map(find, g.output_index_names()))
+        rules.append(("multiple-endpoints", "endpoint-for-output-index", ending, output_roots))
     violations: list[LintViolation] = []
     for block in g.equivalence.blocks():
-        class_names = tuple(sorted(block))
-        starting = []
-        ending = []
-        for node_id in sorted(g.nodes):
-            incoming = set(g.incoming_indices(node_id)) & block
-            outgoing = set(g.outgoing_indices(node_id)) & block
-            if outgoing and not incoming:
-                starting.append(node_id)
-            if incoming and not outgoing:
-                ending.append(node_id)
-        if len(starting) > 1:
-            violations.append(
-                LintViolation("multiple-starting-points", class_names, tuple(starting))
-            )
-        if starting and block & input_names:
-            violations.append(
-                LintViolation("starting-point-for-input-index", class_names, tuple(starting))
-            )
-        if mode == "uni":
-            if len(ending) > 1:
-                violations.append(
-                    LintViolation("multiple-endpoints", class_names, tuple(ending))
-                )
-            if ending and block & output_names:
-                violations.append(
-                    LintViolation("endpoint-for-output-index", class_names, tuple(ending))
-                )
+        root = find(next(iter(block)))
+        for many, at_boundary, points, boundary in rules:
+            nodes = tuple(points.get(root, ()))
+            if len(nodes) > 1:
+                violations.append(LintViolation(many, tuple(sorted(block)), nodes))
+            if nodes and root in boundary:
+                violations.append(LintViolation(at_boundary, tuple(sorted(block)), nodes))
     return LintReport(mode=mode, violations=tuple(violations))
 
 
 # -- composition --------------------------------------------------------------
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}#{n}" in taken:
-        n += 1
-    return f"{base}#{n}"
+def _fresh_names(
+    ids: Collection[str], clashing: Iterable[str], protected: Collection[str] = ()
+) -> dict[str, str]:
+    """A fresh name ('x#2', 'x#3', ...) for each of ``ids`` that is in
+    ``clashing`` and not ``protected``, taken in order, away from every id
+    of both and from the names handed out before it."""
+    clashing = set(clashing)
+    taken = clashing | set(ids)
+    fresh: dict[str, str] = {}
+    for x in ids:
+        if x in clashing and x not in protected:
+            fresh[x] = next(f"{x}#{n}" for n in itertools.count(2) if f"{x}#{n}" not in taken)
+            taken.add(fresh[x])
+    return fresh
 
 
 def _relabel(g: IODAG, wire_map: dict, node_map: dict, name_map: dict) -> IODAG:
-    def w(x):
-        return wire_map.get(x, x)
-
-    def n(x):
-        return node_map.get(x, x)
+    def wires(ids: Iterable[str]) -> tuple[str, ...]:
+        return tuple(wire_map.get(x, x) for x in ids)
 
     def i(x):
         return name_map.get(x, x)
 
-    placement = {i(name): w(wire) for name, wire in g.placement.items()}
+    placement = {i(name): wire_map.get(wire, wire) for name, wire in g.placement.items()}
     return IODAG(
-        inputs=tuple(w(x) for x in g.inputs),
-        outputs=tuple(w(x) for x in g.outputs),
-        inner_edges=tuple(w(x) for x in g.inner_edges),
+        inputs=wires(g.inputs),
+        outputs=wires(g.outputs),
+        inner_edges=wires(g.inner_edges),
         nodes={
-            n(node_id): IONode(tuple(w(x) for x in node.inputs), tuple(w(x) for x in node.outputs))
-            for node_id, node in g.nodes.items()
+            node_map.get(x, x): IONode(wires(node.inputs), wires(node.outputs))
+            for x, node in g.nodes.items()
         },
         placement=placement,
         equivalence=Partition(placement, (map(i, block) for block in g.equivalence.blocks())),
-        empty_nodes=frozenset(n(x) for x in g.empty_nodes),
+        empty_nodes=frozenset(node_map.get(x, x) for x in g.empty_nodes),
     )
 
 
@@ -703,31 +701,12 @@ def _avoid_collisions(
     second: IODAG, first: IODAG, protected_wires: set[str], protected_names: set[str]
 ) -> IODAG:
     """Deterministically rename second's private ids away from first's."""
-    wire_taken = set(first.wire_ids) | set(second.wire_ids)
-    node_taken = set(first.nodes) | set(second.nodes)
-    name_taken = set(first.placement) | set(second.placement)
-    wire_map = {}
-    for wire in second.wire_ids:
-        if wire in protected_wires:
-            continue
-        if wire in set(first.wire_ids):
-            wire_map[wire] = _fresh_name(wire, wire_taken)
-            wire_taken.add(wire_map[wire])
-    node_map = {}
-    for node_id in second.nodes:
-        if node_id in first.nodes:
-            node_map[node_id] = _fresh_name(node_id, node_taken)
-            node_taken.add(node_map[node_id])
-    name_map = {}
-    for name in second.placement:
-        if name in protected_names:
-            continue
-        if name in set(first.placement):
-            name_map[name] = _fresh_name(name, name_taken)
-            name_taken.add(name_map[name])
-    if not (wire_map or node_map or name_map):
-        return second
-    return _relabel(second, wire_map, node_map, name_map)
+    maps = (
+        _fresh_names(second.wire_ids, first.wire_ids, protected_wires),
+        _fresh_names(second.nodes, first.nodes),
+        _fresh_names(second.placement, first.placement, protected_names),
+    )
+    return _relabel(second, *maps) if any(maps) else second
 
 
 def seq_compose_iodag(second: IODAG, first: IODAG) -> IODAG:
@@ -744,8 +723,7 @@ def seq_compose_iodag(second: IODAG, first: IODAG) -> IODAG:
             f"interface wires differ: {missing!r} not shared by both graphs"
         )
     interface = set(first.outputs)
-    first_names = {n for n, w in first.placement.items() if w in interface}
-    second_names = {n for n, w in second.placement.items() if w in interface}
+    first_names, second_names = set(first.output_index_names()), set(second.input_index_names())
     if first_names != second_names or any(
         first.placement[n] != second.placement[n] for n in first_names
     ):
@@ -865,24 +843,6 @@ def _layer_corelations(
         yield step.layer, layer_corelation, upstream, downstream
 
 
-def compose_corelations_by_layers(
-    g: IODAG, lengths: Mapping[str, int] | None = None, mode: str = "iso"
-) -> tuple[Corelation, list[bool]]:
-    """Fold the node corelations along the graph, pre-composing the
-    input-matching corelation, and gate every sequential step.
-
-    Returns the folded corelation (equal to :func:`total_corelation` for a
-    well-indexed graph) and the per-step gate verdicts at the bar level.
-    """
-    g = normalize(g)
-    total = preprocessing(g, lengths)  # the fold of a graph without layers
-    gates: list[bool] = []
-    proper = rel.is_proper_for_isometries if mode == "iso" else rel.is_proper_for_unitaries
-    for _, layer_corelation, upstream, total in _layer_corelations(g, lengths):
-        gates.append(proper(bar(upstream), bar(layer_corelation)))
-    return total, gates
-
-
 # -- interpretation ---------------------------------------------------------
 
 
@@ -904,6 +864,9 @@ class Interpretation:
     def __post_init__(self):
         for field in ("lengths", "spaces", "morphs"):
             object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
+
+    def __reduce__(self):
+        return type(self), (dict(self.lengths), dict(self.spaces), dict(self.morphs))
 
 
 def expected_wire_labels(g: IODAG, wire: str, lengths: Mapping[str, int]) -> tuple:
@@ -967,15 +930,21 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
 def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     """Compose an interpretation into its overall routed map.
 
-    Requires the graph to pass :func:`lint` for ``mode``, every morph to
-    follow its node's matching route, and every morph to be a practical
-    isometry ('iso') or practical unitary ('uni').  The result is the
-    graph-wise composition pre-composed with the input-matching projector;
-    the well-indexedness rules guarantee it is itself a practical isometry
-    (resp. unitary).
+    Requires the graph to pass :func:`lint` for ``mode``, a morph for each
+    non-empty node and none for an empty node (an identity strand) or an
+    unknown one, every morph to follow its node's matching route, and every
+    morph to be a practical isometry ('iso') or practical unitary ('uni').
+    The result is the graph-wise composition pre-composed with the
+    input-matching projector; the well-indexedness rules guarantee it is
+    itself a practical isometry (resp. unitary).
     """
     if mode not in ("iso", "uni"):
         raise ValueError(f"unknown mode {mode!r}")
+    for node_id in sorted(interp.morphs):
+        if node_id in g.empty_nodes:
+            raise InvariantViolation(f"empty node {node_id!r} takes no morphism")
+        if node_id not in g.nodes:
+            raise InvariantViolation(f"morphism given for unknown node {node_id!r}")
     g = normalize(g)
     report = lint(g, mode)
     if not report.passed:
@@ -1010,7 +979,7 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     builder.outputs(*g.outputs)
     for node_id, node in g.nodes.items():
         route = node_route(g, node_id, interp)
-        if node_id in g.empty_nodes and node_id not in interp.morphs:
+        if node_id in g.empty_nodes:
             space_in = tensor_many([interp.spaces[w] for w in node.inputs])
             space_out = tensor_many([interp.spaces[w] for w in node.outputs])
             if space_in != space_out or route != Relation.identity(space_in.sector_labels):

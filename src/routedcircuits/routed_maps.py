@@ -92,25 +92,6 @@ def follows(
     return _forbidden_block_excess(np.asarray(matrix), route, domain, codomain) <= tol
 
 
-def follows_by_reconstruction(
-    matrix: np.ndarray,
-    route: Relation,
-    domain: PartitionedSpace,
-    codomain: PartitionedSpace,
-    tol: float = DEFAULT_TOLERANCE,
-) -> bool:
-    """Equivalent route check: summing the allowed blocks rebuilds the matrix."""
-    matrix = np.asarray(matrix, dtype=complex)
-    rebuilt = np.zeros_like(matrix)
-    for k in domain.sector_labels:
-        cols = domain.sector_slice(k)
-        for l in codomain.sector_labels:
-            if route.relates(k, l):
-                rows = codomain.sector_slice(l)
-                rebuilt[rows, cols] = matrix[rows, cols]
-    return float(np.abs(rebuilt - matrix).max(initial=0.0)) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class RoutedMap:
     """A linear map together with the route it follows.

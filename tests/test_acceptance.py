@@ -23,7 +23,6 @@ from routedcircuits.iodag import (
     Partition,
     bar,
     compose_corelations,
-    compose_corelations_by_layers,
     interpret,
     lint,
     node_route,
@@ -62,6 +61,7 @@ from routedcircuits.sampling import (
 from routedcircuits.spaces import PartitionedSpace, tensor, tensor_many
 
 import partition_oracle
+from iodag_oracle import compose_corelations_by_layers
 from conftest import make_two_trajectory_circuit, random_circuit
 from test_iodag import _set_partitions, diamond_graph
 

@@ -2,7 +2,8 @@
 copy or a pickle round trip of a relation, a routed map or a routed CP map
 holds read-only arrays that share memory as the original's do, and equals
 it; a copied circuit evaluates to the same bits and shares the compiled
-programs of the original's shape."""
+programs of the original's shape; a copied indexed graph derives its names
+per wire again and reads and lints as the original does."""
 
 from __future__ import annotations
 
@@ -19,9 +20,12 @@ from routedcircuits.circuits import (
     check_circuit,
     evaluate,
 )
+from routedcircuits.io import load_bundled
+from routedcircuits.iodag import IndexFamily, lint
 from routedcircuits.sampling import random_coherent_cpm, random_relation, random_space
 
 from conftest import make_two_trajectory_circuit, random_circuit, sample_routed_map
+from test_iodag_index import lookups
 
 COPIES = [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
 COPY_IDS = ["deepcopy", "pickle"]
@@ -77,3 +81,17 @@ def test_copied_circuits_evaluate_to_the_same_bits(copier):
             assert not box.op.kraus_stack.flags.writeable
             assert box.op == circuit.boxes[box_id].op
 
+
+
+@pytest.mark.parametrize("copier", COPIES, ids=COPY_IDS)
+def test_copied_indexed_graphs_read_and_lint_as_the_original(copier):
+    doc = load_bundled("diamond.json")
+    graph, interp = doc.payload, doc.interpretation
+    for value in (graph, interp, IndexFamily(interp.lengths), doc):
+        copied = copier(value)
+        assert type(copied) is type(value) and copied == value
+    copied = copier(graph)
+    assert copied._names_on is not graph._names_on
+    assert lookups(copied) == lookups(graph)
+    for mode in ("iso", "uni"):
+        assert lint(copied, mode) == lint(graph, mode)

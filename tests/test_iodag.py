@@ -28,7 +28,6 @@ from routedcircuits.iodag import (
     Partition,
     bar,
     compose_corelations,
-    compose_corelations_by_layers,
     explain_improper,
     interpret,
     iodag_isomorphic,
@@ -50,6 +49,7 @@ from routedcircuits.sampling import random_practical_unitary
 from routedcircuits.spaces import PartitionedSpace, tensor_many
 
 import partition_oracle
+from iodag_oracle import compose_corelations_by_layers
 
 
 def family(**lengths):

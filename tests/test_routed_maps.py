@@ -14,7 +14,6 @@ from routedcircuits.routed_maps import (
     checked_compose,
     dagger,
     follows,
-    follows_by_reconstruction,
     is_practical_isometry,
     is_practical_unitary,
     tensor_map,
@@ -30,6 +29,7 @@ from routedcircuits.sampling import (
 from routedcircuits.spaces import PartitionedSpace
 
 from conftest import sample_practical_isometry, sample_routed_map
+from reconstruction_oracle import follows_by_reconstruction
 
 
 @pytest.fixture

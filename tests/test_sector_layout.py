@@ -22,10 +22,11 @@ from routedcircuits.routed_maps import (
     RoutedMap,
     _forbidden_block_excess,
     follows,
-    follows_by_reconstruction,
 )
 from routedcircuits.sampling import random_space
 from routedcircuits.spaces import PartitionedSpace, kron_to_canonical, tensor, tensor_many
+
+from reconstruction_oracle import follows_by_reconstruction
 
 # magnitudes put on blocks: exactly zero, below, near and far above the tolerance
 SCALES = (0.0, 1e-12, 1e-9, 1e-6, 1.0)
