@@ -409,6 +409,10 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
             morphs[node_id] = RoutedMap(
                 node_route(g, node_id, pre_interp), matrix, domain, codomain, tolerance
             )
+    # evaluation reads every wire's space, also one that no morphism touches
+    bare = [w for w in g.wire_ids if w not in spaces]
+    if bare:
+        raise SchemaError(f"no space for wire {bare[0]!r}", "/interpretation/spaces")
     return Interpretation(lengths, spaces, morphs)
 
 

@@ -43,7 +43,7 @@ from .routed_maps import (
 from .routed_maps import dagger as dagger_cpm
 from .routed_maps import is_practical_isometry as is_practically_trace_preserving
 from .routed_maps import tensor_map as tensor_cpm
-from .spaces import PartitionedSpace
+from .spaces import PartitionedSpace, block_maxima
 
 
 def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
@@ -90,8 +90,7 @@ def _choi_block_bound(
     """
     # per (out, in) coordinate, from views of the stack: no copy of it is made
     norms = np.sqrt(sum(np.einsum("koi,koi->oi", part, part) for part in (stack.real, stack.imag)))
-    top = np.maximum.reduceat(norms, codomain.sector_offsets, axis=0)
-    top = np.maximum.reduceat(top, domain.sector_offsets, axis=1).T
+    top = block_maxima(norms, codomain, domain).T
     pairs = top[:, None, :, None] * top[None, :, None, :]
     return float(pairs.max(where=~route.matrix, initial=0.0))
 
@@ -103,27 +102,13 @@ def _choi_block_excess(
     codomain: PartitionedSpace,
 ) -> float:
     """Largest Choi entry sitting on a coherence block the route forbids,
-    after checking that the operators and the route are typed by the spaces.
-
-    One pass per codomain sector of the first output index, as in
-    :func:`routed_maps._forbidden_block_excess`; the mask of each pass
-    covers the remaining three indices.
-    """
+    after checking that the operators and the route are typed by the spaces."""
     kraus = _stacked(kraus)
     _check_typing(kraus, route, domain, codomain)
     d_in, d_out = domain.total_dim, codomain.total_dim
     choi = choi_matrix(kraus).reshape(d_out, d_in, d_out, d_in)
-    forbidden = ~route.matrix
-    coords = np.ix_(domain.sector_index, codomain.sector_index, domain.sector_index)
-    worst = 0.0
-    for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
-        if not forbidden[:, :, l, :].any():
-            continue
-        # mask[k, l2, k2]: the connection k -> l may not be coherent with k2 -> l2
-        mask = forbidden[:, :, l, :].transpose(0, 2, 1)[coords]
-        band = np.abs(choi[offset : offset + dim])
-        worst = max(worst, float(band.max(where=mask, initial=0.0)))
-    return worst
+    top = block_maxima(np.abs(choi), codomain, domain, codomain, domain)  # top[l, k, l', k']
+    return float(top.max(where=~route.matrix.transpose(2, 0, 3, 1), initial=0.0))
 
 
 def follows_cp(
@@ -134,6 +119,8 @@ def follows_cp(
     tol: float = DEFAULT_TOLERANCE,
 ) -> bool:
     """Whether the channel's forbidden Choi blocks all vanish within ``tol``."""
+    kraus = _stacked(kraus)
+    _check_numbers(tol, (kraus,), "Kraus operators")
     return _choi_block_excess(kraus, route, domain, codomain) <= tol
 
 

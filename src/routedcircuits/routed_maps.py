@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .relations import Relation
-from .spaces import PartitionedSpace, subset_projector, tensor, tensor_matrix
+from .spaces import PartitionedSpace, block_maxima, tensor, tensor_matrix
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -63,21 +63,12 @@ def _forbidden_block_excess(
     """Largest entry magnitude sitting on a block the route forbids, after
     checking that the matrix and the route are typed by the spaces.
 
-    One pass per codomain sector: the largest magnitude in its band of
-    rows, over the columns whose sector the route does not send there.  A
-    band is the largest temporary; no mask of the whole matrix is made.
     A stack of matrices, with ``matrix`` of shape ``(count, rows, columns)``,
     is checked as a whole.
     """
     _check_typing(matrix, route, domain, codomain)
-    forbidden_columns = ~route.matrix[domain.sector_index]
-    worst = 0.0
-    for l, (offset, dim) in enumerate(zip(codomain.sector_offsets, codomain.sector_dims)):
-        columns = forbidden_columns[:, l]
-        if columns.any():
-            band = np.abs(matrix[..., offset : offset + dim, :])
-            worst = max(worst, float(band.max(where=columns, initial=0.0)))
-    return worst
+    top = block_maxima(np.abs(matrix), codomain, domain)  # top[..., l, k]
+    return float(top.max(where=~route.matrix.T, initial=0.0))
 
 
 def follows(
@@ -89,7 +80,9 @@ def follows(
 ) -> bool:
     """Whether every forbidden sector block of ``matrix`` (or of every matrix
     of a ``(count, rows, columns)`` stack) is within ``tol`` of zero."""
-    return _forbidden_block_excess(np.asarray(matrix), route, domain, codomain) <= tol
+    matrix = np.asarray(matrix)
+    _check_numbers(tol, (matrix,), "matrix")
+    return _forbidden_block_excess(matrix, route, domain, codomain) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,15 +244,16 @@ def dagger(op: Routed) -> Routed:
 
 
 def is_practical_isometry(op: Routed, tol: float | None = None) -> bool:
-    """Whether ``Σ K†K`` over the operators, read between projectors onto
-    the practical input space (the sectors the route's plain view relates
-    to anything), is that projector: a partial isometry for a map, and
+    """Whether ``Σ K†K`` over the operators, read on the practical input
+    coordinates (those of the sectors the route's plain view relates to
+    anything), is the identity there: a partial isometry for a map, and
     practical trace preservation for a channel."""
     tol = op.tolerance if tol is None else tol
-    p = subset_projector(op.domain, rel.practical_input_set(rel.diagonal(op.route)))
+    _check_numbers(tol, (), "operators")
+    practical = rel.diagonal_view(op.route).any(axis=1)[op.domain.sector_index]
     flat = op.kraus_stack.reshape(-1, op.domain.total_dim)
-    sandwich = p @ (flat.conj().T @ flat) @ p
-    return float(np.abs(sandwich - p).max(initial=0.0)) <= tol
+    gram = (flat.conj().T @ flat)[np.ix_(practical, practical)]
+    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0)) <= tol
 
 
 def is_practical_unitary(routed: RoutedMap, tol: float | None = None) -> bool:

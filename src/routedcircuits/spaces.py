@@ -113,6 +113,15 @@ def subset_projector(space: PartitionedSpace, labels: Iterable[Label]) -> np.nda
     return np.diag(np.isin(space.sector_index, positions)).astype(complex)
 
 
+def block_maxima(values: np.ndarray, *spaces: PartitionedSpace) -> np.ndarray:
+    """The largest entry of every sector block along the last ``len(spaces)``
+    axes, one axis per space, each of which then runs over its space's
+    sectors; leading axes pass through."""
+    for axis, space in enumerate(spaces, start=values.ndim - len(spaces)):
+        values = np.maximum.reduceat(values, space.sector_offsets, axis=axis)
+    return values
+
+
 # -- tensor products ---------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 The matrix is rebuilt from the sector blocks its route allows, one block
 at a time through ``sector_slice``, and it follows the route when the
 rebuilt matrix is within the tolerance of the original.  It shares only
-the spaces and relations with the band-wise check in ``routed_maps``.
+the spaces and relations with the block-maxima check in ``routed_maps``.
 """
 
 from __future__ import annotations

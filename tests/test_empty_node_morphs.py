@@ -2,7 +2,8 @@
 wherever it sits: an inner empty node that normalisation removes and a
 boundary strand that it keeps are both rejected, by the document reader
 at the node's pointer (exit 2) and by ``interpret`` naming the node, as is
-a morphism for a node the graph lacks."""
+a morphism for a node the graph lacks.  The reader also needs a space for
+every wire, a boundary strand's included."""
 
 from __future__ import annotations
 
@@ -92,11 +93,10 @@ def test_the_reader_rejects_a_morphism_for_an_empty_node(chain):
     assert err.value.location == "/interpretation/morphs/e"
 
 
-@pytest.mark.parametrize("chain", sorted(CHAINS))
-def test_the_cli_exits_two_on_a_morphism_for_an_empty_node(chain, tmp_path):
+def assert_cli_schema_error(data: dict, tmp_path, location: str, commands) -> None:
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document(chain)))
-    for command in ("validate", "eval"):
+    path.write_text(json.dumps(data))
+    for command in commands:
         result = subprocess.run(
             [sys.executable, "-m", "routedcircuits.cli", command, str(path)],
             capture_output=True, text=True,
@@ -104,7 +104,26 @@ def test_the_cli_exits_two_on_a_morphism_for_an_empty_node(chain, tmp_path):
         assert result.returncode == 2, result.stderr
         payload = json.loads(result.stdout)
         assert payload["kind"] == "SchemaError"
-        assert payload["error"].startswith("/interpretation/morphs/e: ")
+        assert payload["error"].startswith(f"{location}: ")
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_the_cli_exits_two_on_a_morphism_for_an_empty_node(chain, tmp_path):
+    location = "/interpretation/morphs/e"
+    assert_cli_schema_error(document(chain), tmp_path, location, ("validate", "eval"))
+
+
+def test_the_reader_needs_a_space_for_every_wire(tmp_path):
+    """A boundary strand's wires touch no morphism, yet evaluation reads
+    their spaces: one left out is reported where the spaces are."""
+    data = document("boundary")
+    del data["interpretation"]["morphs"]["e"]
+    del data["interpretation"]["spaces"]["y"]
+    with pytest.raises(SchemaError, match="no space for wire 'y'") as err:
+        parse(json.dumps(data))
+    assert err.value.location == "/interpretation/spaces"
+    commands = ("validate", "eval", "explain")
+    assert_cli_schema_error(data, tmp_path, "/interpretation/spaces", commands)
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))

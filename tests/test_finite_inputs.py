@@ -1,5 +1,6 @@
 """Non-finite numbers and bad tolerances are rejected where values enter:
-routed map and channel construction, and document parsing."""
+routed map and channel construction, the public route checks and
+certifications, and document parsing."""
 
 from __future__ import annotations
 
@@ -12,8 +13,18 @@ from routedcircuits import relations as rel
 from routedcircuits.errors import InvariantViolation, SchemaError
 from routedcircuits.io import parse
 from routedcircuits.relations import Relation
-from routedcircuits.routed_cpms import RoutedCPM
-from routedcircuits.routed_maps import RoutedMap
+from routedcircuits.routed_cpms import (
+    RoutedCPM,
+    follows_cp,
+    is_practically_trace_preserving,
+    kraus_follow_diagonal,
+)
+from routedcircuits.routed_maps import (
+    RoutedMap,
+    follows,
+    is_practical_isometry,
+    is_practical_unitary,
+)
 from routedcircuits.spaces import PartitionedSpace
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -57,6 +68,53 @@ class TestRoutedCPM:
     def test_bad_tolerance_rejected(self, line, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             RoutedCPM.identity(line, tolerance)
+
+
+def identity_route(space):
+    return Relation.identity(space.sector_labels)
+
+
+# each public check on a valid input, given the space and an explicit tolerance
+CHECKS = {
+    "follows": lambda s, tol: follows(np.eye(2), identity_route(s), s, s, tol),
+    "follows_cp": lambda s, tol: follows_cp(
+        [np.eye(2)], rel.full_coherence(identity_route(s)), s, s, tol
+    ),
+    "is_practical_isometry": lambda s, tol: is_practical_isometry(RoutedMap.identity(s), tol),
+    "is_practical_unitary": lambda s, tol: is_practical_unitary(RoutedMap.identity(s), tol),
+    "is_practically_trace_preserving": lambda s, tol: is_practically_trace_preserving(
+        RoutedCPM.identity(s), tol
+    ),
+    "kraus_follow_diagonal": lambda s, tol: kraus_follow_diagonal(RoutedCPM.identity(s), tol),
+}
+
+
+class TestPublicChecks:
+    """A check given a bad tolerance raises as a constructor does, rather
+    than answering False (NaN, -1) or True (infinity)."""
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_valid_tolerance_accepted(self, line, check):
+        assert CHECKS[check](line, 0.0)
+
+    @pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_bad_tolerance_rejected(self, line, check, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            CHECKS[check](line, tolerance)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_follows_rejects_non_finite_entries(self, line, bad):
+        matrix = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            follows(matrix, identity_route(line), line, line)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_follows_cp_rejects_non_finite_entries(self, line, bad):
+        route = rel.full_coherence(identity_route(line))
+        kraus = (np.eye(2), np.array([[0.0, bad], [0.0, 0.0]]))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            follows_cp(kraus, route, line, line)
 
 
 def one_box_document(entry: str) -> str:

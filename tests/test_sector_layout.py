@@ -1,5 +1,5 @@
 """The sector layout of partitioned spaces and what is built on it: the
-canonical tensor order, the band-wise route checks and the wire
+canonical tensor order, the block-maxima route checks and the wire
 permutations, each against a written-out reference."""
 
 from __future__ import annotations

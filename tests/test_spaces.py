@@ -1,14 +1,19 @@
-"""Partitioned spaces: projectors and tensor products."""
+"""Partitioned spaces: projectors, sector block maxima and tensor products."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routedcircuits.errors import InvariantViolation, UnknownLabel
 from routedcircuits.relations import IndexSet
 from routedcircuits.spaces import (
     PartitionedSpace,
+    block_maxima,
     kron_to_canonical,
     projector,
     subset_projector,
@@ -70,6 +75,37 @@ class TestProjectors:
 
     def test_subset_projector(self, small):
         assert np.array_equal(np.diagonal(subset_projector(small, [0])).real, [1, 0, 0])
+
+
+@st.composite
+def blocked_values(draw):
+    """Random values over one to four spaces, with or without a leading axis;
+    sectors of one coordinate come up often."""
+    dims = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=4))
+    spaces = [PartitionedSpace.from_dims(range(len(d)), d) for d in dims]
+    lead = draw(st.sampled_from([(), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal(lead + tuple(s.total_dim for s in spaces)), spaces
+
+
+def sector_slices(space: PartitionedSpace) -> list[slice]:
+    """Each sector's coordinate range, from the dimensions alone."""
+    ends = list(itertools.accumulate(space.sector_dims))
+    return [slice(end - dim, end) for end, dim in zip(ends, space.sector_dims)]
+
+
+class TestBlockMaxima:
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_values())
+    def test_largest_entry_of_every_block(self, drawn):
+        values, spaces = drawn
+        lead = values.ndim - len(spaces)
+        maxima = block_maxima(values, *spaces)
+        assert maxima.shape == values.shape[:lead] + tuple(len(s.sector_dims) for s in spaces)
+        for block in itertools.product(*(enumerate(sector_slices(s)) for s in spaces)):
+            positions, slices = zip(*block)
+            want = values[(..., *slices)].max(axis=tuple(range(lead, values.ndim)))
+            assert np.array_equal(maxima[(..., *positions)], want)
 
 
 class TestTensor:
