@@ -5,16 +5,16 @@ may stay coherent.  Route-following is decided on Choi-matrix blocks: the
 defining condition is linear in the input state, so vanishing of the
 forbidden Choi blocks is both finite and complete.  A construction first
 tries a Cauchy–Schwarz bound on those blocks, from the norms of the
-operators' coordinates, which is exact for one operator; only a map the
-bound cannot clear builds its Choi matrix.  Channel equality
-elsewhere in the package is likewise Choi comparison; Kraus lists are never
-minimised.  A channel stores its operators as one read-only
-``(count, d_out, d_in)`` array, ``kraus_stack``, which the Choi matrix
-works on whole.  ``compose``, ``tensor_cpm``, ``dagger_cpm``, ``relabel``
-and ``==`` are those of :mod:`routed_maps`, written once over Kraus stacks;
-their routes compose, tensor and transpose by the one algebra of
-:mod:`relations`, which reads a coherence route's two sector axes per side
-as one.  ``is_practically_trace_preserving`` is
+operators' coordinates, then one from each operator's block maxima; both
+are exact for one operator, and only a map neither clears builds its Choi
+matrix.  Channel equality elsewhere in the package is likewise Choi
+comparison; Kraus lists are never minimised.  A channel stores its
+operators as one read-only ``(count, d_out, d_in)`` array, ``kraus_stack``,
+which the Choi matrix works on whole.  ``compose``, ``tensor_cpm``,
+``dagger_cpm``, ``relabel`` and ``==`` are those of :mod:`routed_maps`,
+written once over Kraus stacks; their routes compose, tensor and transpose
+by the one algebra of :mod:`relations`, which reads a coherence route's two
+sector axes per side as one.  ``is_practically_trace_preserving`` is
 :func:`routed_maps.is_practical_isometry`, and the channel gate is the
 isometry gate: both read a route's plain view, which for a coherence route
 is its diagonal.
@@ -37,25 +37,26 @@ from .routed_maps import (
     _check_typing,
     _require_composable,
     _require_proper,
+    _stored,
     compose,
     follows,
 )
 from .routed_maps import dagger as dagger_cpm
 from .routed_maps import is_practical_isometry as is_practically_trace_preserving
 from .routed_maps import tensor_map as tensor_cpm
-from .spaces import PartitionedSpace, block_maxima
+from .spaces import PartitionedSpace, block_maxima, sector_blocks
 
 
-def _stacked(kraus: Sequence[np.ndarray], copy: bool = False) -> np.ndarray:
-    """The operators as one ``(count, d_out, d_in)`` complex array.
-
-    Without ``copy``, a stacked complex array comes back as it is; with
-    it, the operators are copied into a new array in C order.
-    """
+def _stacked(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The operators as one ``(count, d_out, d_in)`` complex array: a
+    stacked complex array as it is, anything else in a new read-only array,
+    which nothing else holds and so :func:`_stored` keeps."""
     try:
-        stack = np.array(kraus, dtype=complex, order="C") if copy else np.asarray(kraus, complex)
+        stack = np.asarray(kraus, complex)
     except ValueError:
         raise ShapeMismatch("Kraus operators must all have the same shape") from None
+    if stack is not kraus and stack.base is None:
+        stack.setflags(write=False)
     if not len(stack):
         raise ShapeMismatch("a routed CP map needs at least one Kraus operator")
     if stack.ndim != 3:
@@ -95,6 +96,16 @@ def _choi_block_bound(
     return float(pairs.max(where=~route.matrix, initial=0.0))
 
 
+def _operator_block_bound(stack: np.ndarray, route: CPRelation, domain, codomain) -> float:
+    """``Σ_i top[i, l, k] * top[i, l', k']`` over the forbidden blocks, with
+    ``top`` each operator's block maxima: an upper bound on a Choi entry,
+    zero where no one operator touches both blocks (as in a decohering
+    channel, or a product of them), where the Cauchy–Schwarz bound is not."""
+    top = block_maxima(np.abs(stack), codomain, domain)
+    pairs = np.einsum("ilk,imj->kjlm", top, top)  # [k, k', l, l']
+    return float(pairs.max(where=~route.matrix, initial=0.0))
+
+
 def _choi_block_excess(
     kraus: Sequence[np.ndarray],
     route: CPRelation,
@@ -130,9 +141,8 @@ class RoutedCPM:
 
     ``kraus`` may be given as a sequence of operators or as one stacked
     array; it is kept as ``kraus_stack`` itself, the operators stacked
-    read-only along a leading axis.  A stacked array that is complex,
-    C-contiguous, read-only and owns its data is kept as it is; anything
-    else is copied.
+    read-only along a leading axis, by the storage rule of routed maps
+    (:func:`routed_maps._stored`).
     """
 
     route: CPRelation
@@ -144,18 +154,15 @@ class RoutedCPM:
     _kind = "channels"
 
     def __post_init__(self):
-        given = self.kraus
-        kept = isinstance(given, np.ndarray) and given.dtype == complex and given.base is None
-        kept = kept and given.flags.c_contiguous and not given.flags.writeable
-        stack = _stacked(given, copy=not kept)
-        stack.setflags(write=False)
+        stack = _stored(_stacked(self.kraus))
         object.__setattr__(self, "kraus_stack", stack)
         object.__setattr__(self, "kraus", stack)
         _check_numbers(self.tolerance, (stack,), "Kraus operators")
         _check_typing(stack, self.route, self.domain, self.codomain)
-        # half the tolerance leaves room for rounding in the bound
-        if _choi_block_bound(stack, self.route, self.domain, self.codomain) <= self.tolerance / 2:
-            return
+        # half the tolerance leaves room for rounding in the bounds
+        for bound in (_choi_block_bound, _operator_block_bound):
+            if bound(stack, self.route, self.domain, self.codomain) <= self.tolerance / 2:
+                return
         excess = _choi_block_excess(stack, self.route, self.domain, self.codomain)
         if excess > self.tolerance:
             raise RouteViolation(
@@ -233,28 +240,21 @@ def adapted_kraus_decomposition(
         raise NotFullDecoherence(
             "adapted decompositions only exist for fully decohering routes"
         )
-    diag = rel.diagonal(channel.route)
     out: list[tuple[Label, Label, list[np.ndarray]]] = []
-    d_out, d_in = channel.codomain.total_dim, channel.domain.total_dim
-    for k in channel.domain.sector_labels:
-        cols = channel.domain.sector_slice(k)
-        for l in channel.codomain.sector_labels:
-            if not diag.relates(k, l):
+    domain, codomain = channel.domain, channel.codomain
+    for k, l, rows, cols in sector_blocks(rel.diagonal_view(channel.route), domain, codomain):
+        blocks = channel.kraus_stack[:, rows, cols]
+        eigvals, eigvecs = np.linalg.eigh(choi_matrix(blocks))
+        ops = []
+        cutoff = max(channel.tolerance, 1e-12) * max(1.0, float(eigvals.max(initial=0.0)))
+        for value, vec in zip(eigvals, eigvecs.T):
+            if value <= cutoff:
                 continue
-            rows = channel.codomain.sector_slice(l)
-            blocks = channel.kraus_stack[:, rows, cols]
-            eigvals, eigvecs = np.linalg.eigh(choi_matrix(blocks))
-            ops = []
-            cutoff = max(channel.tolerance, 1e-12) * max(1.0, float(eigvals.max(initial=0.0)))
-            for value, vec in zip(eigvals, eigvecs.T):
-                if value <= cutoff:
-                    continue
-                small = np.sqrt(value) * vec.reshape(blocks.shape[1:])
-                full = np.zeros((d_out, d_in), dtype=complex)
-                full[rows, cols] = small
-                ops.append(full)
-            if ops:
-                out.append((k, l, ops))
+            full = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
+            full[rows, cols] = np.sqrt(value) * vec.reshape(blocks.shape[1:])
+            ops.append(full)
+        if ops:
+            out.append((domain.sector_labels.labels[k], codomain.sector_labels.labels[l], ops))
     return out
 
 

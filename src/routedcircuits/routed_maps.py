@@ -45,6 +45,21 @@ def _check_numbers(tolerance: float, arrays: Iterable[np.ndarray], what: str) ->
         raise InvariantViolation(f"non-finite entries in the {what}")
 
 
+def _stored(given) -> np.ndarray:
+    """The array a routed map or CP map keeps of ``given``: ``given`` itself
+    when it is complex, C-contiguous and read-only and its data is owned by
+    a read-only array of the same size (itself, or the one-operator stack
+    it is the matrix of), so that nothing can write to it; anything else
+    copied in C order and made read-only."""
+    owner = given if getattr(given, "base", None) is None else given.base
+    kept = isinstance(owner, np.ndarray) and owner.base is None and not owner.flags.writeable
+    if kept and owner.size == given.size and given.dtype == complex and given.flags.c_contiguous:
+        return given
+    array = np.array(given, dtype=complex, order="C")
+    array.setflags(write=False)
+    return array
+
+
 def _check_typing(matrix: np.ndarray, route, domain, codomain) -> None:
     """Raise unless a matrix, or a ``(count, rows, columns)`` stack of them,
     and its plain or coherence route are typed by the spaces."""
@@ -91,6 +106,7 @@ class RoutedMap:
 
     ``kraus_stack`` is a read-only ``(1, d_out, d_in)`` view of ``matrix``:
     the pairwise algebra below reads only it, for routed CP maps too.
+    ``matrix`` is stored by the rule of :func:`_stored`.
     """
 
     route: Relation
@@ -102,8 +118,7 @@ class RoutedMap:
     _kind = "maps"  # in messages
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex, order="C")
-        matrix.setflags(write=False)
+        matrix = _stored(self.matrix)
         object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2:
             raise ShapeMismatch(f"a routed map needs a matrix, got shape {matrix.shape}")
@@ -196,7 +211,7 @@ def _require_composable(second: Routed, first: Routed) -> None:
 def compose(second: Routed, first: Routed) -> Routed:
     """Pairwise sequential composition: the routes compose and the operators
     multiply pairwise, ``second``'s operator index outermost, straight into
-    a read-only stack that a routed CP map keeps without a copy."""
+    a read-only stack that the composite keeps without a copy."""
     _require_composable(second, first)
     a, b = second.kraus_stack, first.kraus_stack
     kraus = np.empty((len(a) * len(b), a.shape[1], b.shape[2]), dtype=complex)
@@ -233,14 +248,11 @@ def tensor_map(left: Routed, right: Routed) -> Routed:
 
 
 def dagger(op: Routed) -> Routed:
-    """Adjoint: every operator conjugate-transposed, with the transposed route."""
-    return op.from_stack(
-        rel.transpose(op.route),
-        op.kraus_stack.conj().transpose(0, 2, 1),
-        op.codomain,
-        op.domain,
-        op.tolerance,
-    )
+    """Adjoint: every operator conjugate-transposed, written once in C order
+    into a read-only stack that the adjoint keeps, with the transposed route."""
+    adjoint = np.conjugate(op.kraus_stack.transpose(0, 2, 1), order="C")
+    adjoint.setflags(write=False)
+    return op.from_stack(rel.transpose(op.route), adjoint, op.codomain, op.domain, op.tolerance)
 
 
 def is_practical_isometry(op: Routed, tol: float | None = None) -> bool:

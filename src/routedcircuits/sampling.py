@@ -8,13 +8,15 @@ the route and dimensions admit no such map (the caller resamples).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import relations as rel
 from .relations import IndexSet, Relation
 from .routed_cpms import RoutedCPM
-from .routed_maps import RoutedMap
-from .spaces import PartitionedSpace
+from .routed_maps import RoutedMap, is_practical_unitary
+from .spaces import PartitionedSpace, sector_blocks
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,17 +54,18 @@ def random_matrix_following(
 ) -> np.ndarray:
     """Gaussian matrix supported on the allowed sector blocks only."""
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
-    for k in domain.sector_labels:
-        cols = domain.sector_slice(k)
-        for l in codomain.sector_labels:
-            if not route.relates(k, l):
-                continue
-            rows = codomain.sector_slice(l)
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            matrix[rows, cols] = scale * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            )
+    for _, _, rows, cols in sector_blocks(route.matrix, domain, codomain):
+        shape = matrix[rows, cols].shape
+        matrix[rows, cols] = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return matrix
+
+
+def _inverse_sqrt_gram(blocks: list[np.ndarray]) -> np.ndarray:
+    """``G^(-1/2)`` for the Gram matrix ``G = Σ b†b`` of the blocks, which
+    must be invertible: right-multiplied into every block, it makes their
+    Gram matrix the identity."""
+    eigvals, eigvecs = np.linalg.eigh(sum(b.conj().T @ b for b in blocks))
+    return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.conj().T
 
 
 def _null_space(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -85,28 +88,17 @@ def random_practical_isometry(
     dim_b = codomain.total_dim
     matrix = np.zeros((dim_b, domain.total_dim), dtype=complex)
     placed = np.zeros((dim_b, 0), dtype=complex)
-    practical = rel.practical_input_set(route)
-    for k in domain.sector_labels:
-        if k not in practical:
-            continue
-        allowed_coords = []
-        for l in codomain.sector_labels:
-            if route.relates(k, l):
-                block = codomain.sector_slice(l)
-                allowed_coords.extend(range(block.start, block.stop))
-        basis = np.zeros((dim_b, len(allowed_coords)), dtype=complex)
-        for column, coord in enumerate(allowed_coords):
-            basis[coord, column] = 1.0
+    practical = np.diag(route.matrix.any(axis=1))  # the practical sectors, each to itself
+    for k, _, cols, _ in sector_blocks(practical, domain, domain):
+        basis = np.eye(dim_b, dtype=complex)[:, route.matrix[k][codomain.sector_index]]
         kernel = _null_space(placed.conj().T @ basis)
-        need = domain.dim_of(k)
+        need = domain.sector_dims[k]
         if kernel.shape[1] < need:
             return None
-        gaussian = rng.standard_normal((kernel.shape[1], need)) + 1j * rng.standard_normal(
-            (kernel.shape[1], need)
-        )
-        q, _ = np.linalg.qr(gaussian)
+        shape = (kernel.shape[1], need)
+        q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         columns = basis @ kernel @ q[:, :need]
-        matrix[:, domain.sector_slice(k)] = columns
+        matrix[:, cols] = columns
         placed = np.hstack([placed, columns])
     return RoutedMap(route, matrix, domain, codomain)
 
@@ -118,15 +110,12 @@ def random_practical_unitary(
     rng: np.random.Generator,
 ) -> RoutedMap | None:
     """A route-following practical unitary, or None when dimensions forbid it."""
-    s_dim = sum(domain.dim_of(k) for k in rel.practical_input_set(route))
-    t_dim = sum(codomain.dim_of(l) for l in rel.practical_output_set(route))
-    if s_dim != t_dim:
+    inputs, outputs = route.matrix.any(axis=1), route.matrix.any(axis=0)  # the practical sectors
+    if np.dot(inputs, domain.sector_dims) != np.dot(outputs, codomain.sector_dims):
         return None
     candidate = random_practical_isometry(route, domain, codomain, rng)
     if candidate is None:
         return None
-    from .routed_maps import is_practical_unitary
-
     return candidate if is_practical_unitary(candidate) else None
 
 
@@ -135,10 +124,10 @@ def random_block_diagonal_unitary(
 ) -> RoutedMap:
     """A sector-preserving unitary (identity route)."""
     matrix = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for label in space.sector_labels:
-        block = space.sector_slice(label)
-        matrix[block, block] = random_unitary(space.dim_of(label), rng)
-    return RoutedMap(Relation.identity(space.sector_labels), matrix, space, space)
+    route = Relation.identity(space.sector_labels)
+    for k, _, block, _ in sector_blocks(route.matrix, space, space):
+        matrix[block, block] = random_unitary(space.sector_dims[k], rng)
+    return RoutedMap(route, matrix, space, space)
 
 
 def random_kraus_following(
@@ -180,30 +169,32 @@ def random_decohered_cpm(
 
     Each Kraus operator is confined to a single allowed (input, output)
     sector pair.  With ``trace_preserving`` the per-input-sector blocks are
-    rescaled so the channel preserves trace on its practical input space.
+    rescaled so the channel preserves trace on its practical input space;
+    that needs the blocks of an input sector to reach at least its
+    dimension, or a ``ValueError`` is raised before anything is drawn.
     """
-    kraus: list[np.ndarray] = []
-    for k in domain.sector_labels:
-        cols = domain.sector_slice(k)
-        dim_k = domain.dim_of(k)
-        block_ops: list[tuple[slice, np.ndarray]] = []
-        for l in codomain.sector_labels:
-            if not connectivity.relates(k, l):
-                continue
-            rows = codomain.sector_slice(l)
-            for _ in range(ops_per_block):
-                shape = (rows.stop - rows.start, dim_k)
-                block_ops.append(
-                    (rows, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if trace_preserving:
+        for k, row in enumerate(connectivity.matrix.tolist()):
+            reach = ops_per_block * sum(itertools.compress(codomain.sector_dims, row))
+            if any(row) and domain.sector_dims[k] > reach:
+                raise ValueError(
+                    f"input sector {domain.sector_labels.labels[k]!r} has dimension "
+                    f"{domain.sector_dims[k]}, but its {ops_per_block} operators per "
+                    f"block reach only {reach} dimensions"
                 )
-        if not block_ops:
-            continue
+    kraus: list[np.ndarray] = []
+    blocks = sector_blocks(connectivity.matrix, domain, codomain)
+    for _, group in itertools.groupby(blocks, key=lambda block: block[0]):
+        block_ops = []
+        for _, _, rows, cols in group:
+            for _ in range(ops_per_block):
+                shape = (rows.stop - rows.start, cols.stop - cols.start)
+                draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                block_ops.append((rows, cols, draw))
         if trace_preserving:
-            gram = sum(b.conj().T @ b for _, b in block_ops)
-            eigvals, eigvecs = np.linalg.eigh(gram)
-            inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.conj().T
-            block_ops = [(rows, b @ inv_sqrt) for rows, b in block_ops]
-        for rows, b in block_ops:
+            inv_sqrt = _inverse_sqrt_gram([b for _, _, b in block_ops])
+            block_ops = [(rows, cols, b @ inv_sqrt) for rows, cols, b in block_ops]
+        for rows, cols, b in block_ops:
             full = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
             full[rows, cols] = b
             kraus.append(full)
@@ -222,20 +213,14 @@ def random_sector_preserving_channel(
     """
     dim = space.total_dim
     kraus = [np.zeros((dim, dim), dtype=complex) for _ in range(count)]
-    for label in space.sector_labels:
-        block = space.sector_slice(label)
-        d = space.dim_of(label)
-        raw = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(count)
-        ]
-        gram = sum(b.conj().T @ b for b in raw)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.conj().T
+    identity = Relation.identity(space.sector_labels)
+    for k, _, block, _ in sector_blocks(identity.matrix, space, space):
+        d = space.sector_dims[k]
+        raw = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(count)]
+        inv_sqrt = _inverse_sqrt_gram(raw)
         for op, b in zip(kraus, raw):
             op[block, block] = b @ inv_sqrt
-    route = rel.full_coherence(Relation.identity(space.sector_labels))
-    return RoutedCPM(route, tuple(kraus), space, space)
+    return RoutedCPM(rel.full_coherence(identity), tuple(kraus), space, space)
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +120,19 @@ def block_maxima(values: np.ndarray, *spaces: PartitionedSpace) -> np.ndarray:
     for axis, space in enumerate(spaces, start=values.ndim - len(spaces)):
         values = np.maximum.reduceat(values, space.sector_offsets, axis=axis)
     return values
+
+
+def sector_blocks(
+    allowed: np.ndarray, domain: PartitionedSpace, codomain: PartitionedSpace
+) -> Iterator[tuple[int, int, slice, slice]]:
+    """``(k, l, rows, cols)`` for every true ``allowed[k, l]``, input sector
+    position ``k`` outermost: the coordinate slices of the block from
+    sector ``k`` of ``domain`` to sector ``l`` of ``codomain``."""
+    inputs, outputs = np.nonzero(allowed)
+    for k, l in zip(inputs.tolist(), outputs.tolist()):
+        row, col = codomain.sector_offsets[l], domain.sector_offsets[k]
+        rows = slice(row, row + codomain.sector_dims[l])
+        yield k, l, rows, slice(col, col + domain.sector_dims[k])
 
 
 # -- tensor products ---------------------------------------------------

@@ -1,8 +1,9 @@
 """How an evaluated operator stack reaches its routed CP map: the one
 compiled gather against the two-step gather it replaced, the rule by
-which a routed CP map keeps a given stack without a copy, the coordinate
-norms of the CP bound, the C order of every stored array, and the memory
-of a warm CPM evaluation and of composing two channels."""
+which a routed map or CP map keeps a given array without a copy, the
+coordinate norms of the CP bound, the C order of every stored array, and
+the memory of a warm CPM evaluation, of composing two channels or two
+maps, and of an adjoint."""
 
 from __future__ import annotations
 
@@ -189,6 +190,38 @@ class TestAdoption:
             with pytest.raises(ShapeMismatch):
                 RoutedCPM(full, read_only(np.ones(shape, dtype=complex)), LINE, LINE)
 
+    def test_a_map_keeps_only_what_nothing_can_write(self, rng):
+        """The rule of routed CP maps, for a routed map's matrix: an owned
+        read-only C matrix, or the matrix of a read-only one-operator stack,
+        is kept; a read-only view of a writeable array, or of part of a
+        larger array, is copied."""
+        op = random_block_diagonal_unitary(LINE, rng)
+        matrix = read_only(np.array(op.matrix))
+        assert RoutedMap(op.route, matrix, LINE, LINE).matrix is matrix
+        stack = read_only(np.array(op.kraus_stack))
+        assert RoutedMap.from_stack(op.route, stack, LINE, LINE).matrix.base is stack
+        base = np.array(op.matrix)
+        routed = RoutedMap(op.route, read_only(base[:]), LINE, LINE)
+        base[...] = 0
+        assert np.array_equal(routed.matrix, op.matrix)
+        two = read_only(np.stack([op.matrix, op.matrix]))
+        assert not np.shares_memory(RoutedMap(op.route, two[0], LINE, LINE).matrix, two)
+
+    def test_evaluate_hands_its_pure_stack_over(self, monkeypatch, rng):
+        op = random_block_diagonal_unitary(LINE, rng)
+        builder = CircuitBuilder("pure").wire("a", LINE).wire("b", LINE).wire("c", LINE)
+        builder.box("u", ["a"], ["b"], op).box("v", ["b"], ["c"], op)
+        circuit = builder.inputs("a").outputs("c").build()
+        made = []
+
+        def record(*args):
+            made.append(_contracted_operators(*args))
+            return made[-1]
+
+        monkeypatch.setattr(circuits, "_contracted_operators", record)
+        result = evaluate(circuit)
+        assert result.matrix.base is made[0] and not result.matrix.flags.writeable
+
     def test_evaluate_hands_its_stack_over(self, monkeypatch):
         circuit = channel_chain(boxes=3, count=2)
         made = []
@@ -318,3 +351,43 @@ def test_channel_composition_writes_its_product_once():
     pairs = second.kraus_stack[:, None] @ first.kraus_stack[None]
     assert np.array_equal(op.kraus_stack, pairs.reshape(4096, 6, 6))
     assert peak < 1.5 * op.kraus_stack.nbytes
+
+
+def test_map_composition_writes_its_product_once():
+    """Two maps on a line of dimension 512: the product is written straight
+    into the composite's read-only one-operator stack, which the map keeps;
+    beside it the route check holds one real array of the entries'
+    magnitudes.  Copying the product again into a new matrix took 2.5
+    times the result."""
+    line = PartitionedSpace.from_dims([0, 1], [256, 256])
+    first, second = (random_block_diagonal_unitary(line, np.random.default_rng(s)) for s in (6, 7))
+    tracemalloc.start()
+    try:
+        op = rmap.compose(second, first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(op.matrix, second.matrix @ first.matrix)
+    assert peak < 2 * op.matrix.nbytes
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [(RoutedMap.identity, 2.0), (RoutedCPM.identity, 2.5)],
+    ids=["map", "channel"],
+)
+def test_an_adjoint_is_written_once(make, bound):
+    """The adjoint of a map or channel on a two-sector space of dimension
+    512 is written once, into the stack it keeps; beside it the route check
+    holds one real array of the entries' magnitudes (a map) or two of the
+    coordinate norms (a channel).  Conjugating, then copying the transpose
+    into C order, peaked at 2.5 and 3 times the result."""
+    op = make(PartitionedSpace.from_dims([0, 1], [256, 256]))
+    tracemalloc.start()
+    try:
+        adjoint = rmap.dagger(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(adjoint.kraus_stack, op.kraus_stack.conj().transpose(0, 2, 1))
+    assert peak < bound * adjoint.kraus_stack.nbytes

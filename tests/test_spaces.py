@@ -1,26 +1,33 @@
-"""Partitioned spaces: projectors, sector block maxima and tensor products."""
+"""Partitioned spaces: projectors, sector block maxima, the walk over
+allowed sector blocks and tensor products."""
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routedcircuits import relations as rel
 from routedcircuits.errors import InvariantViolation, UnknownLabel
-from routedcircuits.relations import IndexSet
+from routedcircuits.relations import IndexSet, Relation
 from routedcircuits.spaces import (
     PartitionedSpace,
     block_maxima,
     kron_to_canonical,
     projector,
+    sector_blocks,
     subset_projector,
     tensor,
     tensor_many,
     tensor_matrix,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "routedcircuits"
 
 
 @pytest.fixture
@@ -106,6 +113,66 @@ class TestBlockMaxima:
             positions, slices = zip(*block)
             want = values[(..., *slices)].max(axis=tuple(range(lead, values.ndim)))
             assert np.array_equal(maxima[(..., *positions)], want)
+
+
+@st.composite
+def routed_spaces(draw):
+    """Two spaces of one to four sectors of dimensions 1 to 3, with string
+    labels unlike their positions, and an empty, full or random route
+    between them, plain or coherence."""
+    dims = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+    domain, codomain = (
+        PartitionedSpace.from_dims([f"{side}{i}" for i in range(len(d))], d)
+        for side, d in (("k", draw(dims)), ("l", draw(dims)))
+    )
+    shape = (len(domain.sector_dims), len(codomain.sector_dims))
+    size = shape[0] * shape[1]
+    pattern = draw(st.sampled_from(["empty", "full", "random"]))
+    if pattern == "random":
+        bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    else:
+        bits = [pattern == "full"] * size
+    route = Relation(domain.sector_labels, codomain.sector_labels, np.reshape(bits, shape))
+    lift = draw(st.sampled_from([None, rel.full_coherence, rel.full_decoherence]))
+    return (route if lift is None else lift(route)), domain, codomain
+
+
+def blocks_by_labels(route, domain: PartitionedSpace, codomain: PartitionedSpace) -> list:
+    """The allowed blocks by a double loop over labels, input label outermost."""
+    plain = rel.diagonal(route)
+    return [
+        (domain.sector_labels.position(k), codomain.sector_labels.position(l),
+         codomain.sector_slice(l), domain.sector_slice(k))
+        for k in domain.sector_labels
+        for l in codomain.sector_labels
+        if plain.relates(k, l)
+    ]
+
+
+class TestSectorBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(routed_spaces())
+    def test_the_label_loop_in_its_order(self, drawn):
+        route, domain, codomain = drawn
+        got = list(sector_blocks(rel.diagonal_view(route), domain, codomain))
+        assert got == blocks_by_labels(route, domain, codomain)
+        assert all(type(k) is int and type(l) is int for k, l, _, _ in got)
+
+
+def test_only_spaces_and_relations_look_blocks_up_by_label():
+    """Every block writer walks ``sector_blocks`` by position; the label
+    accessors stay public, for callers outside the package and its tests."""
+    accessors = {"relates", "sector_slice", "sector_range", "dim_of"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                called = getattr(node, "func", None)
+                if isinstance(called, ast.Attribute) and called.attr in accessors:
+                    callers.add((path.stem, function.name, called.attr))
+    assert {stem for stem, _, _ in callers} <= {"spaces", "relations"}, callers
 
 
 class TestTensor:
