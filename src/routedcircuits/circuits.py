@@ -23,7 +23,9 @@ built.  Each network is compiled once per shape into a frozen program,
 behind one bounded module-level cache, the only cache of plans: the
 signatures and shapes of its tables, its plan, its gathers and foliation
 steps, and nothing of the circuit's matrices, routes or labels.  A call
-reshapes the boxes' own arrays and runs the plan.
+reshapes the boxes' own arrays and runs the plan; an operator program
+also lays out where its products go, in one buffer that each thread
+keeps, so a warm evaluation allocates little beyond its result.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -456,17 +459,124 @@ def _frozen(value):
     return type(value)(*items) if hasattr(value, "_fields") else tuple(items)
 
 
-def _run_contraction(plan: _Contraction, tables: Sequence[np.ndarray]) -> np.ndarray:
+class _Workspace(NamedTuple):
+    """Regions of one byte buffer for a planned contraction; see :func:`_workspace`."""
+
+    steps: tuple  # per step: its left load, right load and product, each a region or None
+    nbytes: int
+
+
+def _workspace(plan: _Contraction, tables: Sequence) -> _Workspace:
+    """Lay out in one buffer each step's product, and each operand load of
+    ``plan`` that a reshape cannot view, for tables given as ``(positions,
+    dtype, shape)``: each axis's rank by stride in the dense memory the
+    table views, as in a transpose of a C-contiguous array.
+
+    Every axis has a size above 1, so a reshape views a group of axes
+    exactly when their positions run up one by one; a load that cannot is
+    copied in C order, as ``reshape`` would copy it, so each product sees
+    the operands it would see without a workspace.  A region is ``(start,
+    end, dtype, shape)``, at the lowest offset, in 64-byte units, that
+    overlaps no region in use.  A step's product is placed first, and may
+    take the place of a table that a load copies, since the copies are made
+    before it is written; then the copies.  A region is free again once the
+    step reading it is done.
+    """
+    slots = [(tuple(positions), np.dtype(dtype), tuple(shape)) for positions, dtype, shape in tables]
+    busy: dict = {}  # slot, or 'left'/'right' for a step's loads -> (start, end)
+    nbytes = 0
+
+    def place(key, dtype, shape):
+        nonlocal nbytes
+        size = math.prod(shape) * dtype.itemsize
+        start = 0
+        for begin, end in sorted(busy.values()):
+            if begin - start >= size:
+                break
+            start = max(start, end)
+        busy[key] = start, start + -(-size // 64) * 64
+        nbytes = max(nbytes, busy[key][1])
+        return start, start + size, dtype, shape
+
+    def copied(slot, order, matrix):
+        """The shape of the copy a load needs, or None for a view."""
+        positions, _, shape = slots[slot]
+        moved = [positions[i] for i in order]
+        rows = next(k for k in range(len(order) + 1)
+                    if math.prod(shape[i] for i in order[:k]) == matrix[0])
+        if all(q == p + 1 for run in (moved[:rows], moved[rows:]) for p, q in zip(run, run[1:])):
+            return None
+        return tuple(shape[i] for i in order)
+
+    steps = []
+    for a, b, order_a, order_b, shape_a, shape_b, shape in plan.steps:
+        loads = ("left", a, copied(a, order_a, shape_a)), ("right", b, copied(b, order_b, shape_b))
+        read = {slot: busy.pop(slot) for _, slot, copy in loads if copy and slot in busy}
+        dtype = np.result_type(slots[a][1], slots[b][1])
+        product = place(len(slots), dtype, (shape_a[0], shape_b[1]))
+        busy.update(read)
+        at_a, at_b = (copy and place(key, slots[slot][1], copy) for key, slot, copy in loads)
+        steps.append((at_a, at_b, product))
+        for key in ("left", "right", a, b):
+            busy.pop(key, None)
+        slots.append((tuple(range(len(shape))), dtype, shape))
+    return _Workspace(tuple(steps), nbytes)
+
+
+_arenas = threading.local()
+
+#: the largest workspace a thread keeps between calls; a larger one lives
+#: for one call only
+_WORKSPACE_CAP = 64 << 20
+
+
+def _arena(nbytes: int) -> np.ndarray:
+    """A byte buffer of at least ``nbytes``: this thread's, grown to fit, or
+    over the cap a fresh one that is not kept."""
+    if nbytes > _WORKSPACE_CAP:
+        return np.empty(nbytes, np.uint8)
+    arena = getattr(_arenas, "buffer", None)
+    if arena is None or arena.size < nbytes:
+        arena = _arenas.buffer = np.empty(nbytes, np.uint8)
+    return arena
+
+
+def _run_contraction(
+    plan: _Contraction, tables: Sequence[np.ndarray], workspace: _Workspace | None = None
+) -> np.ndarray:
     """Carry out ``plan`` on tables of the signatures it was made for: each
     step reshapes its two tables to matrices and multiplies them with one
     ``np.dot``, the calls NumPy's tensor dot product makes, so the products
-    are the same to the bit."""
+    are the same to the bit.
+
+    With a ``workspace`` planned for the tables, the products and the
+    copied loads are written into this thread's arena (see :func:`_arena`),
+    and the result is a view of it, valid until the next run on the thread.
+    """
     slots = list(tables) or [np.ones(())]
-    for a, b, order_a, order_b, shape_a, shape_b, shape in plan.steps:
-        left = slots[a].transpose(order_a).reshape(shape_a)
-        right = slots[b].transpose(order_b).reshape(shape_b)
+    arena = None if workspace is None else _arena(workspace.nbytes)
+    regions = itertools.repeat((None,) * 3) if workspace is None else workspace.steps
+
+    def region(at):
+        if at is None:
+            return None
+        start, end, dtype, shape = at
+        return arena[start:end].view(dtype).reshape(shape)
+
+    def operand(table, order, shape, at):
+        if at is None:
+            return table.transpose(order).reshape(shape)
+        copy = region(at)
+        np.copyto(copy, table.transpose(order))
+        return copy.reshape(shape)
+
+    for (a, b, order_a, order_b, shape_a, shape_b, shape), (at_a, at_b, at) in zip(
+        plan.steps, regions
+    ):
+        left = operand(slots[a], order_a, shape_a, at_a)
+        right = operand(slots[b], order_b, shape_b, at_b)
         slots[a] = slots[b] = None
-        slots.append(np.dot(left, right).reshape(shape))
+        slots.append(np.dot(left, right, out=region(at)).reshape(shape))
     return slots[-1].transpose(plan.result)
 
 
@@ -608,6 +718,7 @@ class _Program(NamedTuple):
     shape: tuple  # the result's
     gathers: tuple = ()  # operators: per box, None or its index into its wires' Kronecker bases
     take: np.ndarray | None = None  # operators: each entry's offset into the plan's last slot
+    workspace: _Workspace | None = None  # operators: where the contraction writes
     pins: tuple = ()  # insertion: per table, its axis order (slice axes first) and candidates
 
 
@@ -708,7 +819,21 @@ def _network_program(
     take = last.transpose(plan.result).reshape(kraus.size, -1)[order.reshape(-1, 1), entry.ravel()]
     take = _read_only(take.reshape(kraus.size, count_out, count_in))
     plan = plan._replace(result=tuple(range(len(axes))))
-    return program._replace(plan=plan, shape=take.shape, gathers=gathers, take=take)
+
+    def positions(box, gather, shape):
+        # each axis's rank by stride in a table read as _operator_tables reads
+        # it from a C-ordered stack, of bytes here: a gather may reorder memory
+        dims = (box.count, *(math.prod(sizes[w] for w in ws) for ws in (box.outputs, box.inputs)))
+        stack = np.zeros(dims, np.uint8)
+        table = (stack if gather is None else stack[gather]).transpose(0, 2, 1).reshape(shape)
+        return np.argsort(np.argsort(np.negative(table.strides))).tolist()
+
+    tables = [(positions(*box), complex, box[2]) for box in zip(network, gathers, shapes)]
+    tables += [((0, 1), bool, s) for s in shapes[len(network) :]]
+    return program._replace(
+        plan=plan, shape=take.shape, gathers=gathers, take=take,
+        workspace=_workspace(plan, tables),
+    )
 
 
 def _insertion_program(routes: _Program, targets: tuple) -> _Program:
@@ -801,8 +926,10 @@ def _contracted_operators(
     so a routed CP map keeps it without a copy.
     """
     program = _program(circuit, "operators", sources, box_ids, targets)
-    result = _run_contraction(program.plan, _operator_tables(circuit, program, box_ids))
-    # an index, unlike np.take, reads the read-only offsets without a copy
+    tables = _operator_tables(circuit, program, box_ids)
+    result = _run_contraction(program.plan, tables, program.workspace)
+    # an index, unlike np.take, reads the read-only offsets without a copy;
+    # it writes a fresh array, so nothing returned shares the workspace
     return _read_only(result.reshape(-1)[program.take])
 
 

@@ -60,6 +60,12 @@ class CircuitDocument:
     metadata: dict = field(default_factory=dict)
 
 
+def _token(key) -> str:
+    """A document key as one reference token of a JSON pointer (RFC 6901):
+    ``~`` written ``~0`` and ``/`` written ``~1``."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 def _expect(data, key: str, kind, location: str):
     if not isinstance(data, dict):
         raise SchemaError(f"expected an object, got {type(data).__name__}", location)
@@ -70,7 +76,7 @@ def _expect(data, key: str, kind, location: str):
     if wrong or (kind is int and isinstance(value, bool)):  # true is no JSON integer
         raise SchemaError(
             f"key {key!r} must be {kind.__name__}, got {type(value).__name__}",
-            f"{location}/{key}",
+            f"{location}/{_token(key)}",
         )
     return value
 
@@ -238,8 +244,8 @@ def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
         raise SchemaError(f"mode must be 'pure' or 'cpm', got {mode!r}", "/mode")
     spaces: dict[str, PartitionedSpace] = {}
     for name, space_data in sorted(_expect(data, "spaces", dict, "").items()):
-        sectors = _expect(space_data, "sectors", list, f"/spaces/{name}")
-        spaces[name] = _space_from_json(sectors, f"/spaces/{name}/sectors")
+        at = f"/spaces/{_token(name)}"
+        spaces[name] = _space_from_json(_expect(space_data, "sectors", list, at), f"{at}/sectors")
     wires: dict[str, PartitionedSpace] = {}
     for i, wire_data in enumerate(_expect(data, "wires", list, "")):
         wire_id = _new_id(wire_data, "id", wires, f"/wires/{i}")
@@ -370,9 +376,10 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths: dict[str, int] = {}
     for name in lengths_data:
+        location = f"/interpretation/lengths/{_token(name)}"
         if name not in g.placement:
-            raise SchemaError(f"unknown index {name!r}", f"/interpretation/lengths/{name}")
-        with _context(f"/interpretation/lengths/{name}"):
+            raise SchemaError(f"unknown index {name!r}", location)
+        with _context(location):
             lengths[name] = _expect(lengths_data, name, int, "/interpretation/lengths")
             IndexFamily({name: lengths[name]})  # rejects a length below 1
     missing = sorted(set(g.placement) - set(lengths))
@@ -381,7 +388,7 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
     spaces: dict[str, PartitionedSpace] = {}
     spaces_data = _expect(data, "spaces", dict, "/interpretation")
     for wire in sorted(spaces_data):
-        location = f"/interpretation/spaces/{wire}"
+        location = f"/interpretation/spaces/{_token(wire)}"
         if wire not in g.wire_ids:
             raise SchemaError(f"unknown wire {wire!r}", location)
         sectors = _expect(spaces_data, wire, list, "/interpretation/spaces")
@@ -393,7 +400,7 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
     morphs: dict[str, RoutedMap] = {}
     pre_interp = Interpretation(lengths, spaces, {})
     for node_id, morph_data in sorted(_expect(data, "morphs", dict, "/interpretation").items()):
-        location = f"/interpretation/morphs/{node_id}"
+        location = f"/interpretation/morphs/{_token(node_id)}"
         if node_id not in g.nodes:
             raise SchemaError(f"unknown node {node_id!r}", location)
         if node_id in g.empty_nodes:
@@ -450,7 +457,7 @@ def _fault(data, location: str = ""):
     else:
         return None
     for key, value in items:
-        pointer = f"{location}/" + str(key).replace("~", "~0").replace("/", "~1")
+        pointer = f"{location}/{_token(key)}"
         if isinstance(data, _Repeated) and key == data.repeated:
             return pointer, f"repeated key {key!r}"
         found = _fault(value, pointer)

@@ -6,9 +6,10 @@ defining condition is linear in the input state, so vanishing of the
 forbidden Choi blocks is both finite and complete.  A construction first
 tries a Cauchy–Schwarz bound on those blocks, from the norms of the
 operators' coordinates, then one from each operator's block maxima; both
-are exact for one operator, and only a map neither clears builds its Choi
-matrix.  Channel equality elsewhere in the package is likewise Choi
-comparison; Kraus lists are never minimised.  A channel stores its
+are exact for one operator, and a route that forbids nothing needs neither;
+only a map neither clears builds its Choi matrix.  Two channels are the
+same map when their Choi matrices are equal, while ``==`` compares Kraus
+stacks in order; Kraus lists are never minimised.  A channel stores its
 operators as one read-only ``(count, d_out, d_in)`` array, ``kraus_stack``,
 which the Choi matrix works on whole.  ``compose``, ``tensor_cpm``,
 ``dagger_cpm``, ``relabel`` and ``==`` are those of :mod:`routed_maps`,
@@ -159,6 +160,8 @@ class RoutedCPM:
         object.__setattr__(self, "kraus", stack)
         _check_numbers(self.tolerance, (stack,), "Kraus operators")
         _check_typing(stack, self.route, self.domain, self.codomain)
+        if self.route.matrix.all():  # no block is forbidden
+            return
         # half the tolerance leaves room for rounding in the bounds
         for bound in (_choi_block_bound, _operator_block_bound):
             if bound(stack, self.route, self.domain, self.codomain) <= self.tolerance / 2:

@@ -79,9 +79,11 @@ def _forbidden_block_excess(
     checking that the matrix and the route are typed by the spaces.
 
     A stack of matrices, with ``matrix`` of shape ``(count, rows, columns)``,
-    is checked as a whole.
+    is checked as a whole.  A route that forbids nothing has no excess.
     """
     _check_typing(matrix, route, domain, codomain)
+    if route.matrix.all():
+        return 0.0
     top = block_maxima(np.abs(matrix), codomain, domain)  # top[..., l, k]
     return float(top.max(where=~route.matrix.T, initial=0.0))
 
@@ -165,7 +167,9 @@ class RoutedMap:
     # -- shared with routed CP maps --------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Representation equality; channels compare by their Choi matrices."""
+        """Representation equality: the same route, spaces and Kraus stack,
+        operators in order, so two Kraus lists of one channel in different
+        orders differ; compare ``choi_matrix`` to compare channels."""
         return (
             isinstance(other, type(self))
             and self.route == other.route
@@ -259,12 +263,19 @@ def is_practical_isometry(op: Routed, tol: float | None = None) -> bool:
     """Whether ``Σ K†K`` over the operators, read on the practical input
     coordinates (those of the sectors the route's plain view relates to
     anything), is the identity there: a partial isometry for a map, and
-    practical trace preservation for a channel."""
+    practical trace preservation for a channel.
+
+    With ``K = A + iB``, ``Σ K†K = AᵀA + BᵀB + i(AᵀB - BᵀA)``, all four
+    read off one real product ``M`` of the stack's real view with itself,
+    so the stack is not copied: ``(AᵀA + iAᵀB) - i(BᵀA + iBᵀB)``, two
+    complex views of ``M``."""
     tol = op.tolerance if tol is None else tol
     _check_numbers(tol, (), "operators")
     practical = rel.diagonal_view(op.route).any(axis=1)[op.domain.sector_index]
-    flat = op.kraus_stack.reshape(-1, op.domain.total_dim)
-    gram = (flat.conj().T @ flat)[np.ix_(practical, practical)]
+    d = op.domain.total_dim
+    parts = op.kraus_stack.reshape(-1, d).view(np.float64)  # columns re, im of each input
+    rows = (parts.T @ parts).view(complex).reshape(d, 2, d)  # [i, re or im of column i, j]
+    gram = (rows[:, 0] - 1j * rows[:, 1])[np.ix_(practical, practical)]
     return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0)) <= tol
 
 

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
+from routedcircuits import relations as rel
 from routedcircuits.circuits import _contracted
 from routedcircuits.errors import RouteViolation
-from routedcircuits.relations import Relation
+from routedcircuits.relations import CPRelation, Relation
 from routedcircuits.routed_cpms import (
     RoutedCPM,
     _choi_block_bound,
@@ -24,11 +25,11 @@ from routedcircuits.routed_cpms import (
     lift_pure,
     tensor_cpm,
 )
-from routedcircuits.routed_maps import DEFAULT_TOLERANCE
+from routedcircuits.routed_maps import DEFAULT_TOLERANCE, _forbidden_block_excess
 from routedcircuits.sampling import random_decohered_cpm
 from routedcircuits.spaces import PartitionedSpace
 
-from test_sector_layout import block_weighted, bool_array, cp_route, spaces
+from test_sector_layout import block_weighted, bool_array, cp_route, map_excess_by_blocks, spaces
 
 #: the bound and the exact excess round differently, by a few units in the
 #: last place, even where they are equal
@@ -73,6 +74,33 @@ def test_verdict_is_the_exact_verdict(drawn, near, floor):
     else:
         with pytest.raises(RouteViolation, match=re.escape(f"weight {excess:.3e} ")):
             RoutedCPM(route, stack, domain, codomain, tolerance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cp_maps(), st.booleans(), st.sampled_from([0.0, 1e-12, DEFAULT_TOLERANCE]))
+def test_a_route_that_forbids_nothing_is_not_checked(drawn, everything, tolerance):
+    """A route that allows every coherence (or, plain, every block) returns
+    before any check: the bounds and the exact excess are all zero on it,
+    so the verdict and the map excess are theirs.  On other routes the
+    verdict is still that of the bounds, then the exact check."""
+    stack, route, domain, codomain = drawn
+    if everything:
+        route = CPRelation(route.domain, route.codomain, np.ones_like(route.matrix))
+    drawn = stack, route, domain, codomain
+    bounds = _choi_block_bound(*drawn), _operator_block_bound(*drawn)
+    excess = _choi_block_excess(*drawn)
+    if everything:
+        assert bounds == (0.0, 0.0) and excess == 0.0
+    if min(bounds) <= tolerance / 2 or excess <= tolerance:
+        RoutedCPM(route, stack, domain, codomain, tolerance)
+    else:
+        with pytest.raises(RouteViolation, match=re.escape(f"weight {excess:.3e} ")):
+            RoutedCPM(route, stack, domain, codomain, tolerance)
+    plain = rel.diagonal(route)
+    for matrix in stack:
+        map_excess = map_excess_by_blocks(matrix, plain, domain, codomain)
+        assert _forbidden_block_excess(matrix, plain, domain, codomain) == map_excess
+        assert map_excess == 0.0 or not everything
 
 
 def test_lifting_a_wide_permutation_builds_no_choi_matrix():

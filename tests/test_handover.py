@@ -302,10 +302,10 @@ def test_every_stored_array_is_c_contiguous(rng):
             assert array.flags.c_contiguous, value
 
 
-def channel_chain(boxes: int, count: int):
+def channel_chain(boxes: int, count: int, seed: int = 3):
     """A line of ``boxes`` channels of ``count`` operators each on a wire
-    of sectors of dimensions 1 and 5."""
-    rng = np.random.default_rng(3)
+    of sectors of dimensions 1 and 5, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     line = PartitionedSpace.from_dims([0, 1], [1, 5])
     builder = CircuitBuilder("cpm")
     for t in range(boxes + 1):

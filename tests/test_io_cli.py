@@ -901,3 +901,69 @@ def test_human_validate_names_escapes_on_the_output_side(tmp_path):
         "  interface before layer 1 (g): IMPROPER",
         "    escaping sectors (output side): [1]",
     ]
+
+
+def _resolve(data, pointer: str):
+    """The element at an RFC 6901 JSON pointer: in each reference token,
+    ``~1`` is read as ``/``, then ``~0`` as ``~``."""
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        data = data[int(token)] if isinstance(data, list) else data[token]
+    return data
+
+
+class TestPointersEscapeKeys:
+    """A document key in a reported JSON pointer has ``~`` written ``~0``
+    and ``/`` written ``~1`` (RFC 6901), so the pointer resolves in the
+    document."""
+
+    @staticmethod
+    def _named_space(dim) -> dict:
+        data = _bundled_json("copy_discard.json")
+        data["spaces"]["a/b~c"] = data["spaces"].pop("space1")
+        data["wires"][2]["space"] = "a/b~c"
+        data["spaces"]["a/b~c"]["sectors"][0]["dim"] = dim
+        return data
+
+    def test_space_name(self):
+        data = self._named_space("2")
+        with pytest.raises(SchemaError) as err:
+            parse(json.dumps(data))
+        assert err.value.location == "/spaces/a~1b~0c/sectors/0/dim"
+        assert _resolve(data, err.value.location) == "2"
+
+    def test_space_name_in_a_semantic_error(self):
+        data = self._named_space(0)
+        with pytest.raises(InvariantViolation) as err:
+            parse(json.dumps(data))
+        pointer = str(err.value).split(": ")[0]
+        assert pointer == "/spaces/a~1b~0c/sectors"
+        assert _resolve(data, pointer) is data["spaces"]["a/b~c"]["sectors"]
+
+    @pytest.mark.parametrize(
+        "section, key, location",
+        [
+            ("lengths", "k/L~", "k~1L~0"),
+            ("spaces", "A/I~", "A~1I~0"),
+            ("morphs", "u/1~", "u~11~0"),
+        ],
+    )
+    def test_unknown_interpretation_key(self, section, key, location):
+        data = _bundled_json("diamond.json")
+        entries = data["interpretation"][section]
+        entries[key] = entries[sorted(entries)[0]]
+        with pytest.raises(SchemaError) as err:
+            parse(json.dumps(data))
+        assert err.value.location == f"/interpretation/{section}/{location}"
+        assert _resolve(data, err.value.location) is entries[key]
+
+    def test_length_of_the_wrong_type(self):
+        data = _bundled_json("diamond.json")
+        data["indices"][0]["name"] = "k/L"
+        lengths = data["interpretation"]["lengths"]
+        del lengths["kL"]
+        lengths["k/L"] = "2"
+        with pytest.raises(SchemaError) as err:
+            parse(json.dumps(data))
+        assert err.value.location == "/interpretation/lengths/k~1L"
+        assert _resolve(data, err.value.location) == "2"

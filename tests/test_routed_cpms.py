@@ -324,3 +324,14 @@ class TestDiscard:
         composed = rc.compose(discard(small), upstream)
         rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(composed.apply(rho), np.trace(rho), atol=1e-12)
+
+
+def test_equality_compares_kraus_stacks_in_order(rng):
+    """``==`` is representation equality: the same channel with its two
+    operators swapped has the same Choi matrix and compares unequal."""
+    channel = random_sector_preserving_channel(PartitionedSpace.from_dims([0, 1], [1, 2]), rng, 2)
+    swapped = RoutedCPM(channel.route, channel.kraus_stack[::-1], channel.domain, channel.codomain)
+    assert np.allclose(choi_matrix(swapped.kraus_stack), choi_matrix(channel.kraus_stack))
+    assert not np.array_equal(swapped.kraus_stack, channel.kraus_stack)
+    assert swapped != channel
+    assert RoutedCPM(channel.route, channel.kraus_stack, channel.domain, channel.codomain) == channel
