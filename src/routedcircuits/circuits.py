@@ -34,135 +34,70 @@ import heapq
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import relations as rel
 from .errors import InvalidSlice, InvariantViolation, RouteViolation, TypeMismatch
+from .frozen import Record
 from .relations import CPRelation, Relation
 from .routed_cpms import RoutedCPM
 from .routed_maps import DEFAULT_TOLERANCE, RoutedMap
 from .spaces import PartitionedSpace, kron_to_canonical, tensor_many
+from .wiregraph import _dot_graph, _dot_quoted, _kahn_layers, _walk, _wire_graph, _WireGraph
 
 BoxOp = Union[RoutedMap, RoutedCPM]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """One node of a circuit: ordered input/output wires and the map applied."""
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    op: BoxOp
+    _fields = ("inputs", "outputs", "op")
 
     def __init__(self, inputs: Iterable[str], outputs: Iterable[str], op: BoxOp):
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "op", op)
+        self.__dict__.update(inputs=tuple(inputs), outputs=tuple(outputs), op=op)
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Record):
     """An antichain of wires: a horizontal cut through part of the circuit."""
 
-    wires: tuple[str, ...]
+    _fields = ("wires",)
 
     def __init__(self, wires: Iterable[str]):
         wires = tuple(wires)
         if len(set(wires)) != len(wires):
             raise InvalidSlice(f"slice repeats wires: {wires!r}")
-        object.__setattr__(self, "wires", wires)
+        self.__dict__["wires"] = wires
 
 
-class _WireGraph:
-    """What a circuit and an indexed graph share: an open DAG of wires, whose
-    ends and Kahn layers :func:`_wire_graph` checks and derives once."""
-
-    def producer_of(self, wire: str) -> str | None:
-        """Node producing a wire, or None at the input boundary."""
-        return self._producers.get(wire)
-
-    def consumer_of(self, wire: str) -> str | None:
-        """Node consuming a wire, or None at the output boundary."""
-        return self._consumers.get(wire)
-
-
-def _wire_graph(
-    inputs: Sequence[str], outputs: Sequence[str], nodes: Mapping, wires: Iterable[str]
-) -> tuple[dict, dict, tuple]:
-    """Check an open DAG of wires; return its wire-to-producer and
-    wire-to-consumer maps (None at the boundary) and its Kahn layers (see
-    :func:`_kahn_layers`) as tuples.
-
-    ``nodes`` maps ids to objects with ``inputs`` and ``outputs`` wire
-    tuples, and ``wires`` holds the declared wire ids.  Every declared wire
-    has one producer, a node or the input boundary, and one consumer, a
-    node or the output boundary; it may run from one boundary to the other.
-    """
-    wires = dict.fromkeys(wires)  # in their order, for the first missing end
-    ends: tuple[dict, dict] = ({}, {})  # producers, consumers
-
-    def name(side: int, node: str | None) -> str:
-        return f"the {('input', 'output')[side]} boundary" if node is None else f"node {node!r}"
-
-    def claim(side: int, wire: str, node: str | None) -> None:
-        if wire not in wires:
-            raise InvariantViolation(f"{name(side, node)} uses undeclared wire {wire!r}")
-        if wire in ends[side]:
-            first, second = name(side, ends[side][wire]), name(side, node)
-            twice = f"is listed twice by {first}" if first == second else (
-                f"has two {('producers', 'consumers')[side]}: {first} and {second}"
-            )
-            raise InvariantViolation(f"wire {wire!r} {twice}")
-        ends[side][wire] = node
-
-    for side, boundary in enumerate((inputs, outputs)):
-        for wire in boundary:
-            claim(side, wire, None)
-    for node_id, node in nodes.items():
-        for side, touched in enumerate((node.outputs, node.inputs)):
-            for wire in touched:
-                claim(side, wire, node_id)
-    for side, end in enumerate(("producer", "consumer")):
-        for wire in wires:
-            if wire not in ends[side]:
-                raise InvariantViolation(f"wire {wire!r} has no {end}")
-    layers = tuple(map(tuple, _kahn_layers(inputs, nodes)))
-    stuck = sorted(set(nodes).difference(*layers))
-    if stuck:
-        waiting = sorted(w for w, node in ends[1].items() if node in stuck and ends[0][w] in stuck)
-        raise InvariantViolation(
-            f"the graph has a cycle: nodes {', '.join(map(repr, stuck))} wait on wires "
-            f"{', '.join(map(repr, waiting))}, which only they produce"
-        )
-    return *ends, layers
-
-
-@dataclass(frozen=True)
-class RoutedCircuit(_WireGraph):
+class RoutedCircuit(_WireGraph, Record):
     """An immutable routed circuit; see :class:`CircuitBuilder` for assembly."""
 
-    wires: Mapping[str, PartitionedSpace]
-    boxes: Mapping[str, Box]
-    input_wires: tuple[str, ...]
-    output_wires: tuple[str, ...]
-    mode: str = "pure"
+    _fields = ("wires", "boxes", "input_wires", "output_wires", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "wires", MappingProxyType(dict(self.wires)))
-        object.__setattr__(self, "boxes", MappingProxyType(dict(self.boxes)))
-        object.__setattr__(self, "input_wires", tuple(self.input_wires))
-        object.__setattr__(self, "output_wires", tuple(self.output_wires))
+    def __init__(
+        self,
+        wires: Mapping[str, PartitionedSpace],
+        boxes: Mapping[str, Box],
+        input_wires: tuple[str, ...],
+        output_wires: tuple[str, ...],
+        mode: str = "pure",
+    ):
+        self.__dict__.update(
+            wires=MappingProxyType(dict(wires)),
+            boxes=MappingProxyType(dict(boxes)),
+            input_wires=tuple(input_wires),
+            output_wires=tuple(output_wires),
+            mode=mode,
+        )
         producers, consumers, op_type, layers = _validate_circuit(self)
-        object.__setattr__(self, "_producers", producers)
-        object.__setattr__(self, "_consumers", consumers)
-        object.__setattr__(self, "_op_type", op_type)
-        object.__setattr__(self, "_layers", layers)
-        object.__setattr__(self, "_shape", _shape_of(self))
+        self.__dict__.update(
+            _producers=producers, _consumers=consumers, _op_type=op_type, _layers=layers,
+            _shape=_shape_of(self),
+        )
 
     def __reduce__(self):
         """Rebuild through the constructor, which derives the rest again."""
@@ -279,48 +214,6 @@ class CircuitBuilder:
 
 
 # -- foliation and evaluation ------------------------------------------
-
-
-def _kahn_layers(sources: Iterable[str], nodes: Mapping) -> list[list[str]]:
-    """Group the nodes of a wire graph into sequential layers.
-
-    ``nodes`` maps ids to objects with ``inputs`` and ``outputs`` wire
-    tuples.  A layer holds, sorted by id, every node whose input wires are
-    all available; nodes on a cycle are never placed.
-    """
-    available = set(sources)
-    pending = dict(nodes)
-    layers: list[list[str]] = []
-    while pending:
-        ready = sorted(n for n, node in pending.items() if set(node.inputs) <= available)
-        if not ready:
-            break
-        layers.append(ready)
-        for node_id in ready:
-            node = pending.pop(node_id)
-            available |= set(node.outputs)
-            available -= set(node.inputs)
-    return layers
-
-
-class _Step(NamedTuple):
-    """One layer of a foliation, with the wires around it."""
-
-    layer: list[str]
-    inputs: list[str]  # wires the layer consumes, then the passthrough wires
-    outputs: list[str]  # wires the layer produces, then the passthrough wires
-    passthrough: list[str]  # open wires the layer does not touch, in frontier order
-
-
-def _walk(sources: Sequence[str], nodes: Mapping, layers: list[list[str]]) -> Iterator[_Step]:
-    """Follow the open wires of a wire graph through its layers."""
-    frontier = list(sources)
-    for layer in layers:
-        consumed = [w for n in layer for w in nodes[n].inputs]
-        passthrough = [w for w in frontier if w not in consumed]
-        outputs = [w for n in layer for w in nodes[n].outputs] + passthrough
-        yield _Step(layer, consumed + passthrough, outputs, passthrough)
-        frontier = outputs
 
 
 def _foliation_layers(
@@ -987,22 +880,35 @@ def evaluate(circuit: RoutedCircuit, box_order: Sequence[str] | None = None) -> 
 # -- route-level analysis ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterfaceCheck:
+class InterfaceCheck(Record):
     """Gate verdict for one sequential interface of the foliation."""
 
-    position: int
-    upstream: tuple[str, ...]
-    downstream: tuple[str, ...]
-    passed: bool
-    escaped_inputs: tuple = ()
-    escaped_outputs: tuple = ()
+    _fields = (
+        "position", "upstream", "downstream", "passed", "escaped_inputs", "escaped_outputs"
+    )
+
+    def __init__(
+        self,
+        position: int,
+        upstream: tuple[str, ...],
+        downstream: tuple[str, ...],
+        passed: bool,
+        escaped_inputs: tuple = (),
+        escaped_outputs: tuple = (),
+    ):
+        self.__dict__.update(
+            position=position, upstream=upstream, downstream=downstream, passed=passed,
+            escaped_inputs=escaped_inputs, escaped_outputs=escaped_outputs,
+        )
 
 
-@dataclass(frozen=True)
-class CircuitReport:
-    mode: str
-    interfaces: tuple[InterfaceCheck, ...]
+class CircuitReport(Record):
+    """The gate verdicts of every sequential interface, in foliation order."""
+
+    _fields = ("mode", "interfaces")
+
+    def __init__(self, mode: str, interfaces: tuple[InterfaceCheck, ...]):
+        self.__dict__.update(mode=mode, interfaces=interfaces)
 
     @property
     def passed(self) -> bool:
@@ -1074,13 +980,15 @@ def formal_space(circuit: RoutedCircuit, cut: Slice) -> PartitionedSpace:
     return _interface_space(circuit, cut.wires)
 
 
-@dataclass(frozen=True)
-class AccessibleSpace:
+class AccessibleSpace(Record):
     """Sector tuples of a slice that the circuit's routes allow to be populated."""
 
-    wires: tuple[str, ...]
-    tuples: tuple[tuple, ...]
-    sector_dims: tuple[int, ...]
+    _fields = ("wires", "tuples", "sector_dims")
+
+    def __init__(
+        self, wires: tuple[str, ...], tuples: tuple[tuple, ...], sector_dims: tuple[int, ...]
+    ):
+        self.__dict__.update(wires=wires, tuples=tuples, sector_dims=sector_dims)
 
     @property
     def total_dim(self) -> int:
@@ -1137,41 +1045,6 @@ def accessible_space(
 
 
 # -- export --------------------------------------------------------------
-
-
-def _dot_quoted(text: str, markup: str = "") -> str:
-    """``text`` as a DOT quoted string, with its ``\\`` and ``"`` escaped,
-    followed by ``markup`` (such as a ``\\n`` line break) as it is."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + markup + '"'
-
-
-def _dot_graph(name: str, graph, inputs, outputs, nodes: dict, wires: dict) -> str:
-    """Graphviz text of ``graph`` (a circuit or an indexed graph), drawn
-    bottom to top: a point per input and output wire, the nodes (id: DOT
-    attributes), and the wires (id: label) as edges from their producer (or
-    input point) to their consumer (or output point).  The point of wire
-    ``w`` is named ``in:w`` or ``out:w``, unless a node id takes that name:
-    then it takes the first free suffix ``#2``, ``#3``, ..."""
-    points = {f"in:{w}": w for w in inputs} | {f"out:{w}": w for w in outputs}
-    taken = set(nodes) | set(points)
-    names = {}
-    for point in points:
-        free, k = point, 2
-        while point in nodes and free in taken:
-            free, k = f"{point}#{k}", k + 1
-        names[point] = free
-        taken.add(free)
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for point, wire in points.items():
-        lines.append(f"  {_dot_quoted(names[point])} [shape=point, xlabel={_dot_quoted(wire)}];")
-    lines += [f"  {_dot_quoted(node)} [{attributes}];" for node, attributes in nodes.items()]
-    for wire, label in wires.items():
-        producer, consumer = graph.producer_of(wire), graph.consumer_of(wire)
-        src = names["in:" + wire] if producer is None else producer
-        dst = names["out:" + wire] if consumer is None else consumer
-        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} [label={_dot_quoted(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def circuit_to_dot(circuit: RoutedCircuit) -> str:

@@ -5,7 +5,10 @@ well-indexedness linting), eval (compose and certify), accessible (slice
 analysis), explain (improper-composition witnesses) and export-dot.
 Reports are JSON by default; --human renders them as text.  Exit codes:
 0 pass, 1 validation failure, 2 usage or parse error (a --slice that is
-not an antichain of known wires is a usage error).
+not an antichain of known wires is a usage error).  Each handler imports
+the layer its document's kind needs, so a command on a circuit never loads
+the indexed-graph layer, and one on an indexed graph loads the circuit
+layer only to evaluate an interpretation.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ import sys
 
 import numpy as np
 
-from .circuits import Slice, accessible_space, check_circuit, circuit_to_dot, evaluate
 from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, label_to_json, parse
-from .iodag import _layer_corelations, explain_improper, iodag_to_dot, lint, normalize
-from .routed_cpms import is_practically_trace_preserving
 from .routed_maps import is_practical_isometry, is_practical_unitary
 
 
@@ -40,6 +40,8 @@ def _interface_json(check) -> dict:
 def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
     mode = args.mode
     if doc.kind == "circuit":
+        from .circuits import check_circuit
+
         if mode is None:
             mode = "channel" if doc.payload.mode == "cpm" else "iso"
         mode_map = {"iso": "isometry", "uni": "unitary", "channel": "channel"}
@@ -63,6 +65,8 @@ def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
         mode = "iso"
     if mode == "channel":
         raise SchemaError("mode 'channel' does not apply to an indexed graph")
+    from .iodag import lint
+
     report = lint(doc.payload, mode)
     payload = {
         "kind": "iodag",
@@ -107,6 +111,8 @@ def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
             "practical_unitary": is_practical_unitary(meaning),
         }
         return 0, payload
+    from .circuits import evaluate
+
     result = evaluate(doc.payload)
     if doc.payload.mode == "pure":
         payload = {
@@ -117,6 +123,8 @@ def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
             "practical_unitary": is_practical_unitary(result),
         }
     else:
+        from .routed_cpms import is_practically_trace_preserving
+
         payload = {
             "kind": "circuit",
             "mode": "cpm",
@@ -134,6 +142,8 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
     wires = tuple(w.strip() for w in args.slice.split(",") if w.strip())
     if not wires:
         raise InvalidSlice(f"--slice {args.slice!r} names no wire")
+    from .circuits import Slice, accessible_space
+
     cut = Slice(wires)
     recipe = accessible_space(doc.payload, cut, algorithm="recipe")
     oracle = accessible_space(doc.payload, cut, algorithm="insertion")
@@ -149,6 +159,8 @@ def _cmd_accessible(doc: CircuitDocument, args) -> tuple[int, dict]:
 
 def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
     if doc.kind == "circuit":
+        from .circuits import check_circuit
+
         mode = "channel" if doc.payload.mode == "cpm" else "unitary"
         report = check_circuit(doc.payload, mode)
         failures = [_interface_json(check) for check in report.interfaces if not check.passed]
@@ -158,6 +170,8 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
             "witnesses": failures,
         }
         return (0 if not failures else 1), payload
+    from .iodag import _layer_corelations, explain_improper, normalize
+
     g = normalize(doc.payload)
     lengths = dict(doc.interpretation.lengths) if doc.interpretation else None
     witnesses = []
@@ -177,7 +191,11 @@ def _cmd_explain(doc: CircuitDocument, args) -> tuple[int, dict]:
 
 
 def _cmd_export_dot(doc: CircuitDocument, args) -> tuple[int, dict]:
-    text = circuit_to_dot(doc.payload) if doc.kind == "circuit" else iodag_to_dot(doc.payload)
+    if doc.kind == "circuit":
+        from .circuits import circuit_to_dot as to_dot
+    else:
+        from .iodag import iodag_to_dot as to_dot
+    text = to_dot(doc.payload)
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

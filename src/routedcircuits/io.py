@@ -7,7 +7,9 @@ table, ``_MAP_FORMS``, is read by ``_map_from_json`` and written by
 and standalone.  The two differ only in their route's keys and their
 operator key.  Structural problems raise SchemaError with a
 JSON-pointer-style location; semantic problems surface the originating
-error prefixed with the offending element's location.
+error prefixed with the offending element's location.  The circuit
+layer, the indexed-graph layer and routed CP maps are imported when a
+document needs them, so reading one kind of document loads no other.
 """
 
 from __future__ import annotations
@@ -16,19 +18,20 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .circuits import Box, RoutedCircuit
 from .errors import ParseError, RoutedError, SchemaError, UsageError
-from .iodag import IODAG, IndexFamily, Interpretation, IONode, Partition
-from .iodag import expected_wire_labels, node_route
+from .frozen import Record
 from .relations import CPRelation, IndexSet, Label, Relation
-from .routed_cpms import RoutedCPM
 from .routed_maps import RoutedMap
 from .spaces import PartitionedSpace, tensor_many
+
+if TYPE_CHECKING:
+    from .circuits import RoutedCircuit
+    from .iodag import IODAG, Interpretation
+    from .routed_cpms import RoutedCPM
 
 FORMAT_VERSION = "1"
 
@@ -49,15 +52,26 @@ def default_tolerance() -> float:
     return value
 
 
-@dataclass(frozen=True)
-class CircuitDocument:
-    """A parsed and validated document."""
+class CircuitDocument(Record):
+    """A parsed and validated document: ``kind`` is 'circuit' (a
+    RoutedCircuit ``payload``) or 'iodag' (an IODAG); ``metadata`` defaults
+    to a new empty dict."""
 
-    format_version: str
-    kind: str  # 'circuit' or 'iodag'
-    payload: Any  # RoutedCircuit or IODAG
-    interpretation: Interpretation | None = None
-    metadata: dict = field(default_factory=dict)
+    _fields = ("format_version", "kind", "payload", "interpretation", "metadata")
+
+    def __init__(
+        self,
+        format_version: str,
+        kind: str,
+        payload: Any,
+        interpretation: Interpretation | None = None,
+        metadata: dict | None = None,
+    ):
+        metadata = {} if metadata is None else metadata
+        self.__dict__.update(
+            format_version=format_version, kind=kind, payload=payload,
+            interpretation=interpretation, metadata=metadata,
+        )
 
 
 def _token(key) -> str:
@@ -186,11 +200,11 @@ def _kraus(operators: list, location: str) -> tuple:
     return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
 
 
-#: per mode: the map class, the route class and its keys (also its attribute
-#: names), the operator key (also the map's attribute name), the operator reader
+#: per mode: the route class and its keys (also its attribute names), the
+#: operator key (also the map's attribute name), the operator reader
 _MAP_FORMS = {
-    "pure": (RoutedMap, Relation, ("domain", "codomain"), "matrix", _matrix),
-    "cpm": (RoutedCPM, CPRelation, ("base_domain", "base_codomain"), "kraus", _kraus),
+    "pure": (Relation, ("domain", "codomain"), "matrix", _matrix),
+    "cpm": (CPRelation, ("base_domain", "base_codomain"), "kraus", _kraus),
 }
 
 
@@ -199,7 +213,7 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     ('cpm': a coherence route and a Kraus list) between the given spaces.
     Its semantic errors are prefixed with ``location``, or at the top level
     with the operator key."""
-    map_class, route_class, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
+    route_class, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
     route_data = _expect(data, "route", dict, location)
     at = f"{location}/route"
     for key in (*route_keys, "matrix"):
@@ -211,6 +225,10 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     operators = read_operators(
         _expect(data, operator_key, list, location), f"{location}/{operator_key}"
     )
+    if mode == "pure":
+        map_class = RoutedMap
+    else:  # routed CP maps load with the first one read
+        from .routed_cpms import RoutedCPM as map_class
     with _context(location or f"/{operator_key}"):
         return map_class(route, operators, domain, codomain, tolerance)
 
@@ -218,7 +236,7 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
 def _map_to_json(op, mode: str) -> dict:
     """The document form of a routed map or routed CP map, as
     ``_map_from_json`` reads it in the given mode."""
-    _, _, route_keys, operator_key, _ = _MAP_FORMS[mode]
+    _, route_keys, operator_key, _ = _MAP_FORMS[mode]
     route = {key: list(map(label_to_json, getattr(op.route, key))) for key in route_keys}
     route["matrix"] = op.route.matrix.astype(int).tolist()
     return {"route": route, operator_key: matrix_to_json(getattr(op, operator_key))}
@@ -239,6 +257,8 @@ def _space_from_json(sectors: list, location: str) -> PartitionedSpace:
 
 
 def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
+    from .circuits import Box, RoutedCircuit
+
     mode = _expect(data, "mode", str, "")
     if mode not in ("pure", "cpm"):
         raise SchemaError(f"mode must be 'pure' or 'cpm', got {mode!r}", "/mode")
@@ -317,6 +337,8 @@ def _circuit_to_json(circuit: RoutedCircuit) -> dict:
 
 
 def _iodag_from_json(data: dict) -> IODAG:
+    from .iodag import IODAG, IONode, Partition
+
     inputs = _ids(data, "inputs", "")
     outputs = _ids(data, "outputs", "")
     edges = _ids(data, "edges", "")
@@ -373,6 +395,8 @@ def _iodag_to_json(g: IODAG) -> dict:
 
 
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
+    from .iodag import IndexFamily, Interpretation, expected_wire_labels, node_route
+
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths: dict[str, int] = {}
     for name in lengths_data:

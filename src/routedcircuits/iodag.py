@@ -15,7 +15,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -24,8 +23,6 @@ import numpy as np
 
 from . import relations as rel
 from . import routed_maps as rmap
-from .circuits import CircuitBuilder, _WireGraph, _walk, _wire_graph, evaluate
-from .circuits import _dot_graph, _dot_quoted
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -36,12 +33,14 @@ from .errors import (
     RouteViolation,
     UnknownNode,
 )
+from .frozen import Frozen, Record
 from .relations import IndexSet, Relation
 from .routed_maps import RoutedMap
-from .spaces import PartitionedSpace, tensor_many
+from .spaces import PartitionedSpace, sector_blocks, tensor_many
+from .wiregraph import _dot_graph, _dot_quoted, _walk, _wire_graph, _WireGraph
 
 
-class Partition:
+class Partition(Frozen):
     """An equivalence relation over a finite universe, fixed at construction.
 
     Each of ``groups`` (a pair, or a whole and possibly overlapping block)
@@ -77,11 +76,6 @@ class Partition:
         object.__setattr__(self, "_blocks", tuple(blocks))
         object.__setattr__(self, "_roots", tuple(roots))
         object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Partition is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), (self._index, self._blocks)
@@ -159,20 +153,16 @@ def _shape_values(shape: tuple[int, ...]) -> tuple[IndexSet, np.ndarray]:
     return IndexSet(labels), table
 
 
-@dataclass(frozen=True, eq=False)
-class IndexFamily:
-    """A finite set of index names, each with the number of values it takes."""
-
-    lengths: Mapping[str, int]  # read-only
-    names: tuple[str, ...]  # sorted
+class IndexFamily(Frozen):
+    """A finite set of index names, each with the number of values it takes:
+    ``lengths`` is read-only and ``names`` holds the names sorted."""
 
     def __init__(self, lengths: Mapping[str, int]):
         lengths = dict(lengths)
         for name, length in lengths.items():
             if operator.index(length) < 1:  # a float would share an int's cached shape
                 raise InvariantViolation(f"index {name!r} has length {length} < 1")
-        object.__setattr__(self, "lengths", MappingProxyType(lengths))
-        object.__setattr__(self, "names", tuple(sorted(lengths)))
+        self.__dict__.update(lengths=MappingProxyType(lengths), names=tuple(sorted(lengths)))
 
     def __reduce__(self):
         return type(self), (dict(self.lengths),)
@@ -202,17 +192,12 @@ def _tag(side: str, names: Iterable[str]) -> list[tuple[str, str]]:
     return [(side, name) for name in names]
 
 
-@dataclass(frozen=True, eq=False)
-class Corelation:
+class Corelation(Frozen):
     """An equivalence relation on the disjoint union of two index families.
 
     Related names must have equal lengths; the blocks say which indices are
     matched (forced to carry the same value).
     """
-
-    domain: IndexFamily
-    codomain: IndexFamily
-    partition: Partition
 
     def __init__(self, domain: IndexFamily, codomain: IndexFamily, partition: Partition):
         universe = frozenset(_tag("in", domain.names)) | frozenset(_tag("out", codomain.names))
@@ -229,9 +214,7 @@ class Corelation:
                 raise LengthMismatch(
                     f"matched indices {sorted(block, key=repr)!r} have lengths {sorted(lengths)}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "partition", partition)
+        self.__dict__.update(domain=domain, codomain=codomain, partition=partition)
 
     @classmethod
     def from_pairs(
@@ -349,19 +332,29 @@ def transpose_corelation(matching: Corelation) -> Corelation:
 # -- improper-composition witnesses ----------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchWitness:
-    """Why a corelation composition breaks a properness gate."""
+class MatchWitness(Record):
+    """Why a corelation composition breaks a properness gate; ``kind`` is
+    'created' or 'deleted'."""
 
-    kind: str  # 'created' or 'deleted'
-    block: frozenset
-    pair: tuple[str, str]
+    _fields = ("kind", "block", "pair")
+
+    def __init__(self, kind: str, block: frozenset, pair: tuple[str, str]):
+        self.__dict__.update(kind=kind, block=block, pair=pair)
 
 
-@dataclass(frozen=True)
-class ImproperMatchReport:
-    created_witnesses: tuple[MatchWitness, ...]
-    deleted_witnesses: tuple[MatchWitness, ...]
+class ImproperMatchReport(Record):
+    """The witnesses of a corelation composition, per gate they break."""
+
+    _fields = ("created_witnesses", "deleted_witnesses")
+
+    def __init__(
+        self,
+        created_witnesses: tuple[MatchWitness, ...],
+        deleted_witnesses: tuple[MatchWitness, ...],
+    ):
+        self.__dict__.update(
+            created_witnesses=created_witnesses, deleted_witnesses=deleted_witnesses
+        )
 
     @property
     def proper_for_isometries(self) -> bool:
@@ -407,20 +400,16 @@ def explain_improper(first: Corelation, second: Corelation) -> ImproperMatchRepo
 # -- indexed open DAGs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IONode:
+class IONode(Record):
     """A node with its ordered incoming and outgoing wires."""
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
+    _fields = ("inputs", "outputs")
 
     def __init__(self, inputs: Iterable[str], outputs: Iterable[str]):
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
+        self.__dict__.update(inputs=tuple(inputs), outputs=tuple(outputs))
 
 
-@dataclass(frozen=True, eq=False)
-class IODAG(_WireGraph):
+class IODAG(_WireGraph, Frozen):
     """An indexed open DAG: wires, nodes, index placements, matched classes.
 
     Every index name sits on exactly one wire; the equivalence relation over
@@ -429,30 +418,32 @@ class IODAG(_WireGraph):
     for identity strands and are removed where possible by normalisation.
     """
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    inner_edges: tuple[str, ...]
-    nodes: Mapping[str, IONode]
-    placement: Mapping[str, str]
-    equivalence: Partition
-    empty_nodes: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "inner_edges", tuple(self.inner_edges))
-        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "placement", MappingProxyType(dict(self.placement)))
-        object.__setattr__(self, "empty_nodes", frozenset(self.empty_nodes))
+    def __init__(
+        self,
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        inner_edges: tuple[str, ...],
+        nodes: Mapping[str, IONode],
+        placement: Mapping[str, str],
+        equivalence: Partition,
+        empty_nodes: frozenset = frozenset(),
+    ):
         names_on: dict[str, list[str]] = {}
-        for name, wire in self.placement.items():
+        for name, wire in placement.items():
             names_on.setdefault(wire, []).append(name)
         sorted_on = {wire: tuple(sorted(names)) for wire, names in names_on.items()}
-        object.__setattr__(self, "_names_on", MappingProxyType(sorted_on))
+        self.__dict__.update(
+            inputs=tuple(inputs),
+            outputs=tuple(outputs),
+            inner_edges=tuple(inner_edges),
+            nodes=MappingProxyType(dict(nodes)),
+            placement=MappingProxyType(dict(placement)),
+            equivalence=equivalence,
+            empty_nodes=frozenset(empty_nodes),
+            _names_on=MappingProxyType(sorted_on),
+        )
         producers, consumers, layers = _validate_iodag(self)
-        object.__setattr__(self, "_producers", producers)
-        object.__setattr__(self, "_consumers", consumers)
-        object.__setattr__(self, "_layers", layers)
+        self.__dict__.update(_producers=producers, _consumers=consumers, _layers=layers)
 
     def __reduce__(self):
         """Rebuild through the constructor, which derives the rest again."""
@@ -506,7 +497,7 @@ class IODAG(_WireGraph):
 
 def _validate_iodag(g: IODAG) -> tuple[dict, dict, tuple]:
     """Check the graph; return its wire ends and layers (see
-    :func:`circuits._wire_graph`).  Its wire ids are pairwise distinct, so
+    :func:`wiregraph._wire_graph`).  Its wire ids are pairwise distinct, so
     no wire runs from the input boundary straight to the output."""
     wire_ids = g.wire_ids
     if len(set(wire_ids)) != len(wire_ids):
@@ -583,11 +574,13 @@ def normalize(g: IODAG) -> IODAG:
 # -- linting ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LintViolation:
-    rule: str
-    class_names: tuple[str, ...]
-    nodes: tuple[str, ...]
+class LintViolation(Record):
+    """One broken well-indexedness rule: the class and the nodes breaking it."""
+
+    _fields = ("rule", "class_names", "nodes")
+
+    def __init__(self, rule: str, class_names: tuple[str, ...], nodes: tuple[str, ...]):
+        self.__dict__.update(rule=rule, class_names=class_names, nodes=nodes)
 
     def render(self) -> str:
         cls = "/".join(self.class_names)
@@ -609,10 +602,13 @@ class LintViolation:
         )
 
 
-@dataclass(frozen=True)
-class LintReport:
-    mode: str
-    violations: tuple[LintViolation, ...]
+class LintReport(Record):
+    """The violations :func:`lint` found for a mode."""
+
+    _fields = ("mode", "violations")
+
+    def __init__(self, mode: str, violations: tuple[LintViolation, ...]):
+        self.__dict__.update(mode=mode, violations=violations)
 
     @property
     def passed(self) -> bool:
@@ -846,8 +842,7 @@ def _layer_corelations(
 # -- interpretation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """Concrete spaces and maps for an indexed graph.
 
     ``lengths`` fixes the value count of every index name (constant on
@@ -857,13 +852,19 @@ class Interpretation:
     routed map following the node's matching route.
     """
 
-    lengths: Mapping[str, int]  # read-only
-    spaces: Mapping[str, PartitionedSpace]  # read-only
-    morphs: Mapping[str, RoutedMap]  # read-only
+    _fields = ("lengths", "spaces", "morphs")  # each read-only
 
-    def __post_init__(self):
-        for field in ("lengths", "spaces", "morphs"):
-            object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
+    def __init__(
+        self,
+        lengths: Mapping[str, int],
+        spaces: Mapping[str, PartitionedSpace],
+        morphs: Mapping[str, RoutedMap],
+    ):
+        self.__dict__.update(
+            lengths=MappingProxyType(dict(lengths)),
+            spaces=MappingProxyType(dict(spaces)),
+            morphs=MappingProxyType(dict(morphs)),
+        )
 
     def __reduce__(self):
         return type(self), (dict(self.lengths), dict(self.spaces), dict(self.morphs))
@@ -927,6 +928,33 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
     return RoutedMap(route, np.diag(matched[space.sector_index]).astype(complex), space, space)
 
 
+def _matching_projector(
+    g: IODAG, node_id: str, route: Relation, interp: Interpretation
+) -> RoutedMap:
+    """An empty node read as its matching projector: the identity on every
+    sector block that its matching route allows, and zero elsewhere.
+
+    The node's two wires carry the same number of names of each class, so
+    the route pairs sectors one to one, and the projector is the identity
+    when each class has one name per wire.  With two names of one class on
+    a wire, only the sectors where they agree pass (the Kronecker delta of
+    well-indexedness, as on any other node).  A paired block must be
+    square.
+    """
+    node = g.nodes[node_id]
+    domain, codomain = (interp.spaces[w] for w in (*node.inputs, *node.outputs))
+    matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
+    for k, l, rows, cols in sector_blocks(route.matrix, domain, codomain):
+        if domain.sector_dims[k] != codomain.sector_dims[l]:
+            raise InvariantViolation(
+                f"empty node {node_id!r} pairs sector {route.domain.labels[k]!r} of dimension "
+                f"{domain.sector_dims[k]} with sector {route.codomain.labels[l]!r} of "
+                f"dimension {codomain.sector_dims[l]}"
+            )
+        matrix[rows, cols] = np.eye(domain.sector_dims[k])
+    return RoutedMap(route, matrix, domain, codomain)
+
+
 def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     """Compose an interpretation into its overall routed map.
 
@@ -934,9 +962,11 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     non-empty node and none for an empty node (an identity strand) or an
     unknown one, every morph to follow its node's matching route, and every
     morph to be a practical isometry ('iso') or practical unitary ('uni').
-    The result is the graph-wise composition pre-composed with the
-    input-matching projector; the well-indexedness rules guarantee it is
-    itself a practical isometry (resp. unitary).
+    An empty node left after normalisation (a boundary strand) is read as
+    its matching projector (see :func:`_matching_projector`).  The result is
+    the graph-wise composition pre-composed with the input-matching
+    projector; the well-indexedness rules guarantee it is itself a
+    practical isometry (resp. unitary).
     """
     if mode not in ("iso", "uni"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -972,6 +1002,8 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
                 f"{interp.spaces[wire].sector_labels.labels!r}"
             )
 
+    from .circuits import CircuitBuilder, evaluate
+
     builder = CircuitBuilder(mode="pure")
     for wire in g.wire_ids:
         builder.wire(wire, interp.spaces[wire])
@@ -980,13 +1012,7 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     for node_id, node in g.nodes.items():
         route = node_route(g, node_id, interp)
         if node_id in g.empty_nodes:
-            space_in = tensor_many([interp.spaces[w] for w in node.inputs])
-            space_out = tensor_many([interp.spaces[w] for w in node.outputs])
-            if space_in != space_out or route != Relation.identity(space_in.sector_labels):
-                raise InvariantViolation(
-                    f"empty node {node_id!r} cannot be interpreted as an identity"
-                )
-            morph = RoutedMap.identity(space_in)
+            morph = _matching_projector(g, node_id, route, interp)
         else:
             if node_id not in interp.morphs:
                 raise InvariantViolation(f"no morphism for node {node_id!r}")

@@ -10,12 +10,12 @@ operations are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, TypeVar, Union
 
 import numpy as np
 
 from .errors import DomainMismatch, InvariantViolation, ShapeMismatch, UnknownLabel
+from .frozen import Frozen
 
 # Atomic sector labels: strings, ints, or (nested) tuples of those.
 Label = Union[str, int, tuple]
@@ -23,17 +23,18 @@ Label = Union[str, int, tuple]
 TRIVIAL_LABEL: Label = "*"
 
 
-def _freeze_bool(array) -> np.ndarray:
-    out = np.array(array, dtype=bool)
-    out.setflags(write=False)
-    return out
+def _route_matrix(matrix, domain: IndexSet, codomain: IndexSet, copies: int) -> np.ndarray:
+    """``matrix`` as a read-only boolean array of ``copies`` axes per side."""
+    matrix = np.array(matrix, dtype=bool)
+    matrix.setflags(write=False)
+    want = (domain.size,) * copies + (codomain.size,) * copies
+    if matrix.shape != want:
+        raise ShapeMismatch(f"relation matrix has shape {matrix.shape}, expected {want}")
+    return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class IndexSet:
+class IndexSet(Frozen):
     """An ordered finite set of distinct sector labels."""
-
-    labels: tuple[Label, ...]
 
     def __init__(self, labels: Iterable[Label]):
         labels = tuple(labels)
@@ -41,7 +42,7 @@ class IndexSet:
             raise InvariantViolation("an index set needs at least one label")
         if len(set(labels)) != len(labels):
             raise InvariantViolation(f"labels are not pairwise distinct: {labels!r}")
-        object.__setattr__(self, "labels", labels)
+        self.__dict__["labels"] = labels
 
     @classmethod
     def trivial(cls) -> "IndexSet":
@@ -81,26 +82,19 @@ class IndexSet:
         return IndexSet(tuple((k, l) for k in self.labels for l in other.labels))
 
 
-@dataclass(frozen=True, eq=False)
-class Relation:
+class Relation(Frozen):
     """A boolean relation, stored as a matrix indexed (input, output).
 
     ``matrix[k, l]`` is True when input label ``k`` may connect to output
     label ``l``.
     """
 
-    domain: IndexSet
-    codomain: IndexSet
-    matrix: np.ndarray = field(repr=False)
-
     #: sector axes per side of ``matrix``, which the algebra below flattens
     copies = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze_bool(self.matrix))
-        want = (self.domain.size,) * self.copies + (self.codomain.size,) * self.copies
-        if self.matrix.shape != want:
-            raise ShapeMismatch(f"relation matrix has shape {self.matrix.shape}, expected {want}")
+    def __init__(self, domain: IndexSet, codomain: IndexSet, matrix: np.ndarray):
+        matrix = _route_matrix(matrix, domain, codomain, self.copies)
+        self.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
 
     # -- constructors -------------------------------------------------
 
@@ -252,8 +246,7 @@ def is_proper_for_unitaries(first: Routes, second: Routes) -> bool:
 # -- completely positive relations ------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CPRelation:
+class CPRelation(Frozen):
     """A symmetric, diagonally dominant relation between doubled index sets.
 
     ``matrix[k, k2, l, l2]`` says whether the (k -> l) connection may be
@@ -263,23 +256,20 @@ class CPRelation:
     two sector axes per side; ``domain`` and ``codomain`` name the base sets.
     """
 
-    base_domain: IndexSet
-    base_codomain: IndexSet
-    matrix: np.ndarray = field(repr=False)
-
     copies = 2
     domain = property(lambda self: self.base_domain)
     codomain = property(lambda self: self.base_codomain)
 
-    def __post_init__(self):
-        Relation.__post_init__(self)
-        witness = _cp_violation(self.matrix)
+    def __init__(self, base_domain: IndexSet, base_codomain: IndexSet, matrix: np.ndarray):
+        matrix = _route_matrix(matrix, base_domain, base_codomain, self.copies)
+        witness = _cp_violation(matrix)
         if witness is not None:
             kind, (k, k2, l, l2) = witness
             raise InvariantViolation(
                 f"not a completely positive relation ({kind} fails at "
                 f"(k={k}, k'={k2}, l={l}, l'={l2}))"
             )
+        self.__dict__.update(base_domain=base_domain, base_codomain=base_codomain, matrix=matrix)
 
     __eq__, __reduce__ = Relation.__eq__, Relation.__reduce__
 

@@ -23,13 +23,13 @@ is its diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import relations as rel
 from .errors import NotFullDecoherence, RouteViolation, ShapeMismatch
+from .frozen import Frozen
 from .relations import CPRelation, Label
 from .routed_maps import (
     DEFAULT_TOLERANCE,
@@ -136,8 +136,7 @@ def follows_cp(
     return _choi_block_excess(kraus, route, domain, codomain) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class RoutedCPM:
+class RoutedCPM(Frozen):
     """A CP map (as a Kraus list) together with the coherence route it follows.
 
     ``kraus`` may be given as a sequence of operators or as one stacked
@@ -146,31 +145,34 @@ class RoutedCPM:
     (:func:`routed_maps._stored`).
     """
 
-    route: CPRelation
-    kraus: np.ndarray = field(repr=False)
-    domain: PartitionedSpace
-    codomain: PartitionedSpace
-    tolerance: float = DEFAULT_TOLERANCE
-
     _kind = "channels"
 
-    def __post_init__(self):
-        stack = _stored(_stacked(self.kraus))
-        object.__setattr__(self, "kraus_stack", stack)
-        object.__setattr__(self, "kraus", stack)
-        _check_numbers(self.tolerance, (stack,), "Kraus operators")
-        _check_typing(stack, self.route, self.domain, self.codomain)
-        if self.route.matrix.all():  # no block is forbidden
+    def __init__(
+        self,
+        route: CPRelation,
+        kraus: np.ndarray,
+        domain: PartitionedSpace,
+        codomain: PartitionedSpace,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ):
+        stack = _stored(_stacked(kraus))
+        self.__dict__.update(
+            route=route, kraus=stack, domain=domain, codomain=codomain, tolerance=tolerance,
+            kraus_stack=stack,
+        )
+        _check_numbers(tolerance, (stack,), "Kraus operators")
+        _check_typing(stack, route, domain, codomain)
+        if route.matrix.all():  # no block is forbidden
             return
         # half the tolerance leaves room for rounding in the bounds
         for bound in (_choi_block_bound, _operator_block_bound):
-            if bound(stack, self.route, self.domain, self.codomain) <= self.tolerance / 2:
+            if bound(stack, route, domain, codomain) <= tolerance / 2:
                 return
-        excess = _choi_block_excess(stack, self.route, self.domain, self.codomain)
-        if excess > self.tolerance:
+        excess = _choi_block_excess(stack, route, domain, codomain)
+        if excess > tolerance:
             raise RouteViolation(
                 f"channel has Choi weight {excess:.3e} on a forbidden coherence block "
-                f"(tolerance {self.tolerance:.1e})"
+                f"(tolerance {tolerance:.1e})"
             )
 
     def __repr__(self) -> str:

@@ -11,7 +11,6 @@ conditions that make isometry/unitary behaviour compose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, TypeVar
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     RouteViolation,
     ShapeMismatch,
 )
+from .frozen import Frozen
 from .relations import Relation
 from .spaces import PartitionedSpace, block_maxima, tensor, tensor_matrix
 
@@ -102,8 +102,7 @@ def follows(
     return _forbidden_block_excess(matrix, route, domain, codomain) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class RoutedMap:
+class RoutedMap(Frozen):
     """A linear map together with the route it follows.
 
     ``kraus_stack`` is a read-only ``(1, d_out, d_in)`` view of ``matrix``:
@@ -111,27 +110,30 @@ class RoutedMap:
     ``matrix`` is stored by the rule of :func:`_stored`.
     """
 
-    route: Relation
-    matrix: np.ndarray = field(repr=False)
-    domain: PartitionedSpace
-    codomain: PartitionedSpace
-    tolerance: float = DEFAULT_TOLERANCE
-
     _kind = "maps"  # in messages
 
-    def __post_init__(self):
-        matrix = _stored(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(
+        self,
+        route: Relation,
+        matrix: np.ndarray,
+        domain: PartitionedSpace,
+        codomain: PartitionedSpace,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ):
+        matrix = _stored(matrix)
         if matrix.ndim != 2:
             raise ShapeMismatch(f"a routed map needs a matrix, got shape {matrix.shape}")
-        object.__setattr__(self, "kraus_stack", matrix[None])
-        _check_numbers(self.tolerance, (matrix,), "matrix")
-        excess = _forbidden_block_excess(matrix, self.route, self.domain, self.codomain)
-        if excess > self.tolerance:
+        _check_numbers(tolerance, (matrix,), "matrix")
+        excess = _forbidden_block_excess(matrix, route, domain, codomain)
+        if excess > tolerance:
             raise RouteViolation(
                 f"matrix has weight {excess:.3e} on a forbidden sector block "
-                f"(tolerance {self.tolerance:.1e})"
+                f"(tolerance {tolerance:.1e})"
             )
+        self.__dict__.update(
+            route=route, matrix=matrix, domain=domain, codomain=codomain, tolerance=tolerance,
+            kraus_stack=matrix[None],
+        )
 
     # -- constructors ---------------------------------------------------
 

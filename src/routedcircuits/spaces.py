@@ -12,31 +12,27 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation, UnknownLabel
+from .frozen import Frozen, Record
 from .relations import IndexSet, Label
 
 
-@dataclass(frozen=True)
-class SectorRange:
+class SectorRange(Record):
     """Coordinate range of one sector in its parent space."""
 
-    label: Label
-    offset: int
-    dim: int
+    _fields = ("label", "offset", "dim")
+
+    def __init__(self, label: Label, offset: int, dim: int):
+        self.__dict__.update(label=label, offset=offset, dim=dim)
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionedSpace:
-    """A Hilbert space with a hardcoded ordered orthogonal sector split."""
-
-    sector_labels: IndexSet
-    sector_dims: tuple[int, ...]
-    sector_offsets: tuple[int, ...]  # first coordinate of each sector
+class PartitionedSpace(Frozen):
+    """A Hilbert space with a hardcoded ordered orthogonal sector split:
+    ``sector_offsets`` holds the first coordinate of each sector."""
 
     def __init__(self, sector_labels: IndexSet, sector_dims: Iterable[int]):
         sector_dims = tuple(map(operator.index, sector_dims))  # no float or str
@@ -46,10 +42,10 @@ class PartitionedSpace:
             )
         if any(d < 1 for d in sector_dims):
             raise InvariantViolation(f"sector dims must be >= 1, got {sector_dims}")
-        object.__setattr__(self, "sector_labels", sector_labels)
-        object.__setattr__(self, "sector_dims", sector_dims)
         offsets = tuple(itertools.accumulate(sector_dims[:-1], initial=0))
-        object.__setattr__(self, "sector_offsets", offsets)
+        self.__dict__.update(
+            sector_labels=sector_labels, sector_dims=sector_dims, sector_offsets=offsets
+        )
 
     @classmethod
     def trivial(cls, dim: int = 1) -> "PartitionedSpace":

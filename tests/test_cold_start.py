@@ -1,0 +1,107 @@
+"""A command loads only the layer its document needs: the package resolves
+its public names on first access, and ``io`` and ``cli`` import the circuit
+layer, the indexed-graph layer and routed CP maps by document kind and
+command.  Each check runs ``cli.main`` in a fresh interpreter."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import routedcircuits
+from routedcircuits.io import bundled_path
+
+#: the names the package bound eagerly, by the module that defines each
+PUBLIC = {
+    "errors": [
+        "DomainMismatch", "ImproperComposition", "IncompatibleRestrictions",
+        "InterfaceMismatch", "InvalidSlice", "InvariantViolation", "LengthMismatch",
+        "LintFailure", "NotFullDecoherence", "NotPracticalIsometry", "ParseError",
+        "RoutedError", "RouteViolation", "SchemaError", "ShapeMismatch", "TypeMismatch",
+        "UnknownLabel", "UnknownNode", "UsageError",
+    ],
+    "relations": [
+        "CPRelation", "IndexSet", "Relation", "compose", "diagonal", "full_coherence",
+        "full_decoherence", "image", "is_completely_positive", "is_proper_for_channels",
+        "is_proper_for_isometries", "is_proper_for_unitaries", "practical_input_set",
+        "practical_output_set", "product", "transpose",
+    ],
+    "spaces": ["PartitionedSpace", "SectorRange", "projector", "tensor", "tensor_many"],
+    "routed_maps": [
+        "RoutedMap", "checked_compose", "dagger", "follows", "is_practical_isometry",
+        "is_practical_unitary", "tensor_map",
+    ],
+    "routed_cpms": [
+        "RoutedCPM", "adapted_kraus_decomposition", "checked_compose_channel", "choi_matrix",
+        "discard", "follows_cp", "is_practically_trace_preserving", "kraus_follow_diagonal",
+        "lift_pure", "tensor_cpm",
+    ],
+    "circuits": [
+        "Box", "CircuitBuilder", "RoutedCircuit", "Slice", "accessible_space",
+        "check_circuit", "circuit_to_dot", "evaluate", "formal_space",
+    ],
+    "iodag": [
+        "Corelation", "IndexFamily", "Interpretation", "IODAG", "IONode", "Partition", "bar",
+        "compose_corelations", "explain_improper", "interpret", "iodag_isomorphic",
+        "iodag_to_dot", "lint", "node_corelation", "nonforgetting_compose", "normalize",
+        "par_compose_iodag", "preprocessing", "seq_compose_iodag", "total_corelation",
+    ],
+    "io": ["CircuitDocument", "parse", "serialize"],
+}
+
+PROBE = """
+import contextlib, io, json, sys
+from routedcircuits import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("routedcircuits"))]))
+"""
+
+
+def loaded(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``cli.main(argv)`` in a fresh interpreter, and the
+    package's modules it left loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate",), ("eval",), ("explain",), ("accessible", "--slice", "A,B")],
+    ids=lambda argv: argv[0],
+)
+def test_a_circuit_command_never_loads_the_indexed_graph_layer(argv):
+    code, modules = loaded(argv[0], bundled_path("two_trajectories.json"), *argv[1:])
+    assert code == 0
+    assert "routedcircuits.circuits" in modules
+    assert "routedcircuits.iodag" not in modules
+
+
+@pytest.mark.parametrize("command", ["validate", "explain"])
+def test_an_indexed_graph_command_loads_no_circuit_layer(command):
+    code, modules = loaded(command, bundled_path("figure1b.json"))
+    assert code == 0
+    assert "routedcircuits.iodag" in modules
+    assert not modules & {"routedcircuits.circuits", "routedcircuits.routed_cpms"}
+
+
+def test_the_package_binds_every_former_public_name():
+    assert set(dir(routedcircuits)) >= {name for names in PUBLIC.values() for name in names}
+    for module_name, names in PUBLIC.items():
+        module = importlib.import_module(f"routedcircuits.{module_name}")
+        for name in names:
+            assert getattr(routedcircuits, name) is getattr(module, name), name
+            assert name in routedcircuits.__all__
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        routedcircuits.nowhere  # noqa: B018

@@ -1,0 +1,104 @@
+"""A boundary strand (an empty node from an input wire to an output wire)
+is read as its matching projector: the identity on every sector block its
+matching route allows.  So a graph that passes ``lint`` interprets even
+when a wire carries two names of one class, where the strand is no
+identity: only the sectors whose matched names agree pass."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from routedcircuits import cli
+from routedcircuits.errors import InvariantViolation
+from routedcircuits.iodag import IODAG, Interpretation, IONode, Partition, interpret, lint
+from routedcircuits.iodag import wire_space
+from routedcircuits.routed_maps import RoutedMap, is_practical_isometry, is_practical_unitary
+
+
+def strand(classes: dict[str, str]) -> IODAG:
+    """``i -> e -> o`` with ``e`` empty, names ``a``, ``b`` on ``i`` and ``c``,
+    ``d`` on ``o``, each name in the class ``classes`` gives it."""
+    blocks: dict[str, list[str]] = {}
+    for name, tag in classes.items():
+        blocks.setdefault(tag, []).append(name)
+    return IODAG(
+        ("i",), ("o",), (), {"e": IONode(["i"], ["o"])},
+        {"a": "i", "b": "i", "c": "o", "d": "o"},
+        Partition(classes, blocks.values()),
+        frozenset({"e"}),
+    )
+
+
+ONE_CLASS = {"a": "x", "b": "x", "c": "x", "d": "x"}
+CROSSED = {"a": "x", "b": "y", "c": "y", "d": "x"}  # sorted on 'o': y's name first
+
+
+def interpretation(g: IODAG, length: int, dims=1) -> Interpretation:
+    lengths = dict.fromkeys(g.placement, length)
+    return Interpretation(lengths, {w: wire_space(g, w, lengths, dims) for w in g.wire_ids}, {})
+
+
+@pytest.mark.parametrize("mode", ["iso", "uni"])
+@pytest.mark.parametrize("length", [1, 2])
+def test_two_names_of_one_class_on_each_wire(mode, length):
+    g = strand(ONE_CLASS)
+    assert lint(g, mode).passed
+    meaning = interpret(g, interpretation(g, length), mode)
+    # the value pairs (v, w) in row-major order; only v == w passes
+    passing = [v == w for v in range(length) for w in range(length)]
+    assert np.array_equal(meaning.matrix, np.diag(passing).astype(complex))
+    assert is_practical_isometry(meaning) and is_practical_unitary(meaning)
+
+
+@pytest.mark.parametrize("mode", ["iso", "uni"])
+@pytest.mark.parametrize("length", [1, 2])
+def test_the_reproduction_evaluates_through_the_cli(mode, length):
+    sectors = [
+        {"label": [v, w], "dim": 1} for v in range(length) for w in range(length)
+    ]
+    document = {
+        "format_version": "1", "kind": "iodag", "inputs": ["i"], "outputs": ["o"],
+        "edges": [], "nodes": [{"id": "e", "in": ["i"], "out": ["o"]}], "empty_nodes": ["e"],
+        "indices": [{"name": n, "wire": w, "class": "x"} for n, w in zip("abcd", "iioo")],
+        "interpretation": {
+            "lengths": dict.fromkeys("abcd", length),
+            "spaces": {"i": sectors, "o": sectors},
+            "morphs": {},
+        },
+    }
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["eval", json.dumps(document), "--iodag-mode", mode])
+    report = json.loads(stdout.getvalue())
+    assert code == 0, report
+    assert report["practical_isometry"] and report["practical_unitary"]
+
+
+def test_one_name_per_class_is_still_the_identity():
+    g = strand({"a": "x", "b": "y", "c": "x", "d": "y"})
+    interp = interpretation(g, 2, dims=2)
+    assert interpret(g, interp, "uni") == RoutedMap.identity(interp.spaces["i"])
+
+
+def test_crossed_classes_pair_swapped_sectors():
+    g = strand(CROSSED)
+    meaning = interpret(g, interpretation(g, 2), "uni")
+    # sector (a, b) = (v, w) of 'i' goes to sector (c, d) = (w, v) of 'o'
+    swap = np.zeros((4, 4))
+    for v in range(2):
+        for w in range(2):
+            swap[2 * w + v, 2 * v + w] = 1
+    assert np.array_equal(meaning.matrix, swap)
+    assert is_practical_unitary(meaning)
+
+
+def test_a_paired_block_must_be_square():
+    g = strand(CROSSED)
+    dims = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 1}
+    with pytest.raises(InvariantViolation, match="empty node 'e' pairs sector"):
+        interpret(g, interpretation(g, 2, dims), "iso")

@@ -43,3 +43,29 @@ def test_superposed_trajectories():
     assert "interfaces gated for unitaries: all pass" in lines
     assert any(l.endswith("practical unitary: True") for l in lines)
     assert "norm preserved through the superposition: 1.000000000000" in lines
+
+
+def test_cold_start():
+    """One table per document and bytecode setting; a circuit document
+    loads no indexed-graph layer and an indexed-graph document no circuits."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "cold_start.py"), "--repeat", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    tables = [block.splitlines() for block in done.stdout.strip().split("\n\n")]
+    headers = [table[0] for table in tables]
+    assert headers == [
+        f"validate {document}, {setting} (median of 1, ms)"
+        for document in ("two_trajectories.json", "figure1b.json")
+        for setting in ("bytecode cached", "no bytecode")
+    ]
+    for header, table in zip(headers, tables):
+        modules = {line.split()[-1] for line in table[2:-1]}
+        assert {"numpy", "routedcircuits.io", "routedcircuits.relations"} <= modules
+        layer, other = ("circuits", "iodag") if "two_trajectories" in header else ("iodag", "circuits")
+        assert f"routedcircuits.{layer}" in modules and f"routedcircuits.{other}" not in modules
+        assert re.fullmatch(
+            r"wall [\d.]+ ms: interpreter [\d.]+, numpy [\d.]+, package [\d.]+, rest -?[\d.]+",
+            table[-1],
+        ), table[-1]

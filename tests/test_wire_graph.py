@@ -172,4 +172,4 @@ def test_only_the_wire_graph_and_the_check_program_run_the_kahn_pass():
             for alias in node.names
         }
         assert path.stem == "circuits" or "_kahn_layers" not in imported, path.name
-    assert callers == {("circuits", "_wire_graph"), ("circuits", "_check_program")}
+    assert callers == {("wiregraph", "_wire_graph"), ("circuits", "_check_program")}
