@@ -21,11 +21,11 @@ its mode, its wires' sector dimensions, and its boxes' wires and Kraus
 counts, which a circuit derives once, with its foliation, when it is
 built.  Each network is compiled once per shape into a frozen program,
 behind one bounded module-level cache, the only cache of plans: the
-signatures and shapes of its tables, its plan, its gathers and foliation
-steps, and nothing of the circuit's matrices, routes or labels.  A call
-reshapes the boxes' own arrays and runs the plan; an operator program
-also lays out where its products go, in one buffer that each thread
-keeps, so a warm evaluation allocates little beyond its result.
+signatures and shapes of its tables, its plan and its gathers, and
+nothing of the circuit's matrices, routes or labels.  A call reshapes
+the boxes' own arrays and runs the plan; an operator program also lays
+out where its products go, in one buffer that each thread keeps, so a
+warm evaluation allocates little beyond its result.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import threading
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -44,12 +44,14 @@ from . import relations as rel
 from .errors import InvalidSlice, InvariantViolation, RouteViolation, TypeMismatch
 from .frozen import Record
 from .relations import CPRelation, Relation
-from .routed_cpms import RoutedCPM
 from .routed_maps import DEFAULT_TOLERANCE, RoutedMap
 from .spaces import PartitionedSpace, kron_to_canonical, tensor_many
-from .wiregraph import _dot_graph, _dot_quoted, _kahn_layers, _walk, _wire_graph, _WireGraph
+from .wiregraph import _dot_graph, _dot_quoted, _walk, _wire_graph, _WireGraph
 
-BoxOp = Union[RoutedMap, RoutedCPM]
+if TYPE_CHECKING:
+    from .routed_cpms import RoutedCPM
+
+    BoxOp = Union[RoutedMap, RoutedCPM]
 
 
 class Box(Record):
@@ -126,7 +128,10 @@ def _validate_circuit(circuit: RoutedCircuit) -> tuple[dict, dict, type, tuple]:
     :func:`_wire_graph`)."""
     if circuit.mode not in ("pure", "cpm"):
         raise InvariantViolation(f"unknown circuit mode {circuit.mode!r}")
-    expected_type = RoutedMap if circuit.mode == "pure" else RoutedCPM
+    if circuit.mode == "pure":
+        expected_type = RoutedMap
+    else:
+        from .routed_cpms import RoutedCPM as expected_type
     for box_id, box in circuit.boxes.items():
         if not isinstance(box.op, expected_type):
             raise InvariantViolation(
@@ -640,30 +645,12 @@ def _compiled(shape: _Shape, kind: str, sources: tuple, box_ids: tuple, targets:
     shape, as tuples and read-only arrays, so a call runs only array
     kernels on the boxes' own arrays.  ``kind`` is 'routes' or 'coherence'
     (one or two sector axes per wire, see :func:`_contracted_route`),
-    'operators' (see :func:`_contracted_operators`), 'insertion' (see
-    :func:`_accessible_by_insertion`) or 'check' (see
-    :func:`_check_program`).
+    'operators' (see :func:`_contracted_operators`) or 'insertion' (see
+    :func:`_accessible_by_insertion`).
     """
-    if kind == "check":
-        return _check_program(shape, sources)
     if kind == "insertion":
         return _insertion_program(_compiled(shape, "routes", (), box_ids, targets), targets)
     return _network_program(shape, kind, sources, box_ids, targets)
-
-
-def _check_program(shape: _Shape, sources: tuple) -> tuple:
-    """The foliation steps from ``sources``: each step's layer, its input
-    wires, the wires its route runs to (the next step's inputs), and the
-    'routes' program between them."""
-    boxes = dict(shape.boxes)
-    steps = list(_walk(sources, boxes, _kahn_layers(sources, boxes)))
-    program = []
-    for position, step in enumerate(steps):
-        # the gate reads only the downstream domain: the last order is free
-        after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
-        layer, inputs, after = tuple(step.layer), tuple(step.inputs), tuple(after)
-        program.append((layer, inputs, after, _compiled(shape, "routes", inputs, layer, after)))
-    return tuple(program)
 
 
 def _network_program(
@@ -678,7 +665,7 @@ def _network_program(
         signatures, keep, sizes = _network(dims, sources, network, targets, 1, sum)
         plan = _frozen(_contraction_plan(signatures, keep, sizes))
     else:
-        copies = 2 if kind == "coherence" else 1
+        copies = {"routes": 1, "coherence": 2}[kind]
         network = [box._replace(count=1) for box in network]
         signatures, keep, sizes = _network(dims, sources, network, targets, copies, len)
         plan = _frozen(_elimination_plan(signatures, keep, sizes))
@@ -761,14 +748,6 @@ def _route_tables(
     return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
 
 
-def _run_routes(
-    circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str], copies: int
-) -> np.ndarray:
-    """Sum the route program ``program`` over the boxes' route tables."""
-    tables = _route_tables(circuit, program, box_ids, copies)
-    return _run_plan(program.plan, tables).reshape(program.shape)
-
-
 def _contracted_route(
     circuit: RoutedCircuit,
     sources: Sequence[str],
@@ -785,7 +764,8 @@ def _contracted_route(
     copies its coherence route.
     """
     program = _program(circuit, ("routes", "coherence")[copies - 1], sources, box_ids, targets)
-    return _run_routes(circuit, program, box_ids, copies)
+    tables = _route_tables(circuit, program, box_ids, copies)
+    return _run_plan(program.plan, tables).reshape(program.shape)
 
 
 def _operator_tables(circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str]) -> list:
@@ -932,11 +912,14 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
     acc_route: Relation | None = None
     acc_boxes: tuple[str, ...] = ()
     checks: list[InterfaceCheck] = []
-    for position, (layer, inputs, after, program) in enumerate(
-        _program(circuit, "check", circuit.input_wires)
-    ):
-        domain, codomain = (_interface_space(circuit, w).sector_labels for w in (inputs, after))
-        layer_route = Relation(domain, codomain, _run_routes(circuit, program, layer, 1))
+    steps = list(_walk(circuit.input_wires, circuit.boxes, circuit._layers))
+    for position, step in enumerate(steps):
+        # the gate reads only the downstream domain: the last order is free
+        after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
+        layer, ends = tuple(step.layer), (step.inputs, after)
+        domain, codomain = (_interface_space(circuit, w).sector_labels for w in ends)
+        matrix = _contracted_route(circuit, step.inputs, layer, after, 1)
+        layer_route = Relation(domain, codomain, matrix)
         if acc_route is None:
             acc_route = layer_route
         else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,17 @@ from routedcircuits import (
     PartitionedSpace,
     Relation,
     RoutedMap,
+    check_circuit,
+    lift_pure,
     tensor,
     tensor_many,
 )
 from routedcircuits import routed_maps as rmap
 from routedcircuits.sampling import (
     random_block_diagonal_unitary,
+    random_decohered_cpm,
     random_practical_isometry,
+    random_practical_unitary,
     random_relation,
     random_space,
 )
@@ -160,3 +166,79 @@ def random_circuit(rng, n_boxes=5, mode="pure", max_open=3):
         open_wires.extend(out_wires)
     builder.inputs(*inputs).outputs(*open_wires)
     return builder.build()
+
+
+#: the largest Kraus count, and operator stack in entries, of a gated channel circuit
+MAX_KRAUS, MAX_STACK = 4096, 1 << 18
+
+
+def gated_box(rng, gate, domain, codomain):
+    """A box map on a random route of density 0.5 for a circuit gated as
+    ``gate``, or None when the dimensions admit none: a practical isometry
+    or unitary ('isometry'), a practical unitary ('unitary'), or a channel
+    that is a lifted practical isometry or a practically trace-preserving
+    decohered map of three operators per block ('channel')."""
+    route = random_relation(domain.sector_labels, codomain.sector_labels, rng, 0.5)
+    if gate == "unitary":
+        return random_practical_unitary(route, domain, codomain, rng)
+    if gate == "isometry":
+        sampler = (random_practical_isometry, random_practical_unitary)[int(rng.integers(2))]
+        return sampler(route, domain, codomain, rng)
+    if rng.integers(2):
+        op = random_practical_isometry(route, domain, codomain, rng)
+        return None if op is None else lift_pure(op)
+    try:
+        return random_decohered_cpm(route, domain, codomain, rng, 3, True)
+    except ValueError:  # a sector its blocks cannot cover
+        return None
+
+
+def random_box_dag(rng, gate):
+    """A random circuit of 2-4 boxes from :func:`gated_box` on 1-3 input
+    wires, each wire of 1-3 sectors of dimension 1-2, with at most three
+    wires open at once; None when a box finds no map."""
+    builder = CircuitBuilder("cpm" if gate == "channel" else "pure")
+    spaces = {}
+
+    def wire(space):
+        wire_id = f"w{len(spaces)}"
+        spaces[wire_id] = space
+        builder.wire(wire_id, space)
+        return wire_id
+
+    open_wires = [wire(random_space(rng)) for _ in range(int(rng.integers(1, 4)))]
+    builder.inputs(*open_wires)
+    for b in range(int(rng.integers(2, 5))):
+        k = int(rng.integers(1, min(2, len(open_wires)) + 1))
+        picked = rng.choice(len(open_wires), size=k, replace=False)
+        inputs = [open_wires[i] for i in sorted(picked)]
+        open_wires = [w for w in open_wires if w not in inputs]
+        domain = tensor_many([spaces[w] for w in inputs])
+        n_out = 1 if len(open_wires) >= 2 else int(rng.integers(1, 3))
+        for _ in range(20):
+            outputs = [random_space(rng) for _ in range(n_out)]
+            op = gated_box(rng, gate, domain, tensor_many(outputs))
+            if op is not None:
+                break
+        else:
+            return None
+        outputs = [wire(space) for space in outputs]
+        builder.box(f"b{b}", inputs, outputs, op)
+        open_wires += outputs
+    return builder.outputs(*open_wires).build()
+
+
+def gated_circuit(rng, gate):
+    """A circuit of :func:`random_box_dag` that passes ``check_circuit(circuit,
+    gate)``, drawn again until one does.  A channel circuit's evaluation
+    stays within MAX_KRAUS operators and MAX_STACK entries: a larger draw
+    is skipped."""
+    while True:
+        circuit = random_box_dag(rng, gate)
+        if circuit is None:
+            continue
+        count = math.prod(len(box.op.kraus_stack) for box in circuit.boxes.values())
+        ends = (circuit.input_wires, circuit.output_wires)
+        entries = count * math.prod(circuit.wires[w].total_dim for ws in ends for w in ws)
+        if count <= MAX_KRAUS and entries <= MAX_STACK and check_circuit(circuit, gate).passed:
+            return circuit

@@ -13,19 +13,14 @@ import pickle
 import numpy as np
 import pytest
 
-from routedcircuits.circuits import (
-    Slice,
-    _program,
-    accessible_space,
-    check_circuit,
-    evaluate,
-)
+from routedcircuits.circuits import Slice, accessible_space, check_circuit, evaluate
 from routedcircuits.io import load_bundled
 from routedcircuits.iodag import IndexFamily, lint
 from routedcircuits.sampling import random_coherent_cpm, random_relation, random_space
 
 from conftest import make_two_trajectory_circuit, random_circuit, sample_routed_map
 from test_iodag_index import lookups
+from test_programs import gate_programs
 
 COPIES = [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
 COPY_IDS = ["deepcopy", "pickle"]
@@ -74,9 +69,8 @@ def test_copied_circuits_evaluate_to_the_same_bits(copier):
         copied = copier(circuit)
         assert copied is not circuit and copied._shape == circuit._shape
         assert outcomes(copied, gate) == outcomes(circuit, gate)
-        assert _program(copied, "check", copied.input_wires) is _program(
-            circuit, "check", circuit.input_wires
-        )
+        shared = zip(gate_programs(copied), gate_programs(circuit), strict=True)
+        assert all(a is b for a, b in shared)
         for box_id, box in copied.boxes.items():
             assert not box.op.kraus_stack.flags.writeable
             assert box.op == circuit.boxes[box_id].op

@@ -28,6 +28,7 @@ from routedcircuits.sampling import (
     random_sector_preserving_channel,
     random_unitary,
 )
+from routedcircuits.wiregraph import _walk
 
 from conftest import random_circuit
 from test_contraction import rare_circuits
@@ -72,16 +73,23 @@ def walk(value):
             yield from walk(item)
 
 
+def gate_programs(circuit) -> list:
+    """The 'routes' programs :func:`check_circuit` reads: per foliation
+    step, from its inputs to the next step's (the last step's outputs)."""
+    steps = list(_walk(circuit.input_wires, circuit.boxes, circuit._layers))
+    afters = [step.inputs for step in steps[1:]] + [step.outputs for step in steps[-1:]]
+    return [_program(circuit, "routes", s.inputs, s.layer, a) for s, a in zip(steps, afters)]
+
+
 def programs(circuit) -> list:
     cut = Slice(circuit.output_wires)
     kinds = [
-        ("check", circuit.input_wires, (), ()),
         ("operators", circuit.input_wires, sorted(circuit.boxes), circuit.output_wires),
         ("routes", circuit.input_wires, sorted(circuit.boxes), circuit.output_wires),
         ("coherence", circuit.input_wires, sorted(circuit.boxes), circuit.output_wires),
         ("insertion", (), sorted(circuit.boxes), cut.wires),
     ]
-    return [_program(circuit, *kind) for kind in kinds]
+    return gate_programs(circuit) + [_program(circuit, *kind) for kind in kinds]
 
 
 class TestCachedEqualsFresh:
@@ -168,6 +176,12 @@ def test_programs_hold_nothing_mutable(mode):
                 assert not value.flags.writeable
                 arrays += 1
     assert arrays  # the identities, gathers and pins are there
+
+
+def test_an_unknown_kind_compiles_nothing():
+    circuit = line_circuit()
+    with pytest.raises(KeyError):
+        _program(circuit, "check", circuit.input_wires, ["u0"], ["x1"])
 
 
 def test_programs_are_the_only_plan_cache():

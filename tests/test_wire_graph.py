@@ -152,9 +152,9 @@ def test_evaluate_rejects_an_order_that_is_no_enumeration(two_trajectory, order)
         evaluate(circuit, box_order=order)
 
 
-def test_only_the_wire_graph_and_the_check_program_run_the_kahn_pass():
-    """A graph's layers come from one Kahn pass, in ``_wire_graph``; the
-    shape-keyed check program, which holds no graph, runs its own."""
+def test_only_the_wire_graph_runs_the_kahn_pass():
+    """A graph's layers come from one Kahn pass, in ``_wire_graph``, and no
+    other module imports it."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -171,5 +171,5 @@ def test_only_the_wire_graph_and_the_check_program_run_the_kahn_pass():
             if isinstance(node, ast.ImportFrom)
             for alias in node.names
         }
-        assert path.stem == "circuits" or "_kahn_layers" not in imported, path.name
-    assert callers == {("wiregraph", "_wire_graph"), ("circuits", "_check_program")}
+        assert "_kahn_layers" not in imported, path.name
+    assert callers == {("wiregraph", "_wire_graph")}
