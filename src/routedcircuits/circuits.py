@@ -15,13 +15,14 @@ sequential interface, and the accessible space of a slice, both as the
 index-summation recipe and as the insertion-of-test-relations definition
 that justifies it.  The accessible space takes every box (a part of the
 circuit not connected to the slice still counts: if its routes vanish,
-so does every slice); insertion tests every candidate in one planned
-run.  A network's layout and plan depend only on the circuit's shape:
-its mode, its wires' sector dimensions, and its boxes' wires and Kraus
-counts, which a circuit derives once, with its foliation, when it is
-built.  Each network is compiled once per shape into a frozen program,
-behind one bounded module-level cache, the only cache of plans: the
-signatures and shapes of its tables, its plan and its gathers, and
+so does every slice); insertion adds a test relation on each slice wire
+to the recipe's network, so one run tests every candidate.  A network's
+layout and plan depend only on the circuit's shape: its mode, its wires'
+sector dimensions, and its boxes' wires and Kraus counts, which a
+circuit derives and hashes once, with its foliation, when it is built.
+Each network is compiled once per shape into a frozen program, behind
+one bounded module-level cache, the only cache of plans: the signatures
+and shapes of its tables, its plan, its gathers and fixed tables, and
 nothing of the circuit's matrices, routes or labels.  A call reshapes
 the boxes' own arrays and runs the plan; an operator program also lays
 out where its products go, in one buffer that each thread keeps, so a
@@ -164,20 +165,26 @@ class _BoxShape(NamedTuple):
 
 class _Shape(NamedTuple):
     """What the networks of a circuit read of it, and nothing of its
-    matrices, routes or labels: the key of its compiled programs."""
+    matrices, routes or labels: the key of its compiled programs, hashed
+    once (a tuple does not keep its hash)."""
 
     mode: str
     wires: tuple  # (wire, its sector dimensions), in declaration order
     boxes: tuple  # (box id, its _BoxShape), in declaration order
+    digest: int  # the hash of the fields above
+
+    def __hash__(self) -> int:
+        return self.digest
 
 
 def _shape_of(circuit: RoutedCircuit) -> _Shape:
     boxes = circuit.boxes.items()
-    return _Shape(
+    fields = (
         circuit.mode,
         tuple((w, space.sector_dims) for w, space in circuit.wires.items()),
         tuple((b, _BoxShape(x.inputs, x.outputs, len(x.op.kraus_stack))) for b, x in boxes),
     )
+    return _Shape(*fields, hash(fields))
 
 
 class CircuitBuilder:
@@ -611,13 +618,12 @@ class _Program(NamedTuple):
     signatures: tuple  # the boxes' tables, then the identities'
     sizes: tuple  # (label, size) pairs
     shapes: tuple  # per box: the shape its table is read in
-    fixed: tuple  # the identity tables, read-only
+    fixed: tuple  # the identity tables (and insertion's test tables), read-only
     plan: Union[_Plan, _Contraction]
     shape: tuple  # the result's
     gathers: tuple = ()  # operators: per box, None or its index into its wires' Kronecker bases
     take: np.ndarray | None = None  # operators: each entry's offset into the plan's last slot
     workspace: _Workspace | None = None  # operators: where the contraction writes
-    pins: tuple = ()  # insertion: per table, its axis order (slice axes first) and candidates
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -718,22 +724,19 @@ def _network_program(
 
 def _insertion_program(routes: _Program, targets: tuple) -> _Program:
     """The route program ``routes``, whose kept axes are the slice
-    ``targets``, pinned for :func:`_accessible_by_insertion`."""
+    ``targets``, with a test table on each of them that relates every
+    candidate tuple to its sector there, planned to keep the candidates."""
     sizes = dict(routes.sizes)
     shape = tuple(sizes[w] for w in targets)
-    candidates = _read_only(np.indices(shape).reshape(len(shape), math.prod(shape)))
-    position = {(w, 0): i for i, w in enumerate(targets)}
-    pins, signatures = [], []
-    for vars_ in routes.signatures:
-        pinned = [i for i, v in enumerate(vars_) if v in position]
-        free = [i for i, v in enumerate(vars_) if v not in position]
-        pins.append((tuple(pinned + free), tuple(candidates[position[vars_[i]]] for i in pinned)))
-        signatures.append([_CANDIDATE] * bool(pinned) + [vars_[i] for i in free])
+    candidates = np.indices(shape).reshape(len(shape), math.prod(shape))
+    tested = [i for i, w in enumerate(targets) if sizes[w] > 1]
+    tests = (candidates[i][:, None] == np.arange(shape[i]) for i in tested)
+    signatures = routes.signatures + tuple((_CANDIDATE, (targets[i], 0)) for i in tested)
     sizes[_CANDIDATE] = candidates.shape[1]
     plan = _frozen(_elimination_plan(signatures, [_CANDIDATE], sizes))
     return routes._replace(
-        signatures=tuple(map(tuple, signatures)), sizes=tuple(sizes.items()), plan=plan,
-        shape=shape, pins=tuple(pins),
+        signatures=signatures, sizes=tuple(sizes.items()),
+        fixed=routes.fixed + tuple(map(_read_only, tests)), plan=plan, shape=shape,
     )
 
 
@@ -742,7 +745,7 @@ def _route_tables(
 ) -> list[np.ndarray]:
     """The tables of a route program: each box's route matrix in its shape
     (with one copy, its plain view: see :func:`relations.diagonal_view`),
-    then the identities."""
+    then the program's fixed tables."""
     routes = [circuit.boxes[b].op.route for b in box_ids]
     matrices = map(rel.diagonal_view, routes) if copies == 1 else (r.matrix for r in routes)
     return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
@@ -989,18 +992,15 @@ def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     """Defining test: fix the slice sectors to a candidate tuple and ask
     whether the whole relation-level circuit still relates anything.
 
-    Every candidate is tested in one planned run.  Each table with slice
-    axes is gathered at every candidate, along one candidate axis that all
-    these tables share, and the elimination keeps only that axis: slice
-    ``i`` of the run is the network pinned at candidate ``i``.  A gathered
-    table holds one copy of its non-slice axes per candidate, so the run
-    takes the candidate count times the memory of one pinned network.
+    Every candidate is tested in one run of the recipe's network with a
+    test relation inserted on each slice wire of more than one sector, from
+    the candidates to their sector there, summed down to the candidate axis
+    they share: entry ``i`` is the network with the slice fixed to ``i``.
     """
     boxes = sorted(circuit.boxes)
     program = _program(circuit, "insertion", (), boxes, cut.wires)
     tables = _route_tables(circuit, program, boxes, 1)
-    gathered = [t.transpose(order)[at] for t, (order, at) in zip(tables, program.pins)]
-    return _run_plan(program.plan, gathered).reshape(program.shape)
+    return _run_plan(program.plan, tables).reshape(program.shape)
 
 
 def accessible_space(
@@ -1009,9 +1009,10 @@ def accessible_space(
     """Sector tuples of the slice that the circuit's routes can populate.
 
     ``algorithm`` 'recipe' contracts every route and sums out the
-    non-slice indices; 'insertion' pins each candidate tuple at the slice
-    and tests the end-to-end relation for vanishing.  Both return the same
-    set.  CPM circuits are analysed through the routes' diagonals.
+    non-slice indices; 'insertion' fixes the slice to each candidate tuple
+    by test relations and tests the end-to-end relation for vanishing.
+    Both return the same set.  CPM circuits are analysed through the
+    routes' diagonals.
     """
     _validate_slice(circuit, cut)
     if algorithm == "recipe":

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, label_to_json, parse
-from .routed_maps import is_practical_isometry, is_practical_unitary
 
 
 def _interface_json(check) -> dict:
@@ -98,11 +97,13 @@ def _matrix_summary(matrix: np.ndarray) -> dict:
 
 
 def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
+    if doc.kind == "iodag" and doc.interpretation is None:
+        raise SchemaError("document has no interpretation to evaluate")
+    from .routed_maps import is_practical_isometry, is_practical_unitary
+
     if doc.kind == "iodag":
         from .iodag import interpret
 
-        if doc.interpretation is None:
-            raise SchemaError("document has no interpretation to evaluate")
         meaning = interpret(doc.payload, doc.interpretation, mode=args.iodag_mode)
         payload = {
             "kind": "iodag",

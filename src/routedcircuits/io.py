@@ -8,8 +8,9 @@ and standalone.  The two differ only in their route's keys and their
 operator key.  Structural problems raise SchemaError with a
 JSON-pointer-style location; semantic problems surface the originating
 error prefixed with the offending element's location.  The circuit
-layer, the indexed-graph layer and routed CP maps are imported when a
-document needs them, so reading one kind of document loads no other.
+layer, the indexed-graph layer, routed maps and routed CP maps are
+imported when a document needs them, so reading one kind of document
+loads no other.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import numpy as np
 from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .frozen import Record
 from .relations import CPRelation, IndexSet, Label, Relation
-from .routed_maps import RoutedMap
 from .spaces import PartitionedSpace, tensor_many
 
 if TYPE_CHECKING:
     from .circuits import RoutedCircuit
     from .iodag import IODAG, Interpretation
     from .routed_cpms import RoutedCPM
+    from .routed_maps import RoutedMap
 
 FORMAT_VERSION = "1"
 
@@ -225,9 +226,10 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     operators = read_operators(
         _expect(data, operator_key, list, location), f"{location}/{operator_key}"
     )
+    # routed maps and routed CP maps load with the first one read
     if mode == "pure":
-        map_class = RoutedMap
-    else:  # routed CP maps load with the first one read
+        from .routed_maps import RoutedMap as map_class
+    else:
         from .routed_cpms import RoutedCPM as map_class
     with _context(location or f"/{operator_key}"):
         return map_class(route, operators, domain, codomain, tolerance)
@@ -396,6 +398,7 @@ def _iodag_to_json(g: IODAG) -> dict:
 
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
     from .iodag import IndexFamily, Interpretation, expected_wire_labels, node_route
+    from .routed_maps import RoutedMap
 
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths: dict[str, int] = {}

@@ -17,12 +17,11 @@ import operator
 from collections import Counter
 from functools import lru_cache, reduce
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import relations as rel
-from . import routed_maps as rmap
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -35,9 +34,11 @@ from .errors import (
 )
 from .frozen import Frozen, Record
 from .relations import IndexSet, Relation
-from .routed_maps import RoutedMap
 from .spaces import PartitionedSpace, sector_blocks, tensor_many
 from .wiregraph import _dot_graph, _dot_quoted, _walk, _wire_graph, _WireGraph
+
+if TYPE_CHECKING:
+    from .routed_maps import RoutedMap
 
 
 class Partition(Frozen):
@@ -921,6 +922,8 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
     indices carry equal values; the matrix is the projector onto the
     corresponding sectors.
     """
+    from .routed_maps import RoutedMap
+
     space = tensor_many([interp.spaces[w] for w in g.inputs])
     names = g.input_index_names()
     matched = _bar_in_wire_order(preprocessing(g, interp.lengths), names, names).diagonal()
@@ -941,6 +944,8 @@ def _matching_projector(
     well-indexedness, as on any other node).  A paired block must be
     square.
     """
+    from .routed_maps import RoutedMap
+
     node = g.nodes[node_id]
     domain, codomain = (interp.spaces[w] for w in (*node.inputs, *node.outputs))
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
@@ -1002,6 +1007,7 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
                 f"{interp.spaces[wire].sector_labels.labels!r}"
             )
 
+    from . import routed_maps as rmap
     from .circuits import CircuitBuilder, evaluate
 
     builder = CircuitBuilder(mode="pure")

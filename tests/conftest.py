@@ -1,8 +1,10 @@
-"""Shared fixtures: the worked-example circuits and random circuit generators."""
+"""Shared fixtures: the worked-example circuits and random circuit
+generators, and the environment of a child interpreter."""
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +28,18 @@ from routedcircuits.sampling import (
     random_relation,
     random_space,
 )
+
+
+#: this checkout's package sources
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env(**extra: str) -> dict:
+    """This process's environment, with ``extra`` set and this checkout's
+    sources first on ``PYTHONPATH``, so that a child interpreter imports
+    the package under test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @pytest.fixture

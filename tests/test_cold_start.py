@@ -1,7 +1,7 @@
 """A command loads only the layer its document needs: the package resolves
 its public names on first access, and ``io`` and ``cli`` import the circuit
-layer, the indexed-graph layer and routed CP maps by document kind and
-command.  Each check runs ``cli.main`` in a fresh interpreter."""
+layer, the indexed-graph layer, routed maps and routed CP maps by document
+kind and command.  Each check runs ``cli.main`` in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import pytest
 
 import routedcircuits
 from routedcircuits.io import bundled_path
+
+from conftest import child_env
 
 #: the names the package bound eagerly, by the module that defines each
 PUBLIC = {
@@ -66,7 +68,8 @@ def loaded(*argv: str) -> tuple[int, set[str]]:
     """The exit code of ``cli.main(argv)`` in a fresh interpreter, and the
     package's modules it left loaded."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)], capture_output=True, text=True
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        capture_output=True, text=True, env=child_env(),
     )
     assert done.returncode == 0, done.stderr
     code, modules = json.loads(done.stdout)
@@ -86,12 +89,15 @@ def test_a_circuit_command_never_loads_the_indexed_graph_layer(argv):
     assert not modules & {"routedcircuits.iodag", "routedcircuits.routed_cpms"}
 
 
-@pytest.mark.parametrize("command", ["validate", "explain"])
-def test_an_indexed_graph_command_loads_no_circuit_layer(command):
-    code, modules = loaded(command, bundled_path("figure1b.json"))
+@pytest.mark.parametrize("command", ["validate", "explain", "export-dot"])
+def test_an_indexed_graph_command_loads_no_circuit_layer(command, tmp_path):
+    """Nor, without an interpretation, routed maps."""
+    output = ("-o", str(tmp_path / "graph.dot")) if command == "export-dot" else ()
+    code, modules = loaded(command, bundled_path("figure1b.json"), *output)
     assert code == 0
     assert "routedcircuits.iodag" in modules
-    assert not modules & {"routedcircuits.circuits", "routedcircuits.routed_cpms"}
+    unused = {"routedcircuits.circuits", "routedcircuits.routed_maps", "routedcircuits.routed_cpms"}
+    assert not modules & unused
 
 
 def test_the_package_binds_every_former_public_name():

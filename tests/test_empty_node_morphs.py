@@ -27,6 +27,8 @@ from routedcircuits.iodag import (
 )
 from routedcircuits.routed_maps import RoutedMap
 
+from conftest import child_env
+
 SIGN = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]  # diag(1, -1)
 IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 SECTORS = [{"dim": 1, "label": [0]}, {"dim": 1, "label": [1]}]
@@ -99,7 +101,7 @@ def assert_cli_schema_error(data: dict, tmp_path, location: str, commands) -> No
     for command in commands:
         result = subprocess.run(
             [sys.executable, "-m", "routedcircuits.cli", command, str(path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 2, result.stderr
         payload = json.loads(result.stdout)

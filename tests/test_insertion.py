@@ -111,11 +111,10 @@ def one_particle_lines(lines: int, layers: int, rng):
     return circuit, Slice([f"L{j}_1" for j in range(lines)]), onehots
 
 
-def test_one_run_over_512_candidates_stays_small(rng):
-    """Nine lines: 512 candidates, gathered along one axis.  The one run
-    holds every candidate at once, so it peaks higher than the loop, which
-    holds one (about 0.9 MB against 45 KB), but stays below 2 MB."""
-    circuit, cut, onehots = one_particle_lines(9, 2, rng)
+def traced_insertion(lines: int, rng):
+    """The one run on ``one_particle_lines(lines, 2)``, checked against the
+    oracle and its accessible tuples: its peak traced memory and time."""
+    circuit, cut, onehots = one_particle_lines(lines, 2, rng)
     assert_matches_the_oracle(circuit, cut)
     tracemalloc.start()
     try:
@@ -125,6 +124,22 @@ def test_one_run_over_512_candidates_stays_small(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert allowed.size == 512
+    assert allowed.size == 2**lines
     assert sorted(map(tuple, np.argwhere(allowed).tolist())) == sorted(onehots)
+    return peak, elapsed
+
+
+def test_one_run_over_512_candidates_stays_small(rng):
+    """Nine lines: 512 candidates along the one candidate axis that the
+    slice's test relations share.  The one run holds every candidate at
+    once, so it peaks higher than the loop, which holds one (about 0.5 MB
+    against 45 KB), but stays below 2 MB."""
+    peak, elapsed = traced_insertion(9, rng)
     assert peak < 2 * 2**20, f"peak {peak} B in {elapsed:.3f} s"
+
+
+def test_one_run_over_1024_candidates_stays_small(rng):
+    """Ten lines: 1024 candidates.  No route table is copied per candidate,
+    so the run peaks at about 2 MB, below 2.5 MB."""
+    peak, elapsed = traced_insertion(10, rng)
+    assert peak < 2.5 * 2**20, f"peak {peak} B in {elapsed:.3f} s"

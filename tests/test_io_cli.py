@@ -31,6 +31,8 @@ from routedcircuits.routed_cpms import RoutedCPM, lift_pure
 from routedcircuits.routed_maps import RoutedMap
 from routedcircuits.spaces import PartitionedSpace
 
+from conftest import child_env
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 BUNDLED = [
@@ -50,10 +52,7 @@ BUNDLED = [
 
 def run_cli(*args, env=None):
     command = [sys.executable, "-m", "routedcircuits.cli", *args]
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(command, capture_output=True, text=True, env=merged)
+    return subprocess.run(command, capture_output=True, text=True, env=child_env(**(env or {})))
 
 
 class TestParsing:

@@ -175,7 +175,7 @@ def test_programs_hold_nothing_mutable(mode):
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable
                 arrays += 1
-    assert arrays  # the identities, gathers and pins are there
+    assert arrays  # the identities, gathers and test tables are there
 
 
 def test_an_unknown_kind_compiles_nothing():
