@@ -254,19 +254,7 @@ def _foliation_layers(
 
 
 def _interface_space(circuit: RoutedCircuit, wire_ids: Sequence[str]) -> PartitionedSpace:
-    spaces = tuple(circuit.wires[w] for w in wire_ids)
-    return _tensor_of(spaces, tuple(map(id, spaces)))
-
-
-@lru_cache
-def _tensor_of(spaces: tuple[PartitionedSpace, ...], ids: tuple[int, ...]) -> PartitionedSpace:
-    """The tensor of the spaces, derived once per tuple of space objects.
-
-    Equal spaces can differ in the types of their labels (``1`` and
-    ``True``), so the key also holds each space's identity, which stays
-    unique while the entry holds the space.
-    """
-    return tensor_many(spaces)
+    return tensor_many([circuit.wires[w] for w in wire_ids])
 
 
 # Axis labels of the networks besides the wires: the source side of a
@@ -564,11 +552,6 @@ def _run_plan(plan: _Plan, tables: Sequence[np.ndarray]) -> np.ndarray:
     for slot, shape in plan.left:
         result &= slots[slot].reshape(shape)
     return result
-
-
-def _box_route(circuit: RoutedCircuit, box_id: str) -> Relation:
-    """The plain view of a box's route (see :func:`relations.diagonal`)."""
-    return rel.diagonal(circuit.boxes[box_id].op.route)
 
 
 def _network(
@@ -903,8 +886,10 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
 
     ``mode`` is 'isometry' or 'unitary' for pure circuits and 'channel' for
     CPM circuits (the gate then acts on the routes' diagonals).  The report
-    is diagnostic: nothing is raised.  Each layer's route runs straight to
-    the next layer's input order, so no wire reordering is composed.
+    is diagnostic: nothing is raised.  Each layer's route, a boolean
+    matrix, runs straight to the next layer's input order, so no wire
+    reordering is composed; the running route is their boolean product.
+    An interface's labels are built only to name the sectors that escape.
     """
     if mode not in ("isometry", "unitary", "channel"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -912,35 +897,25 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
         raise InvariantViolation(
             f"mode {mode!r} does not apply to a {circuit.mode!r} circuit"
         )
-    acc_route: Relation | None = None
-    acc_boxes: tuple[str, ...] = ()
-    checks: list[InterfaceCheck] = []
+    route, upstream, checks = None, (), []
     steps = list(_walk(circuit.input_wires, circuit.boxes, circuit._layers))
     for position, step in enumerate(steps):
         # the gate reads only the downstream domain: the last order is free
         after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
-        layer, ends = tuple(step.layer), (step.inputs, after)
-        domain, codomain = (_interface_space(circuit, w).sector_labels for w in ends)
-        matrix = _contracted_route(circuit, step.inputs, layer, after, 1)
-        layer_route = Relation(domain, codomain, matrix)
-        if acc_route is None:
-            acc_route = layer_route
+        layer = tuple(step.layer)
+        layer_route = _contracted_route(circuit, step.inputs, layer, after, 1)
+        if route is None:
+            route = layer_route
         else:
-            escaped_in, escaped_out = rel.escaped(acc_route, layer_route)
-            if mode != "unitary":
-                escaped_out = ()
-            checks.append(
-                InterfaceCheck(
-                    position=position,
-                    upstream=acc_boxes,
-                    downstream=layer,
-                    passed=not escaped_in and not escaped_out,
-                    escaped_inputs=escaped_in,
-                    escaped_outputs=escaped_out,
-                )
-            )
-            acc_route = rel.compose(layer_route, acc_route)
-        acc_boxes += layer
+            inputs, outputs = rel._escaping(route, layer_route)
+            outputs &= mode == "unitary"
+            escaped = ((), ())
+            if inputs.any() or outputs.any():
+                labels = _interface_space(circuit, step.inputs).sector_labels.labels
+                escaped = rel._named(labels, inputs, outputs)
+            checks.append(InterfaceCheck(position, upstream, layer, escaped == ((), ()), *escaped))
+            route = rel._boolean_product(route, layer_route)
+        upstream += layer
     return CircuitReport(mode=mode, interfaces=tuple(checks))
 
 
@@ -1035,8 +1010,8 @@ def circuit_to_dot(circuit: RoutedCircuit) -> str:
     """Graphviz rendering with routes summarised on boxes and spaces on wires."""
     nodes, wires = {}, {}
     for box_id in sorted(circuit.boxes):
-        route = _box_route(circuit, box_id)
-        summary = f"\\nroute {int(route.matrix.sum())}/{route.matrix.size}"
+        route = rel.diagonal_view(circuit.boxes[box_id].op.route)
+        summary = f"\\nroute {int(route.sum())}/{route.size}"
         nodes[box_id] = f"shape=box, label={_dot_quoted(box_id, summary)}"
     for wire in sorted(circuit.wires):
         dims = "+".join(str(d) for d in circuit.wires[wire].sector_dims)

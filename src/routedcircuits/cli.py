@@ -4,8 +4,9 @@ Subcommands mirror the library passes: validate (properness gating or
 well-indexedness linting), eval (compose and certify), accessible (slice
 analysis), explain (improper-composition witnesses) and export-dot.
 Reports are JSON by default; --human renders them as text.  Exit codes:
-0 pass, 1 validation failure, 2 usage or parse error (a --slice that is
-not an antichain of known wires is a usage error).  Each handler imports
+0 pass, 1 validation failure or a library or allocation error (reported
+as a JSON error object), 2 usage or parse error (a --slice that is not an
+antichain of known wires is a usage error).  Each handler imports
 the layer its document's kind needs, so a command on a circuit never loads
 the indexed-graph layer, and one on an indexed graph loads the circuit
 layer only to evaluate an interpretation.
@@ -298,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError, UsageError, InvalidSlice) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 2
-    except RoutedError as exc:
+    except (RoutedError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}, sort_keys=True))
         return 1
     payload = {"command": args.command, "file": os.path.basename(args.file), **payload}

@@ -575,6 +575,19 @@ def normalize(g: IODAG) -> IODAG:
 # -- linting ------------------------------------------------------------------
 
 
+#: the message of each lint rule, formatted with the count, the class and the nodes
+_LINT_MESSAGES = {
+    "multiple-starting-points": "{count} starting points for the index {cls}: {nodes}",
+    "starting-point-for-input-index": (
+        "the index {cls} is present in the global inputs and has a starting point: {nodes}"
+    ),
+    "multiple-endpoints": "{count} endpoints for the index {cls}: {nodes}",
+    "endpoint-for-output-index": (
+        "the index {cls} is present in the global outputs and has an endpoint: {nodes}"
+    ),
+}
+
+
 class LintViolation(Record):
     """One broken well-indexedness rule: the class and the nodes breaking it."""
 
@@ -584,22 +597,8 @@ class LintViolation(Record):
         self.__dict__.update(rule=rule, class_names=class_names, nodes=nodes)
 
     def render(self) -> str:
-        cls = "/".join(self.class_names)
-        if self.rule == "multiple-starting-points":
-            return (
-                f"{len(self.nodes)} starting points for the index {cls}: "
-                + ", ".join(self.nodes)
-            )
-        if self.rule == "starting-point-for-input-index":
-            return (
-                f"the index {cls} is present in the global inputs and has a "
-                f"starting point: " + ", ".join(self.nodes)
-            )
-        if self.rule == "multiple-endpoints":
-            return f"{len(self.nodes)} endpoints for the index {cls}: " + ", ".join(self.nodes)
-        return (
-            f"the index {cls} is present in the global outputs and has an "
-            f"endpoint: " + ", ".join(self.nodes)
+        return _LINT_MESSAGES[self.rule].format(
+            count=len(self.nodes), cls="/".join(self.class_names), nodes=", ".join(self.nodes)
         )
 
 

@@ -10,7 +10,7 @@ operations are pure.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, TypeVar, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -164,9 +164,13 @@ def compose(second: Routes, first: Routes) -> Routes:
         raise DomainMismatch(f"cannot compose: interface {first.codomain!r} != {second.domain!r}")
     a, b, n = first.matrix, second.matrix, first.copies
     middle = first.codomain.size**n
-    paths = a.reshape(-1, middle).astype(np.float32) @ b.reshape(middle, -1).astype(np.float32)
-    matrix = (paths > 0).reshape(a.shape[:n] + b.shape[n:])
-    return type(first)(first.domain, second.codomain, matrix)
+    matrix = _boolean_product(a.reshape(-1, middle), b.reshape(middle, -1))
+    return type(first)(first.domain, second.codomain, matrix.reshape(a.shape[:n] + b.shape[n:]))
+
+
+def _boolean_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product ``a @ b``: a float32 product thresholded at zero."""
+    return a.astype(np.float32) @ b.astype(np.float32) > 0
 
 
 def product(left: Routes, right: Routes) -> Routes:
@@ -220,12 +224,20 @@ def escaped(first: Routes, second: Routes) -> tuple[tuple, tuple]:
         raise DomainMismatch(
             f"cannot gate: interface {first.codomain!r} != {second.domain!r}"
         )
-    f, g = diagonal_view(first), diagonal_view(second)
+    masks = _escaping(diagonal_view(first), diagonal_view(second))
+    return _named(first.codomain.labels, *masks)
+
+
+def _escaping(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of :func:`escaped` for the plain views ``f`` and ``g``
+    of ``second ∘ first``, as masks of the middle labels."""
     s, t = g.any(1), f.any(0)  # the practical sets, as masks of the middle labels
-    inputs = f[f[:, s].any(1)].any(0) & ~s
-    outputs = g[:, g[t].any(0)].any(1) & ~t
-    labels = first.codomain.labels
-    return tuple(tuple(sorted(itertools.compress(labels, m), key=repr)) for m in (inputs, outputs))
+    return f[f[:, s].any(1)].any(0) & ~s, g[:, g[t].any(0)].any(1) & ~t
+
+
+def _named(labels: Sequence[Label], *masks: np.ndarray) -> tuple[tuple, ...]:
+    """The labels of each mask, sorted by ``repr``."""
+    return tuple(tuple(sorted(itertools.compress(labels, m), key=repr)) for m in masks)
 
 
 def is_proper_for_isometries(first: Routes, second: Routes) -> bool:

@@ -18,7 +18,6 @@ from routedcircuits.circuits import (
     CircuitReport,
     InterfaceCheck,
     RoutedCircuit,
-    _box_route,
     _foliation_layers,
     _interface_space,
     _walk,
@@ -30,7 +29,7 @@ from layered_oracle import permutation_route
 
 
 def _layer_route(circuit: RoutedCircuit, step) -> Relation:
-    parts = [_box_route(circuit, b) for b in step.layer]
+    parts = [rel.diagonal(circuit.boxes[b].op.route) for b in step.layer]
     parts += [Relation.identity(circuit.wires[w].sector_labels) for w in step.passthrough]
     return Relation(
         _interface_space(circuit, step.inputs).sector_labels,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
+from routedcircuits import circuits
 from routedcircuits import routed_maps as rmap
 from routedcircuits.circuits import (
     CircuitBuilder,
@@ -288,6 +292,42 @@ class TestCheckCircuit:
         circuit, _ = two_trajectory
         with pytest.raises(InvariantViolation):
             check_circuit(circuit, "channel")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["two_trajectories.json", "three_trajectories.json", "copy_discard.json",
+         "TrajectoriesPure", "TrajectoriesCPM"],
+    )
+    def test_passing_gates_build_no_interface_space(self, name, monkeypatch):
+        """Labels are only needed to name escaping sectors, so gating a
+        circuit whose every interface passes tensors no wire spaces: the
+        bundled circuit documents, and the circuits of the trajectory
+        benchmarks."""
+        if name.endswith(".json"):
+            circuit = load_bundled(name).payload
+            gate = "channel" if circuit.mode == "cpm" else "unitary"
+        else:
+            workload = getattr(_benchmark_workloads(), name)(seed=1)
+            workload.setup()
+            circuit, gate = workload.circuit, workload.gate
+        expected = check_circuit(circuit, gate)
+        assert expected.passed
+
+        def refuse(spaces):
+            raise AssertionError("an interface space was built")
+
+        monkeypatch.setattr(circuits, "tensor_many", refuse)
+        assert check_circuit(circuit, gate) == expected
+
+
+def _benchmark_workloads():
+    """The module of the benchmark workloads, loaded from its file."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestSlices:

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from routedcircuits import circuits, cli
 from routedcircuits.circuits import CircuitBuilder
 from routedcircuits.errors import InvariantViolation, ParseError, SchemaError
 from routedcircuits.io import (
@@ -352,6 +353,17 @@ class TestCLI:
         result = run_cli("export-dot", bundled_path("diamond.json"), "-o", str(out))
         assert result.returncode == 0
         assert out.read_text().startswith("digraph")
+
+    def test_allocation_failure_is_a_json_error(self, monkeypatch, capsys):
+        """A ``MemoryError`` (NumPy's ``_ArrayMemoryError`` is one) is
+        reported like a library error, not as a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the composite")
+
+        monkeypatch.setattr(circuits, "evaluate", exhausted)
+        assert cli.main(["eval", bundled_path("two_trajectories.json")]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "cannot allocate the composite", "kind": "MemoryError"}
 
     def test_usage_error_exit_two(self):
         result = run_cli("validate", "/nonexistent.json")

@@ -185,10 +185,10 @@ def test_an_unknown_kind_compiles_nothing():
 
 
 def test_programs_are_the_only_plan_cache():
-    """The planners keep no cache of their own: besides the programs, only
-    the interface spaces are cached."""
+    """The planners keep no cache of their own, and nothing else in the
+    module is cached: the programs are its one cache."""
     cached = {name for name, value in vars(circuits).items() if hasattr(value, "cache_info")}
-    assert cached == {"_compiled", "_tensor_of"}
+    assert cached == {"_compiled"}
 
 
 def test_cache_stays_within_its_bound():
