@@ -98,43 +98,31 @@ def _matrix_summary(matrix: np.ndarray) -> dict:
 
 
 def _cmd_eval(doc: CircuitDocument, args) -> tuple[int, dict]:
-    if doc.kind == "iodag" and doc.interpretation is None:
-        raise SchemaError("document has no interpretation to evaluate")
-    from .routed_maps import is_practical_isometry, is_practical_unitary
-
     if doc.kind == "iodag":
+        if doc.interpretation is None:
+            raise SchemaError("document has no interpretation to evaluate")
         from .iodag import interpret
 
-        meaning = interpret(doc.payload, doc.interpretation, mode=args.iodag_mode)
-        payload = {
-            "kind": "iodag",
-            "result": _matrix_summary(meaning.matrix),
-            "practical_isometry": is_practical_isometry(meaning),
-            "practical_unitary": is_practical_unitary(meaning),
-        }
-        return 0, payload
-    from .circuits import evaluate
-
-    result = evaluate(doc.payload)
-    if doc.payload.mode == "pure":
-        payload = {
-            "kind": "circuit",
-            "mode": "pure",
-            "result": _matrix_summary(result.matrix),
-            "practical_isometry": is_practical_isometry(result),
-            "practical_unitary": is_practical_unitary(result),
-        }
+        result = interpret(doc.payload, doc.interpretation, mode=args.iodag_mode)
+        payload = {"kind": "iodag"}
     else:
+        from .circuits import evaluate
+
+        result = evaluate(doc.payload)
+        payload = {"kind": "circuit", "mode": doc.payload.mode}
+    if payload.get("mode") == "cpm":
         from .routed_cpms import is_practically_trace_preserving
 
-        payload = {
-            "kind": "circuit",
-            "mode": "cpm",
-            "kraus_count": len(result.kraus),
-            "kraus_shape": list(result.kraus[0].shape),
-            "choi_trace": round(float(result.choi().trace().real), 9),
-            "practically_trace_preserving": is_practically_trace_preserving(result),
-        }
+        payload["kraus_count"] = len(result.kraus)
+        payload["kraus_shape"] = list(result.kraus[0].shape)
+        payload["choi_trace"] = round(float(result.choi().trace().real), 9)
+        payload["practically_trace_preserving"] = is_practically_trace_preserving(result)
+    else:
+        from .routed_maps import is_practical_isometry, is_practical_unitary
+
+        payload["result"] = _matrix_summary(result.matrix)
+        payload["practical_isometry"] = is_practical_isometry(result)
+        payload["practical_unitary"] = is_practical_unitary(result)
     return 0, payload
 
 

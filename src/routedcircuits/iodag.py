@@ -888,70 +888,54 @@ def wire_space(
     return PartitionedSpace(labels, dim_list)
 
 
-def _bar_in_wire_order(
-    matching: Corelation, in_names: Sequence[str], out_names: Sequence[str]
-) -> np.ndarray:
-    """The matrix of ``bar(matching)`` over the value tuples of ``in_names``
-    and ``out_names`` in their given order (wire by wire, sorted on each
-    wire), which is the sector order of ``tensor_many`` of the wire spaces."""
+def _matching_route(
+    g: IODAG,
+    matching: Corelation,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    interp: Interpretation,
+) -> Relation:
+    """``bar(matching)`` over the tensor labels of the spaces of the wires
+    ``inputs`` and ``outputs``: its axes are reordered to the names along
+    those wires (wire by wire, sorted on each wire), which is the sector
+    order of ``tensor_many`` of the wire spaces."""
     families = (matching.domain, matching.codomain)
     shape = [family.length(name) for family in families for name in family.names]
-    axes = [matching.domain.names.index(name) for name in in_names]
-    axes += [len(axes) + matching.codomain.names.index(name) for name in out_names]
+    axes = [matching.domain.names.index(name) for name in g._names_along(inputs)]
+    axes += [len(axes) + matching.codomain.names.index(name) for name in g._names_along(outputs)]
     matrix = bar(matching).matrix
-    return matrix.reshape(shape).transpose(axes).reshape(matrix.shape)
+    domain, codomain = (
+        tensor_many([interp.spaces[w] for w in wires]).sector_labels for wires in (inputs, outputs)
+    )
+    return Relation(domain, codomain, matrix.reshape(shape).transpose(axes).reshape(matrix.shape))
 
 
 def node_route(g: IODAG, node_id: str, interp: Interpretation) -> Relation:
     """The node's matching route over the tensor labels of its wire spaces."""
-    matching = node_corelation(g, node_id, interp.lengths)
-    node = g.nodes[node_id]
-    domain, codomain = (
-        tensor_many([interp.spaces[w] for w in wires]).sector_labels
-        for wires in (node.inputs, node.outputs)
-    )
-    matrix = _bar_in_wire_order(matching, g.incoming_indices(node_id), g.outgoing_indices(node_id))
-    return Relation(domain, codomain, matrix)
-
-
-def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
-    """The index-matching projector on the tensor of the input wire spaces.
-
-    Its route is the partial identity on the tuples whose matched input
-    indices carry equal values; the matrix is the projector onto the
-    corresponding sectors.
-    """
-    from .routed_maps import RoutedMap
-
-    space = tensor_many([interp.spaces[w] for w in g.inputs])
-    names = g.input_index_names()
-    matched = _bar_in_wire_order(preprocessing(g, interp.lengths), names, names).diagonal()
-    route = Relation(space.sector_labels, space.sector_labels, np.diag(matched))
-    return RoutedMap(route, np.diag(matched[space.sector_index]).astype(complex), space, space)
+    matching, node = node_corelation(g, node_id, interp.lengths), g.nodes[node_id]
+    return _matching_route(g, matching, node.inputs, node.outputs, interp)
 
 
 def _matching_projector(
-    g: IODAG, node_id: str, route: Relation, interp: Interpretation
+    route: Relation, domain: PartitionedSpace, codomain: PartitionedSpace, name: str
 ) -> RoutedMap:
-    """An empty node read as its matching projector: the identity on every
-    sector block that its matching route allows, and zero elsewhere.
+    """The identity on every sector block that a matching route allows, and
+    zero elsewhere.  A paired block must be square; ``name`` says whose
+    route it is in the error.
 
-    The node's two wires carry the same number of names of each class, so
-    the route pairs sectors one to one, and the projector is the identity
-    when each class has one name per wire.  With two names of one class on
-    a wire, only the sectors where they agree pass (the Kronecker delta of
-    well-indexedness, as on any other node).  A paired block must be
-    square.
+    An empty node's two wires carry as many names of each class, so its
+    route pairs sectors one to one, and its projector is the identity when
+    each class has one name per wire.  With two names of one class on a
+    wire, only the sectors where they agree pass (the Kronecker delta of
+    well-indexedness, as on any other node).
     """
     from .routed_maps import RoutedMap
 
-    node = g.nodes[node_id]
-    domain, codomain = (interp.spaces[w] for w in (*node.inputs, *node.outputs))
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
     for k, l, rows, cols in sector_blocks(route.matrix, domain, codomain):
         if domain.sector_dims[k] != codomain.sector_dims[l]:
             raise InvariantViolation(
-                f"empty node {node_id!r} pairs sector {route.domain.labels[k]!r} of dimension "
+                f"{name} pairs sector {route.domain.labels[k]!r} of dimension "
                 f"{domain.sector_dims[k]} with sector {route.codomain.labels[l]!r} of "
                 f"dimension {codomain.sector_dims[l]}"
             )
@@ -959,18 +943,28 @@ def _matching_projector(
     return RoutedMap(route, matrix, domain, codomain)
 
 
+def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
+    """The index-matching projector on the tensor of the input wire spaces:
+    the matching projector of :func:`preprocessing`, whose route is the
+    partial identity on the tuples whose matched input indices agree."""
+    space = tensor_many([interp.spaces[w] for w in g.inputs])
+    route = _matching_route(g, preprocessing(g, interp.lengths), g.inputs, g.inputs, interp)
+    return _matching_projector(route, space, space, "the input matching")
+
+
 def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
-    """Compose an interpretation into its overall routed map.
+    """Evaluate an interpretation as one routed circuit.
 
     Requires the graph to pass :func:`lint` for ``mode``, a morph for each
     non-empty node and none for an empty node (an identity strand) or an
     unknown one, every morph to follow its node's matching route, and every
     morph to be a practical isometry ('iso') or practical unitary ('uni').
-    An empty node left after normalisation (a boundary strand) is read as
-    its matching projector (see :func:`_matching_projector`).  The result is
-    the graph-wise composition pre-composed with the input-matching
-    projector; the well-indexedness rules guarantee it is itself a
-    practical isometry (resp. unitary).
+    Every empty node is read as its matching projector, which must pair
+    square blocks (see :func:`_matching_projector`).  The circuit's first
+    box is the input-matching projector (:func:`preprocessing_map`) on fresh
+    input wires; the node morphs and the boundary strands left after
+    normalisation follow it.  The well-indexedness rules guarantee the
+    result is itself a practical isometry (resp. unitary).
     """
     if mode not in ("iso", "uni"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -979,23 +973,16 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
             raise InvariantViolation(f"empty node {node_id!r} takes no morphism")
         if node_id not in g.nodes:
             raise InvariantViolation(f"morphism given for unknown node {node_id!r}")
-    g = normalize(g)
     report = lint(g, mode)
     if not report.passed:
-        raise LintFailure(
-            "graph is not well-indexed for mode "
-            + mode
-            + ": "
-            + "; ".join(v.render() for v in report.violations)
-        )
+        violations = "; ".join(v.render() for v in report.violations)
+        raise LintFailure(f"graph is not well-indexed for mode {mode}: {violations}")
     for name in g.placement:
         if name not in interp.lengths:
             raise InvariantViolation(f"no length for index {name!r}")
     for block in g.equivalence.blocks():
         if len({interp.lengths[n] for n in block}) > 1:
-            raise LengthMismatch(
-                f"lengths differ on matched indices {sorted(block)!r}"
-            )
+            raise LengthMismatch(f"lengths differ on matched indices {sorted(block)!r}")
     for wire in g.wire_ids:
         if wire not in interp.spaces:
             raise InvariantViolation(f"no space for wire {wire!r}")
@@ -1006,47 +993,62 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
                 f"{interp.spaces[wire].sector_labels.labels!r}"
             )
 
+    def strand(g: IODAG, node_id: str) -> RoutedMap:
+        route, node = node_route(g, node_id, interp), g.nodes[node_id]
+        spaces = (interp.spaces[w] for w in (*node.inputs, *node.outputs))
+        return _matching_projector(route, *spaces, f"empty node {node_id!r}")
+
+    for node_id in sorted(g.empty_nodes):
+        strand(g, node_id)
+    g = normalize(g)
+
     from . import routed_maps as rmap
     from .circuits import CircuitBuilder, evaluate
 
+    fresh = _fresh_names(g.inputs, g.wire_ids)
     builder = CircuitBuilder(mode="pure")
     for wire in g.wire_ids:
         builder.wire(wire, interp.spaces[wire])
-    builder.inputs(*g.inputs)
-    builder.outputs(*g.outputs)
+    for wire, new in fresh.items():
+        builder.wire(new, interp.spaces[wire])
+    builder.inputs(*fresh.values()).outputs(*g.outputs)
+    (box,) = _fresh_names(["matching"], {"matching", *g.nodes}).values()
+    builder.box(box, fresh.values(), g.inputs, preprocessing_map(g, interp))
     for node_id, node in g.nodes.items():
-        route = node_route(g, node_id, interp)
         if node_id in g.empty_nodes:
-            morph = _matching_projector(g, node_id, route, interp)
+            morph = strand(g, node_id)
         else:
             if node_id not in interp.morphs:
                 raise InvariantViolation(f"no morphism for node {node_id!r}")
             morph = interp.morphs[node_id]
-            if morph.route != route:
+            if morph.route != node_route(g, node_id, interp):
                 raise RouteViolation(
                     f"morphism of node {node_id!r} does not carry the node's matching route"
                 )
-            check = (
-                rmap.is_practical_isometry if mode == "iso" else rmap.is_practical_unitary
-            )
+            check = rmap.is_practical_isometry if mode == "iso" else rmap.is_practical_unitary
             if not check(morph):
                 raise NotPracticalIsometry(
                     f"morphism of node {node_id!r} is not a practical "
                     + ("isometry" if mode == "iso" else "unitary")
                 )
         builder.box(node_id, node.inputs, node.outputs, morph)
-    composed = evaluate(builder.build())
-    return rmap.compose(composed, preprocessing_map(g, interp))
+    return evaluate(builder.build())
 
 
 # -- isomorphism ---------------------------------------------------------------
 
 
 def iodag_isomorphic(g1: IODAG, g2: IODAG) -> bool:
-    """Equality up to renaming of nodes, inner edges and inner index names.
+    """Equality up to renaming of nodes, inner edges and inner index names,
+    and up to the order of wires.
 
     Boundary wires and the index names placed on them stay fixed, matching
-    the notion of isomorphism the composition theorems work up to.
+    the notion of isomorphism the composition theorems work up to.  Wire
+    order does not count: the boundaries are compared as sets, and each
+    node's wires are matched in every order.  So a node consuming
+    ``(a, b)`` is isomorphic to one consuming ``(b, a)``, and the boundary
+    ``(a, b)`` to ``(b, a)``, though an interpretation of one graph needs
+    a swap of tensor factors to serve the other.
     """
     if (
         set(g1.inputs) != set(g2.inputs)

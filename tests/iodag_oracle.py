@@ -1,7 +1,9 @@
 """The name lookups, linting, normalisation and renaming of indexed graphs
 as they were written before each graph indexed its names per wire, kept
-as the test oracles of ``iodag``; and the layer-by-layer corelation fold,
-kept as the test oracle of ``iodag.total_corelation``.
+as the test oracles of ``iodag``; the layer-by-layer corelation fold,
+kept as the test oracle of ``iodag.total_corelation``; and the
+interpretation as the node circuit composed pairwise after the
+input-matching projector, kept as the test oracle of ``iodag.interpret``.
 
 Every lookup scans the whole placement; ``lint`` scans every node once per
 class; ``normalize`` removes one empty node per pass with hand-kept loop
@@ -14,12 +16,14 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from routedcircuits import iodag
+from routedcircuits import iodag, routed_maps
 from routedcircuits import relations as rel
+from routedcircuits.circuits import CircuitBuilder, evaluate
 from routedcircuits.errors import InterfaceMismatch
 from routedcircuits.iodag import (
     IODAG,
     Corelation,
+    Interpretation,
     IONode,
     LintReport,
     LintViolation,
@@ -29,6 +33,7 @@ from routedcircuits.iodag import (
     nonforgetting_compose,
     preprocessing,
 )
+from routedcircuits.routed_maps import RoutedMap
 
 
 # -- lookups ---------------------------------------------------------------
@@ -277,3 +282,26 @@ def compose_corelations_by_layers(
     for _, layer_corelation, upstream, total in _layer_corelations(g, lengths):
         gates.append(proper(bar(upstream), bar(layer_corelation)))
     return total, gates
+
+
+# -- interpretation by pairwise composition -----------------------------------
+
+
+def interpret_pairwise(g: IODAG, interp: Interpretation) -> RoutedMap:
+    """An interpretation of a lint-passing graph read as two engines: the
+    circuit of the node maps on the normalized graph, evaluated, then
+    composed pairwise after the input-matching projector."""
+    g = iodag.normalize(g)
+    builder = CircuitBuilder(mode="pure")
+    for wire in g.wire_ids:
+        builder.wire(wire, interp.spaces[wire])
+    builder.inputs(*g.inputs).outputs(*g.outputs)
+    for node_id, node in g.nodes.items():
+        if node_id in g.empty_nodes:
+            (a,), (b,) = node.inputs, node.outputs
+            route = iodag.node_route(g, node_id, interp)
+            morph = iodag._matching_projector(route, interp.spaces[a], interp.spaces[b], node_id)
+        else:
+            morph = interp.morphs[node_id]
+        builder.box(node_id, node.inputs, node.outputs, morph)
+    return routed_maps.compose(evaluate(builder.build()), iodag.preprocessing_map(g, interp))

@@ -100,6 +100,13 @@ def test_an_indexed_graph_command_loads_no_circuit_layer(command, tmp_path):
     assert not modules & unused
 
 
+def test_evaluating_an_interpretation_loads_no_routed_cp_maps():
+    code, modules = loaded("eval", bundled_path("diamond.json"))
+    assert code == 0
+    assert {"routedcircuits.iodag", "routedcircuits.circuits"} <= modules
+    assert "routedcircuits.routed_cpms" not in modules
+
+
 def test_the_package_binds_every_former_public_name():
     assert set(dir(routedcircuits)) >= {name for names in PUBLIC.values() for name in names}
     for module_name, names in PUBLIC.items():

@@ -747,6 +747,20 @@ class TestIsomorphism:
         two = load_bundled("iodag_f1.json").payload
         assert not iodag_isomorphic(one, two)
 
+    def test_wire_order_does_not_count(self):
+        """Swapping a node's input wires, or the boundary's, keeps the graph
+        isomorphic, though an interpretation would need a swap of factors."""
+
+        def merge(inputs, consumed):
+            return IODAG(
+                inputs=inputs, outputs=("c",), inner_edges=(),
+                nodes={"n": IONode(consumed, ("c",))},
+                placement={}, equivalence=Partition([]),
+            )
+
+        assert iodag_isomorphic(merge(("a", "b"), ("a", "b")), merge(("a", "b"), ("b", "a")))
+        assert iodag_isomorphic(merge(("a", "b"), ("a", "b")), merge(("b", "a"), ("a", "b")))
+
     def test_dot_export(self):
         text = iodag_to_dot(diamond_graph())
         assert text.startswith("digraph")

@@ -2,13 +2,17 @@
 is read as its matching projector: the identity on every sector block its
 matching route allows.  So a graph that passes ``lint`` interprets even
 when a wire carries two names of one class, where the strand is no
-identity: only the sectors whose matched names agree pass."""
+identity: only the sectors whose matched names agree pass.  An inner empty
+node is read as its matching projector too, before normalisation merges
+its wires, so a strand between sectors of unequal dimension is blamed on
+itself."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from routedcircuits.errors import InvariantViolation
 from routedcircuits.iodag import IODAG, Interpretation, IONode, Partition, interpret, lint
 from routedcircuits.iodag import wire_space
 from routedcircuits.routed_maps import RoutedMap, is_practical_isometry, is_practical_unitary
+from routedcircuits.spaces import PartitionedSpace
 
 
 def strand(classes: dict[str, str]) -> IODAG:
@@ -102,3 +107,42 @@ def test_a_paired_block_must_be_square():
     dims = {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 1}
     with pytest.raises(InvariantViolation, match="empty node 'e' pairs sector"):
         interpret(g, interpretation(g, 2, dims), "iso")
+
+
+#: ``x -> [n] -> y -> [e, empty] -> z`` with no indices: ``e`` pairs the one
+#: sector of ``y``, of dimension 1, with that of ``z``, of dimension 2
+WIDER = {
+    "format_version": "1", "kind": "iodag", "inputs": ["x"], "outputs": ["z"], "edges": ["y"],
+    "nodes": [{"id": "n", "in": ["x"], "out": ["y"]}, {"id": "e", "in": ["y"], "out": ["z"]}],
+    "empty_nodes": ["e"], "indices": [],
+    "interpretation": {
+        "lengths": {},
+        "spaces": {w: [{"label": "*", "dim": d}] for w, d in zip("xyz", (1, 1, 2))},
+        "morphs": {"n": {"matrix": [[[1.0, 0.0]]]}},
+    },
+}
+UNEQUAL = "empty node 'e' pairs sector '\\*' of dimension 1 with sector '\\*' of dimension 2"
+
+
+def test_an_inner_strand_between_unequal_sectors_is_blamed_on_itself():
+    """Normalisation would merge ``y`` into ``z`` and blame ``n``; the
+    strand's projector is built on the graph as given, before that."""
+    g = IODAG(
+        ("x",), ("z",), ("y",), {"n": IONode(["x"], ["y"]), "e": IONode(["y"], ["z"])},
+        {}, Partition({}, ()), frozenset({"e"}),
+    )
+    one = PartitionedSpace.trivial(1)
+    spaces = {"x": one, "y": one, "z": PartitionedSpace.trivial(2)}
+    interp = Interpretation({}, spaces, {"n": RoutedMap.identity(one)})
+    with pytest.raises(InvariantViolation, match=UNEQUAL):
+        interpret(g, interp, "iso")
+
+
+def test_the_cli_blames_the_inner_strand():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["eval", json.dumps(WIDER)])
+    report = json.loads(stdout.getvalue())
+    assert code == 1
+    assert report["kind"] == "InvariantViolation"
+    assert re.search(UNEQUAL, report["error"])
