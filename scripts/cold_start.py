@@ -10,9 +10,10 @@ package's sources: once with bytecode cached under a temporary
 no bytecode for the package (``PYTHONDONTWRITEBYTECODE=1``), so that every
 run compiles it, as a checkout that never writes ``__pycache__`` does.  A summary line splits
 the median wall time of the same command, run without ``-X importtime``:
-the bare interpreter (``python -c pass``), NumPy (its cumulative time), the
-package (the self times of its modules) and the rest, which is mostly the
-command itself.
+the bare interpreter (``python -c pass``), NumPy (its cumulative time, 0
+for a command that does not load it, which the table says as ``numpy not
+loaded``), the package (the self times of its modules) and the rest, which
+is mostly the command itself.
 
     python scripts/cold_start.py [--repeat 5]
 """
@@ -67,10 +68,12 @@ def profile(document: str, repeat: int, env: dict) -> None:
         own = statistics.median(r[name][0] for r in runs if name in r) / 1000
         total = statistics.median(r[name][1] for r in runs if name in r) / 1000
         print(f"{own:8.1f} {total:8.1f}  {'  ' * runs[0][name][2]}{name}")
+    if "numpy" not in runs[0]:
+        print("numpy not loaded")
     wall = statistics.median(run(argv, env)[0] for _ in range(repeat)) * 1000
     bare = statistics.median(run([sys.executable, "-c", "pass"], env)[0] for _ in range(repeat))
     bare *= 1000
-    numpy = statistics.median(r["numpy"][1] for r in runs) / 1000
+    numpy = statistics.median(r.get("numpy", (0, 0, 0))[1] for r in runs) / 1000
     package = statistics.median(
         sum(own for name, (own, _, _) in r.items() if name.startswith("routedcircuits"))
         for r in runs

@@ -9,7 +9,8 @@ as a JSON error object), 2 usage or parse error (a --slice that is not an
 antichain of known wires is a usage error).  Each handler imports
 the layer its document's kind needs, so a command on a circuit never loads
 the indexed-graph layer, and one on an indexed graph loads the circuit
-layer only to evaluate an interpretation.
+layer only to evaluate an interpretation, and NumPy only to read or
+evaluate one.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSlice, ParseError, RoutedError, SchemaError, UsageError
 from .io import CircuitDocument, label_to_json, parse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _interface_json(check) -> dict:
@@ -86,6 +89,8 @@ def _cmd_validate(doc: CircuitDocument, args) -> tuple[int, dict]:
 
 
 def _matrix_summary(matrix: np.ndarray) -> dict:
+    import numpy as np
+
     summary = {
         "shape": list(matrix.shape),
         "frobenius_norm": round(float(np.linalg.norm(matrix)), 9),

@@ -10,7 +10,10 @@ JSON-pointer-style location; semantic problems surface the originating
 error prefixed with the offending element's location.  The circuit
 layer, the indexed-graph layer, routed maps and routed CP maps are
 imported when a document needs them, so reading one kind of document
-loads no other.
+loads no other.  NumPy, ``relations`` and ``spaces`` are imported, through
+``_arrays``, by the functions that read or write a matrix, a route or a
+space, so reading an indexed graph without an interpretation loads none
+of them.
 """
 
 from __future__ import annotations
@@ -19,22 +22,35 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .frozen import Record
-from .relations import CPRelation, IndexSet, Label, Relation
-from .spaces import PartitionedSpace, tensor_many
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .circuits import RoutedCircuit
     from .iodag import IODAG, Interpretation
+    from .relations import Label
     from .routed_cpms import RoutedCPM
     from .routed_maps import RoutedMap
+    from .spaces import PartitionedSpace
 
 FORMAT_VERSION = "1"
+
+
+@lru_cache
+def _arrays():
+    """NumPy, ``relations`` and ``spaces``, imported on the first call: an
+    indexed graph alone never calls this, and one cached call costs less
+    than the relative imports it replaces on every space and map read."""
+    import numpy as np
+
+    from . import relations, spaces
+
+    return np, relations, spaces
 
 
 def default_tolerance() -> float:
@@ -132,12 +148,14 @@ def _matrix(rows, location: str):
                 raise SchemaError(
                     "matrix entry must be a [re, im] pair of numbers", f"{location}/{i}/{j}"
                 )
+    np, _, _ = _arrays()
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
 def matrix_to_json(matrix) -> list:
     """A complex matrix, or a stack of them, as nested lists of ``[re, im]``
     pairs: the form ``_matrix`` reads."""
+    np, _, _ = _arrays()
     matrix = np.asarray(matrix, dtype=complex)
     return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
@@ -162,6 +180,7 @@ def label_to_json(label: Label):
 def _route_matrix(data, depth: int, location: str) -> np.ndarray:
     """A route's boolean array: ``depth`` levels of equally long lists around
     the integers 0 and 1.  A fault is searched for level by level."""
+    np, _, _ = _arrays()
     cells = np.array(data, dtype=object)
     if cells.ndim == depth and set(map(type, cells.flat)) <= {int} and set(cells.flat) <= {0, 1}:
         return cells.astype(bool)
@@ -180,6 +199,7 @@ def _route_fault(bad, shape: list, what: str, location: str) -> None:
     """Raise at the first bad element, if any, of a level of the given shape."""
     position = next((i for i, b in enumerate(bad) if b), None)
     if position is not None:
+        np, _, _ = _arrays()
         index = np.unravel_index(position, shape) if shape else ()
         raise SchemaError(f"route matrix {what}", "/".join([location, *map(str, index)]))
 
@@ -201,11 +221,12 @@ def _kraus(operators: list, location: str) -> tuple:
     return tuple(_matrix(k, f"{location}/{j}") for j, k in enumerate(operators))
 
 
-#: per mode: the route class and its keys (also its attribute names), the
-#: operator key (also the map's attribute name), the operator reader
+#: per mode: the name of the route class in ``relations`` and its keys (also
+#: its attribute names), the operator key (also the map's attribute name),
+#: the operator reader
 _MAP_FORMS = {
-    "pure": (Relation, ("domain", "codomain"), "matrix", _matrix),
-    "cpm": (CPRelation, ("base_domain", "base_codomain"), "kraus", _kraus),
+    "pure": ("Relation", ("domain", "codomain"), "matrix", _matrix),
+    "cpm": ("CPRelation", ("base_domain", "base_codomain"), "kraus", _kraus),
 }
 
 
@@ -214,7 +235,9 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     ('cpm': a coherence route and a Kraus list) between the given spaces.
     Its semantic errors are prefixed with ``location``, or at the top level
     with the operator key."""
-    route_class, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
+    _, rel, _ = _arrays()
+    route_name, route_keys, operator_key, read_operators = _MAP_FORMS[mode]
+    route_class = getattr(rel, route_name)
     route_data = _expect(data, "route", dict, location)
     at = f"{location}/route"
     for key in (*route_keys, "matrix"):
@@ -222,7 +245,7 @@ def _map_from_json(data, mode: str, domain, codomain, tolerance: float, location
     labels = [_label(route_data[key], f"{at}/{key}") for key in route_keys]
     matrix = _route_matrix(route_data["matrix"], 2 * route_class.copies, f"{at}/matrix")
     with _context(at):
-        route = route_class(*map(IndexSet, labels), matrix)
+        route = route_class(*map(rel.IndexSet, labels), matrix)
     operators = read_operators(
         _expect(data, operator_key, list, location), f"{location}/{operator_key}"
     )
@@ -249,17 +272,19 @@ def _map_to_json(op, mode: str) -> dict:
 
 def _space_from_json(sectors: list, location: str) -> PartitionedSpace:
     """The space of the sector list at ``location``."""
+    _, _, spaces = _arrays()
     labels, dims = [], []
     for i, sector in enumerate(sectors):
         at = f"{location}/{i}"
         labels.append(_label(_expect(sector, "label", None, at), f"{at}/label"))
         dims.append(_expect(sector, "dim", int, at))
     with _context(location):
-        return PartitionedSpace(IndexSet(labels), dims)
+        return spaces.PartitionedSpace.from_dims(labels, dims)
 
 
 def _circuit_from_json(data: dict, tolerance: float) -> RoutedCircuit:
     from .circuits import Box, RoutedCircuit
+    from .spaces import tensor_many
 
     mode = _expect(data, "mode", str, "")
     if mode not in ("pure", "cpm"):
@@ -399,6 +424,7 @@ def _iodag_to_json(g: IODAG) -> dict:
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
     from .iodag import IndexFamily, Interpretation, expected_wire_labels, node_route
     from .routed_maps import RoutedMap
+    from .spaces import tensor_many
 
     lengths_data = _expect(data, "lengths", dict, "/interpretation")
     lengths: dict[str, int] = {}

@@ -7,6 +7,15 @@ length-respecting corelation into the corresponding Kronecker-delta
 relation between value tuples, embedding this layer into the general
 routed framework.  Linting enforces the starting-point/endpoint rules
 that make an interpretation compose into a practical isometry or unitary.
+
+The graph half (partitions, corelations, linting, normalisation,
+composition, witnesses, isomorphism and DOT export) is pure combinatorics.
+Only the functions that make arrays (``_shape_values``, :func:`bar`,
+:func:`wire_space`, the matching routes and projectors,
+:func:`preprocessing_map` and :func:`interpret`) import NumPy,
+``relations`` and ``spaces`` (through ``_arrays``) or the map and circuit
+layers, so a command on an indexed graph without an interpretation loads
+none of them.
 """
 
 from __future__ import annotations
@@ -19,9 +28,6 @@ from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from . import relations as rel
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -33,12 +39,14 @@ from .errors import (
     UnknownNode,
 )
 from .frozen import Frozen, Record
-from .relations import IndexSet, Relation
-from .spaces import PartitionedSpace, sector_blocks, tensor_many
 from .wiregraph import _dot_graph, _dot_quoted, _walk, _wire_graph, _WireGraph
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .relations import IndexSet, Relation
     from .routed_maps import RoutedMap
+    from .spaces import PartitionedSpace
 
 
 class Partition(Frozen):
@@ -145,13 +153,26 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
 
 
 @lru_cache
+def _arrays():
+    """NumPy, ``relations`` and ``spaces``, imported on the first call: the
+    graph half never calls this, and one cached call costs less than the
+    relative imports it replaces on :func:`bar`'s path."""
+    import numpy as np
+
+    from . import relations, spaces
+
+    return np, relations, spaces
+
+
+@lru_cache
 def _shape_values(shape: tuple[int, ...]) -> tuple[IndexSet, np.ndarray]:
     """The index set and value table (row ``r``: the names' values in label
     ``r``) of every family whose lengths, in sorted-name order, are ``shape``."""
+    np, rel, _ = _arrays()
     table = np.indices(shape).reshape(len(shape), math.prod(shape)).T
     table.setflags(write=False)
     labels = tuple(map(tuple, table.tolist())) if shape else (rel.TRIVIAL_LABEL,)
-    return IndexSet(labels), table
+    return rel.IndexSet(labels), table
 
 
 class IndexFamily(Frozen):
@@ -272,6 +293,7 @@ def bar(matching: Corelation) -> Relation:
     Two value tuples are unrelated exactly when some matched pair of names
     carries different values.
     """
+    np, rel, _ = _arrays()
     (dom_set, dom), (cod_set, cod) = matching.domain._values(), matching.codomain._values()
     # each name's values, broadcast over (domain label, codomain label)
     column = {("in", name): dom[:, i, None] for i, name in enumerate(matching.domain.names)}
@@ -283,7 +305,7 @@ def bar(matching: Corelation) -> Relation:
         first, *rest = block
         for member in rest:
             matrix &= column[first] == column[member]
-    return Relation(dom_set, cod_set, matrix)
+    return rel.Relation(dom_set, cod_set, matrix)
 
 
 def compose_corelations(second: Corelation, first: Corelation) -> Corelation:
@@ -883,9 +905,10 @@ def wire_space(
     ``dims`` may be a single int for uniform sector dimensions or a mapping
     from label to dimension.
     """
+    _, _, spaces = _arrays()
     labels = _family(g, g.indices_on(wire), lengths).index_set()
     dim_list = [dims] * len(labels) if isinstance(dims, int) else [dims[label] for label in labels]
-    return PartitionedSpace(labels, dim_list)
+    return spaces.PartitionedSpace(labels, dim_list)
 
 
 def _matching_route(
@@ -899,15 +922,17 @@ def _matching_route(
     ``inputs`` and ``outputs``: its axes are reordered to the names along
     those wires (wire by wire, sorted on each wire), which is the sector
     order of ``tensor_many`` of the wire spaces."""
+    _, rel, spaces = _arrays()
     families = (matching.domain, matching.codomain)
     shape = [family.length(name) for family in families for name in family.names]
     axes = [matching.domain.names.index(name) for name in g._names_along(inputs)]
     axes += [len(axes) + matching.codomain.names.index(name) for name in g._names_along(outputs)]
     matrix = bar(matching).matrix
     domain, codomain = (
-        tensor_many([interp.spaces[w] for w in wires]).sector_labels for wires in (inputs, outputs)
+        spaces.tensor_many([interp.spaces[w] for w in wires]).sector_labels
+        for wires in (inputs, outputs)
     )
-    return Relation(domain, codomain, matrix.reshape(shape).transpose(axes).reshape(matrix.shape))
+    return rel.Relation(domain, codomain, matrix.reshape(shape).transpose(axes).reshape(matrix.shape))
 
 
 def node_route(g: IODAG, node_id: str, interp: Interpretation) -> Relation:
@@ -931,8 +956,9 @@ def _matching_projector(
     """
     from .routed_maps import RoutedMap
 
+    np, _, spaces = _arrays()
     matrix = np.zeros((codomain.total_dim, domain.total_dim), dtype=complex)
-    for k, l, rows, cols in sector_blocks(route.matrix, domain, codomain):
+    for k, l, rows, cols in spaces.sector_blocks(route.matrix, domain, codomain):
         if domain.sector_dims[k] != codomain.sector_dims[l]:
             raise InvariantViolation(
                 f"{name} pairs sector {route.domain.labels[k]!r} of dimension "
@@ -947,7 +973,8 @@ def preprocessing_map(g: IODAG, interp: Interpretation) -> RoutedMap:
     """The index-matching projector on the tensor of the input wire spaces:
     the matching projector of :func:`preprocessing`, whose route is the
     partial identity on the tuples whose matched input indices agree."""
-    space = tensor_many([interp.spaces[w] for w in g.inputs])
+    _, _, spaces = _arrays()
+    space = spaces.tensor_many([interp.spaces[w] for w in g.inputs])
     route = _matching_route(g, preprocessing(g, interp.lengths), g.inputs, g.inputs, interp)
     return _matching_projector(route, space, space, "the input matching")
 
@@ -962,9 +989,10 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     Every empty node is read as its matching projector, which must pair
     square blocks (see :func:`_matching_projector`).  The circuit's first
     box is the input-matching projector (:func:`preprocessing_map`) on fresh
-    input wires; the node morphs and the boundary strands left after
-    normalisation follow it.  The well-indexedness rules guarantee the
-    result is itself a practical isometry (resp. unitary).
+    input wires; every node of the graph as given follows it, an empty node
+    as its projector and any other as its morph, which must carry that
+    node's route on the graph as given.  The well-indexedness rules
+    guarantee the result is itself a practical isometry (resp. unitary).
     """
     if mode not in ("iso", "uni"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -993,14 +1021,11 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
                 f"{interp.spaces[wire].sector_labels.labels!r}"
             )
 
-    def strand(g: IODAG, node_id: str) -> RoutedMap:
+    strands = {}
+    for node_id in sorted(g.empty_nodes):
         route, node = node_route(g, node_id, interp), g.nodes[node_id]
         spaces = (interp.spaces[w] for w in (*node.inputs, *node.outputs))
-        return _matching_projector(route, *spaces, f"empty node {node_id!r}")
-
-    for node_id in sorted(g.empty_nodes):
-        strand(g, node_id)
-    g = normalize(g)
+        strands[node_id] = _matching_projector(route, *spaces, f"empty node {node_id!r}")
 
     from . import routed_maps as rmap
     from .circuits import CircuitBuilder, evaluate
@@ -1016,7 +1041,7 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
     builder.box(box, fresh.values(), g.inputs, preprocessing_map(g, interp))
     for node_id, node in g.nodes.items():
         if node_id in g.empty_nodes:
-            morph = strand(g, node_id)
+            morph = strands[node_id]
         else:
             if node_id not in interp.morphs:
                 raise InvariantViolation(f"no morphism for node {node_id!r}")

@@ -289,9 +289,9 @@ def compose_corelations_by_layers(
 
 def interpret_pairwise(g: IODAG, interp: Interpretation) -> RoutedMap:
     """An interpretation of a lint-passing graph read as two engines: the
-    circuit of the node maps on the normalized graph, evaluated, then
-    composed pairwise after the input-matching projector."""
-    g = iodag.normalize(g)
+    circuit of the node maps and of the empty nodes' matching projectors on
+    the graph as given, evaluated, then composed pairwise after the
+    input-matching projector."""
     builder = CircuitBuilder(mode="pure")
     for wire in g.wire_ids:
         builder.wire(wire, interp.spaces[wire])

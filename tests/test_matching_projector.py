@@ -3,9 +3,9 @@ is read as its matching projector: the identity on every sector block its
 matching route allows.  So a graph that passes ``lint`` interprets even
 when a wire carries two names of one class, where the strand is no
 identity: only the sectors whose matched names agree pass.  An inner empty
-node is read as its matching projector too, before normalisation merges
-its wires, so a strand between sectors of unequal dimension is blamed on
-itself."""
+node is read as its matching projector too, on the graph as given (its
+wires are never merged), so a strand between sectors of unequal dimension
+is blamed on itself, and one that crosses classes keeps its permutation."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import pytest
 from routedcircuits import cli
 from routedcircuits.errors import InvariantViolation
 from routedcircuits.iodag import IODAG, Interpretation, IONode, Partition, interpret, lint
-from routedcircuits.iodag import wire_space
+from routedcircuits.iodag import node_route, wire_space
 from routedcircuits.routed_maps import RoutedMap, is_practical_isometry, is_practical_unitary
 from routedcircuits.spaces import PartitionedSpace
 
@@ -125,8 +125,8 @@ UNEQUAL = "empty node 'e' pairs sector '\\*' of dimension 1 with sector '\\*' of
 
 
 def test_an_inner_strand_between_unequal_sectors_is_blamed_on_itself():
-    """Normalisation would merge ``y`` into ``z`` and blame ``n``; the
-    strand's projector is built on the graph as given, before that."""
+    """Merging ``y`` into ``z`` would blame ``n``; the strand's projector
+    is built on the graph as given."""
     g = IODAG(
         ("x",), ("z",), ("y",), {"n": IONode(["x"], ["y"]), "e": IONode(["y"], ["z"])},
         {}, Partition({}, ()), frozenset({"e"}),
@@ -146,3 +146,35 @@ def test_the_cli_blames_the_inner_strand():
     assert code == 1
     assert report["kind"] == "InvariantViolation"
     assert re.search(UNEQUAL, report["error"])
+
+
+#: ``x -> [n] -> y -> [e, empty] -> z`` with ``a``, ``b`` on ``y`` and ``c``,
+#: ``d`` on ``z``: ``e`` crosses the classes ``{a, d}`` and ``{b, c}``
+CROSSING = IODAG(
+    ("x",), ("z",), ("y",), {"n": IONode(["x"], ["y"]), "e": IONode(["y"], ["z"])},
+    {"a": "y", "b": "y", "c": "z", "d": "z"}, Partition("abcd", ["ad", "bc"]), frozenset({"e"}),
+)
+
+
+@pytest.mark.parametrize("mode", ["iso", "uni"])
+@pytest.mark.parametrize("ad, bc", [(2, 2), (2, 3)], ids=["lengths 2", "lengths 2 and 3"])
+def test_an_inner_strand_that_crosses_classes_keeps_its_permutation(mode, ad, bc):
+    """``n`` is a unitary on its route on the graph as given, and ``e``
+    sends sector ``(a, b) = (v, w)`` of ``y`` to ``(c, d) = (w, v)`` of
+    ``z``: so the result is ``n``'s matrix with its rows in that order.
+    Merging ``y`` into ``z`` swapped two rows at lengths 2, and at lengths
+    2 and 3 it gave ``n`` a route of other labels, so ``n`` was refused."""
+    g = CROSSING
+    assert lint(g, mode).passed
+    lengths = {"a": ad, "d": ad, "b": bc, "c": bc}
+    spaces = {w: wire_space(g, w, lengths) for w in "yz"}
+    spaces["x"] = PartitionedSpace.trivial(ad * bc)
+    unitary = np.fft.fft(np.eye(ad * bc)) / np.sqrt(ad * bc)
+    route = node_route(g, "n", Interpretation(lengths, spaces, {}))
+    morph = RoutedMap(route, unitary, spaces["x"], spaces["y"])
+    meaning = interpret(g, Interpretation(lengths, spaces, {"n": morph}), mode)
+    rows = [spaces["y"].sector_labels.position((v, w)) for w, v in spaces["z"].sector_labels]
+    assert (meaning.domain, meaning.codomain) == (spaces["x"], spaces["z"])
+    assert np.allclose(meaning.matrix, unitary[rows], rtol=0, atol=1e-12)
+    assert rows != sorted(rows)
+    assert is_practical_unitary(meaning)

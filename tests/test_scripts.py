@@ -47,7 +47,8 @@ def test_superposed_trajectories():
 
 def test_cold_start():
     """One table per document and bytecode setting; a circuit document
-    loads no indexed-graph layer and an indexed-graph document no circuits."""
+    loads no indexed-graph layer and an indexed-graph document no circuits,
+    and one without an interpretation no arrays either."""
     done = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "cold_start.py"), "--repeat", "1"],
         capture_output=True, text=True, timeout=120,
@@ -61,11 +62,20 @@ def test_cold_start():
         for setting in ("bytecode cached", "no bytecode")
     ]
     for header, table in zip(headers, tables):
-        modules = {line.split()[-1] for line in table[2:-1]}
-        assert {"numpy", "routedcircuits.io", "routedcircuits.relations"} <= modules
-        layer, other = ("circuits", "iodag") if "two_trajectories" in header else ("iodag", "circuits")
+        circuit = "two_trajectories" in header
+        rows = table[2:-1]
+        modules = {line.split()[-1] for line in rows if line != "numpy not loaded"}
+        assert "routedcircuits.io" in modules
+        arrays = {"numpy", "routedcircuits.relations"}
+        if circuit:
+            assert arrays <= modules and "numpy not loaded" not in rows
+        else:
+            assert not arrays & modules and rows[-1] == "numpy not loaded"
+        layer, other = ("circuits", "iodag") if circuit else ("iodag", "circuits")
         assert f"routedcircuits.{layer}" in modules and f"routedcircuits.{other}" not in modules
         assert re.fullmatch(
             r"wall [\d.]+ ms: interpreter [\d.]+, numpy [\d.]+, package [\d.]+, rest -?[\d.]+",
             table[-1],
         ), table[-1]
+        if not circuit:
+            assert ", numpy 0.0," in table[-1]
