@@ -12,6 +12,7 @@ its modules, so a command loads only the layers its document needs.
 """
 
 import importlib
+from functools import lru_cache
 
 #: module -> the public names the package re-exports from it
 _EXPORTS = {
@@ -66,3 +67,17 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_MODULE_OF))
+
+
+@lru_cache
+def _arrays():
+    """NumPy, ``relations`` and ``spaces``, imported on the first call, for
+    ``io`` and ``iodag``, which make arrays only in some functions: an
+    indexed graph alone never calls this, and one cached call costs less
+    than the relative imports it replaces on every space and map read and
+    on :func:`iodag.bar`'s path."""
+    import numpy as np
+
+    from . import relations, spaces
+
+    return np, relations, spaces

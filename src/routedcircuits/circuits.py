@@ -23,10 +23,11 @@ circuit derives and hashes once, with its foliation, when it is built.
 Each network is compiled once per shape into a frozen program, behind
 one bounded module-level cache, the only cache of plans: the signatures
 and shapes of its tables, its plan, its gathers and fixed tables, and
-nothing of the circuit's matrices, routes or labels.  A call reshapes
-the boxes' own arrays and runs the plan; an operator program also lays
-out where its products go, in one buffer that each thread keeps, so a
-warm evaluation allocates little beyond its result.
+nothing of the circuit's matrices, routes or labels.  Every program,
+whatever its kind, runs through one runner, which reads the boxes' own
+arrays as the kind says and runs the plan; an operator program also
+lays out where its products go, in one buffer that each thread keeps, so
+a warm evaluation allocates little beyond its result.
 """
 
 from __future__ import annotations
@@ -598,6 +599,7 @@ def _network(
 class _Program(NamedTuple):
     """A network of a circuit compiled for its shape; see :func:`_compiled`."""
 
+    kind: str  # how :func:`_tables` reads its boxes and :func:`_run` runs it
     signatures: tuple  # the boxes' tables, then the identities'
     sizes: tuple  # (label, size) pairs
     shapes: tuple  # per box: the shape its table is read in
@@ -632,10 +634,9 @@ def _compiled(shape: _Shape, kind: str, sources: tuple, box_ids: tuple, targets:
 
     A program holds what the network's layout and plan derive from the
     shape, as tuples and read-only arrays, so a call runs only array
-    kernels on the boxes' own arrays.  ``kind`` is 'routes' or 'coherence'
-    (one or two sector axes per wire, see :func:`_contracted_route`),
-    'operators' (see :func:`_contracted_operators`) or 'insertion' (see
-    :func:`_accessible_by_insertion`).
+    kernels on the boxes' own arrays, in :func:`_run`.  ``kind`` is
+    'routes' or 'coherence' (one or two sector axes per wire), 'operators'
+    or 'insertion' (see :func:`_insertion_program`).
     """
     if kind == "insertion":
         return _insertion_program(_compiled(shape, "routes", (), box_ids, targets), targets)
@@ -661,7 +662,7 @@ def _network_program(
     shapes = [tuple(sizes[x] for x in signature) for signature in signatures]
     fixed = tuple(_read_only(np.eye(n, dtype=bool)) for n, _ in shapes[len(network) :])
     program = _Program(
-        tuple(map(tuple, signatures)), tuple(sizes.items()), tuple(shapes[: len(network)]),
+        kind, tuple(map(tuple, signatures)), tuple(sizes.items()), tuple(shapes[: len(network)]),
         fixed, plan, (),
     )
     count_in, count_out = (math.prod(sizes[w] for w in wires) for wires in (sources, targets))
@@ -690,7 +691,7 @@ def _network_program(
     plan = plan._replace(result=tuple(range(len(axes))))
 
     def positions(box, gather, shape):
-        # each axis's rank by stride in a table read as _operator_tables reads
+        # each axis's rank by stride in a table read as _tables reads
         # it from a C-ordered stack, of bytes here: a gather may reorder memory
         dims = (box.count, *(math.prod(sizes[w] for w in ws) for ws in (box.outputs, box.inputs)))
         stack = np.zeros(dims, np.uint8)
@@ -707,8 +708,10 @@ def _network_program(
 
 def _insertion_program(routes: _Program, targets: tuple) -> _Program:
     """The route program ``routes``, whose kept axes are the slice
-    ``targets``, with a test table on each of them that relates every
-    candidate tuple to its sector there, planned to keep the candidates."""
+    ``targets``, with a test relation inserted on each slice wire of more
+    than one sector, from every candidate tuple to its sector there,
+    planned to keep the candidate axis they share: one run tests every
+    candidate, and entry ``i`` is the network with the slice fixed to ``i``."""
     sizes = dict(routes.sizes)
     shape = tuple(sizes[w] for w in targets)
     candidates = np.indices(shape).reshape(len(shape), math.prod(shape))
@@ -718,74 +721,59 @@ def _insertion_program(routes: _Program, targets: tuple) -> _Program:
     sizes[_CANDIDATE] = candidates.shape[1]
     plan = _frozen(_elimination_plan(signatures, [_CANDIDATE], sizes))
     return routes._replace(
-        signatures=signatures, sizes=tuple(sizes.items()),
+        kind="insertion", signatures=signatures, sizes=tuple(sizes.items()),
         fixed=routes.fixed + tuple(map(_read_only, tests)), plan=plan, shape=shape,
     )
 
 
-def _route_tables(
-    circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str], copies: int
-) -> list[np.ndarray]:
-    """The tables of a route program: each box's route matrix in its shape
-    (with one copy, its plain view: see :func:`relations.diagonal_view`),
-    then the program's fixed tables."""
-    routes = [circuit.boxes[b].op.route for b in box_ids]
-    matrices = map(rel.diagonal_view, routes) if copies == 1 else (r.matrix for r in routes)
+def _tables(circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str]) -> list:
+    """The tables of ``program``: each box's table, read in its shape, then
+    the program's fixed tables.
+
+    A route program reads a box's plain route (see
+    :func:`relations.diagonal_view`: its diagonal in CPM mode), a coherence
+    program its coherence route.  An operator program reads a box's Kraus
+    stack with an axis per wire in that wire's own basis (its operators
+    leave the canonical basis of its interfaces through
+    :func:`kron_to_canonical`, the identity on one wire) and one per Kraus
+    index.
+    """
+    ops = [circuit.boxes[b].op for b in box_ids]
+    if program.kind == "operators":
+        stacks = (op.kraus_stack if g is None else op.kraus_stack[g]
+                  for op, g in zip(ops, program.gathers))
+        matrices = (stack.transpose(0, 2, 1) for stack in stacks)
+    elif program.kind == "coherence":
+        matrices = (op.route.matrix for op in ops)
+    else:
+        matrices = (rel.diagonal_view(op.route) for op in ops)
     return [m.reshape(s) for m, s in zip(matrices, program.shapes)] + list(program.fixed)
 
 
-def _contracted_route(
+def _run(
     circuit: RoutedCircuit,
-    sources: Sequence[str],
-    box_ids: Sequence[str],
-    targets: Sequence[str],
-    copies: int,
+    kind: str,
+    sources: Sequence[str] = (),
+    box_ids: Sequence[str] = (),
+    targets: Sequence[str] = (),
 ) -> np.ndarray:
-    """The boolean route matrix of the boxes, applied in order, from the
-    interface ``sources`` to ``targets``.
+    """Run the network of kind ``kind`` of the boxes, applied in order,
+    from the interface ``sources`` to ``targets``; see :func:`_compiled`.
 
-    Each wire carries ``copies`` sector axes: one for plain routes, indexed
-    ``[k, l]``, two for coherence routes, indexed ``[k, k', l, l']``.  A
-    box's table is its plain route (its diagonal in CPM mode), or with two
-    copies its coherence route.
+    A route kind returns a boolean array.  Each wire carries one sector
+    axis for plain routes, indexed ``[k, l]``, or two for coherence routes,
+    indexed ``[k, k', l, l']``; insertion returns one axis per slice wire.
+    The operator kind returns the ``(count, d_out, d_in)`` operator stack:
+    one gather through the program's compiled index takes the last product
+    to the canonical bases and the Kraus order of composing the boxes one
+    at a time, the last box's index outermost, whatever order the plan
+    contracts them in.  The stack is read-only and owns its data, so a
+    routed CP map keeps it without a copy.
     """
-    program = _program(circuit, ("routes", "coherence")[copies - 1], sources, box_ids, targets)
-    tables = _route_tables(circuit, program, box_ids, copies)
-    return _run_plan(program.plan, tables).reshape(program.shape)
-
-
-def _operator_tables(circuit: RoutedCircuit, program: _Program, box_ids: Sequence[str]) -> list:
-    """The tables of an operator program: each box's Kraus stack in its
-    wires' Kronecker bases, read in its shape, then the identities."""
-    tables = []
-    for box_id, gather, shape in zip(box_ids, program.gathers, program.shapes):
-        stack = circuit.boxes[box_id].op.kraus_stack
-        if gather is not None:
-            stack = stack[gather]
-        tables.append(stack.transpose(0, 2, 1).reshape(shape))
-    return tables + list(program.fixed)
-
-
-def _contracted_operators(
-    circuit: RoutedCircuit,
-    sources: Sequence[str],
-    box_ids: Sequence[str],
-    targets: Sequence[str],
-) -> np.ndarray:
-    """The ``(count, d_out, d_in)`` operator stack of the boxes, applied in
-    order, from the interface ``sources`` to ``targets``.
-
-    A box's table is its operators with an axis per wire in that wire's
-    own basis (they leave the canonical basis of its interfaces through
-    :func:`kron_to_canonical`, the identity on one wire) and one per Kraus
-    index.  One gather through the program's compiled index takes the
-    last product to the canonical bases and the Kraus order of composing
-    the boxes one at a time, the last box's index outermost, whatever order
-    the plan contracts them in.  The result is read-only and owns its data,
-    so a routed CP map keeps it without a copy.
-    """
-    program = _program(circuit, "operators", sources, box_ids, targets)
-    tables = _operator_tables(circuit, program, box_ids)
+    program = _program(circuit, kind, sources, box_ids, targets)
+    tables = _tables(circuit, program, box_ids)
+    if program.kind != "operators":
+        return _run_plan(program.plan, tables).reshape(program.shape)
     result = _run_contraction(program.plan, tables, program.workspace)
     # an index, unlike np.take, reads the read-only offsets without a copy;
     # it writes a fresh array, so nothing returned shares the workspace
@@ -805,11 +793,11 @@ def _contracted(
     so checked against its route, once; forbidden weight adds up over the
     boxes, so a rejection names them.
     """
-    route_type = Relation if circuit.mode == "pure" else CPRelation
+    route_type, kind = (Relation, "routes") if circuit.mode == "pure" else (CPRelation, "coherence")
     domain, codomain = (_interface_space(circuit, w) for w in (sources, targets))
-    matrix = _contracted_route(circuit, sources, box_ids, targets, route_type.copies)
+    matrix = _run(circuit, kind, sources, box_ids, targets)
     route = route_type(domain.sector_labels, codomain.sector_labels, matrix)
-    stack = _contracted_operators(circuit, sources, box_ids, targets)
+    stack = _run(circuit, "operators", sources, box_ids, targets)
     tolerance = max(
         (circuit.boxes[b].op.tolerance for b in box_ids), default=DEFAULT_TOLERANCE
     )
@@ -903,7 +891,7 @@ def check_circuit(circuit: RoutedCircuit, mode: str) -> CircuitReport:
         # the gate reads only the downstream domain: the last order is free
         after = steps[position + 1].inputs if position + 1 < len(steps) else step.outputs
         layer = tuple(step.layer)
-        layer_route = _contracted_route(circuit, step.inputs, layer, after, 1)
+        layer_route = _run(circuit, "routes", step.inputs, layer, after)
         if route is None:
             route = layer_route
         else:
@@ -956,47 +944,25 @@ class AccessibleSpace(Record):
         return sum(self.sector_dims)
 
 
-def _accessible_by_recipe(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
-    """Index-summation recipe: contract every route, summing out all indices
-    except the slice's."""
-    allowed = _contracted_route(circuit, (), sorted(circuit.boxes), cut.wires, 1)
-    return allowed.reshape([len(circuit.wires[w].sector_dims) for w in cut.wires])
-
-
-def _accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
-    """Defining test: fix the slice sectors to a candidate tuple and ask
-    whether the whole relation-level circuit still relates anything.
-
-    Every candidate is tested in one run of the recipe's network with a
-    test relation inserted on each slice wire of more than one sector, from
-    the candidates to their sector there, summed down to the candidate axis
-    they share: entry ``i`` is the network with the slice fixed to ``i``.
-    """
-    boxes = sorted(circuit.boxes)
-    program = _program(circuit, "insertion", (), boxes, cut.wires)
-    tables = _route_tables(circuit, program, boxes, 1)
-    return _run_plan(program.plan, tables).reshape(program.shape)
-
-
 def accessible_space(
     circuit: RoutedCircuit, cut: Slice, algorithm: str = "recipe"
 ) -> AccessibleSpace:
     """Sector tuples of the slice that the circuit's routes can populate.
 
-    ``algorithm`` 'recipe' contracts every route and sums out the
-    non-slice indices; 'insertion' fixes the slice to each candidate tuple
-    by test relations and tests the end-to-end relation for vanishing.
-    Both return the same set.  CPM circuits are analysed through the
-    routes' diagonals.
+    ``algorithm`` 'recipe', the index-summation recipe, contracts every
+    route and sums out all indices except the slice's.  'insertion' is the
+    defining test: fix the slice sectors to a candidate tuple and ask
+    whether the whole relation-level circuit still relates anything (see
+    :func:`_insertion_program`).  Both return the same set.  CPM circuits
+    are analysed through the routes' diagonals.
     """
     _validate_slice(circuit, cut)
-    if algorithm == "recipe":
-        allowed = _accessible_by_recipe(circuit, cut)
-    elif algorithm == "insertion":
-        allowed = _accessible_by_insertion(circuit, cut)
-    else:
+    kind = {"recipe": "routes", "insertion": "insertion"}.get(algorithm)
+    if kind is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     spaces = [circuit.wires[w] for w in cut.wires]
+    allowed = _run(circuit, kind, (), sorted(circuit.boxes), cut.wires)
+    allowed = allowed.reshape([len(s.sector_dims) for s in spaces])
     found = np.argwhere(allowed)  # row-major, as the sector tuples are listed
     tuples = tuple(tuple(s.sector_labels.labels[i] for s, i in zip(spaces, at)) for at in found)
     dims = tuple(math.prod(s.sector_dims[i] for s, i in zip(spaces, at)) for at in found)

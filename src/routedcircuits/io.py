@@ -22,9 +22,9 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
+from . import _arrays
 from .errors import ParseError, RoutedError, SchemaError, UsageError
 from .frozen import Record
 
@@ -39,18 +39,6 @@ if TYPE_CHECKING:
     from .spaces import PartitionedSpace
 
 FORMAT_VERSION = "1"
-
-
-@lru_cache
-def _arrays():
-    """NumPy, ``relations`` and ``spaces``, imported on the first call: an
-    indexed graph alone never calls this, and one cached call costs less
-    than the relative imports it replaces on every space and map read."""
-    import numpy as np
-
-    from . import relations, spaces
-
-    return np, relations, spaces
 
 
 def default_tolerance() -> float:

@@ -28,6 +28,7 @@ from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
+from . import _arrays
 from .errors import (
     IncompatibleRestrictions,
     InterfaceMismatch,
@@ -150,18 +151,6 @@ def nonforgetting_compose(rel1: Partition, rel2: Partition, shared: Iterable) ->
 
 
 # -- index families and corelations ---------------------------------------
-
-
-@lru_cache
-def _arrays():
-    """NumPy, ``relations`` and ``spaces``, imported on the first call: the
-    graph half never calls this, and one cached call costs less than the
-    relative imports it replaces on :func:`bar`'s path."""
-    import numpy as np
-
-    from . import relations, spaces
-
-    return np, relations, spaces
 
 
 @lru_cache
@@ -437,8 +426,10 @@ class IODAG(_WireGraph, Frozen):
 
     Every index name sits on exactly one wire; the equivalence relation over
     names says which placements are the same index.  Input wires are each
-    consumed by a node and output wires produced by one; empty nodes stand
-    for identity strands and are removed where possible by normalisation.
+    consumed by a node and output wires produced by one.  Empty nodes carry
+    no map of their own: :func:`interpret` reads each as its matching
+    projector, and only :func:`lint` and the ``explain`` command remove
+    them, by :func:`normalize`.
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """The variable-by-variable elimination, kept as the test oracle of the
 planned elimination in ``circuits`` (``_elimination_plan`` and
 ``_run_plan``), and the candidate-by-candidate insertion, kept as the test
-oracle of the one-run insertion in ``circuits._accessible_by_insertion``.
+oracle of the one-run insertion, the 'insertion' program of ``circuits``.
 
 The elimination eliminates the variables in sorted-name order and, for
 each one, builds the joint of every table that touches it anew: no plan is
@@ -20,8 +20,8 @@ from routedcircuits.circuits import (
     Slice,
     _elimination_plan,
     _program,
-    _route_tables,
     _run_plan,
+    _tables,
 )
 
 
@@ -75,7 +75,7 @@ def accessible_by_insertion(circuit: RoutedCircuit, cut: Slice) -> np.ndarray:
     boxes = sorted(circuit.boxes)
     program = _program(circuit, "routes", (), boxes, cut.wires)
     variables, sizes = program.signatures, dict(program.sizes)
-    tables = _route_tables(circuit, program, boxes, 1)
+    tables = _tables(circuit, program, boxes)
     position = {(w, 0): i for i, w in enumerate(cut.wires)}
     moved, pins, signatures = [], [], []
     for vars_, table in zip(variables, tables):

@@ -21,13 +21,13 @@ from routedcircuits import circuits
 from routedcircuits import relations as rel
 from routedcircuits import routed_maps as rmap
 from routedcircuits.circuits import (
-    _contracted_operators,
     _contraction_plan,
     _foliation_layers,
     _network,
-    _operator_tables,
     _program,
+    _run,
     _run_contraction,
+    _tables,
     evaluate,
 )
 from routedcircuits.errors import InvariantViolation, RouteViolation, ShapeMismatch
@@ -63,7 +63,7 @@ def two_step_gather(circuit, sources, box_ids, targets) -> np.ndarray:
     signatures, keep, sizes = _network(dims, sources, [boxes[b] for b in box_ids], targets, 1, sum)
     plan = _contraction_plan(signatures, keep, sizes)
     program = _program(circuit, "operators", sources, box_ids, targets)
-    result = _run_contraction(plan, _operator_tables(circuit, program, box_ids))
+    result = _run_contraction(plan, _tables(circuit, program, box_ids))
 
     def to_kron(wires):
         spaces = (PartitionedSpace.from_dims(range(len(dims[w])), dims[w]) for w in wires)
@@ -82,7 +82,7 @@ def assert_one_gather_is_two_step(circuit, box_order=None) -> None:
     layers = _foliation_layers(circuit, box_order)
     order = [box_id for layer in layers for box_id in reversed(layer)]
     args = circuit.input_wires, order, circuit.output_wires
-    got, want = _contracted_operators(circuit, *args), two_step_gather(circuit, *args)
+    got, want = _run(circuit, "operators", *args), two_step_gather(circuit, *args)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert got.base is None and not got.flags.writeable
@@ -214,11 +214,13 @@ class TestAdoption:
         circuit = builder.inputs("a").outputs("c").build()
         made = []
 
-        def record(*args):
-            made.append(_contracted_operators(*args))
-            return made[-1]
+        def record(circuit, kind, *args):
+            result = _run(circuit, kind, *args)
+            if kind == "operators":
+                made.append(result)
+            return result
 
-        monkeypatch.setattr(circuits, "_contracted_operators", record)
+        monkeypatch.setattr(circuits, "_run", record)
         result = evaluate(circuit)
         assert result.matrix.base is made[0] and not result.matrix.flags.writeable
 
@@ -226,11 +228,13 @@ class TestAdoption:
         circuit = channel_chain(boxes=3, count=2)
         made = []
 
-        def record(*args):
-            made.append(_contracted_operators(*args))
-            return made[-1]
+        def record(circuit, kind, *args):
+            result = _run(circuit, kind, *args)
+            if kind == "operators":
+                made.append(result)
+            return result
 
-        monkeypatch.setattr(circuits, "_contracted_operators", record)
+        monkeypatch.setattr(circuits, "_run", record)
         stack = evaluate(circuit).kraus_stack
         assert stack is made[0]
         assert stack.base is None and not stack.flags.writeable

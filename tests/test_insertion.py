@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import Slice, _accessible_by_insertion
+from routedcircuits.circuits import Slice, _run
 from routedcircuits.relations import Relation
 from routedcircuits.routed_maps import RoutedMap, dagger
 from routedcircuits.sampling import random_block_diagonal_unitary
@@ -22,8 +22,13 @@ from elimination_oracle import accessible_by_insertion
 from test_elimination import _line_with_a_vanishing_part, sliced_circuits
 
 
+def one_run(circuit, cut) -> np.ndarray:
+    """The one run: the 'insertion' program of every box and the slice."""
+    return _run(circuit, "insertion", (), sorted(circuit.boxes), cut.wires)
+
+
 def assert_matches_the_oracle(circuit, cut) -> None:
-    got = _accessible_by_insertion(circuit, cut)
+    got = one_run(circuit, cut)
     want = accessible_by_insertion(circuit, cut)
     assert got.dtype == want.dtype == bool
     assert got.shape == want.shape == tuple(circuit.wires[w].sector_labels.size for w in cut.wires)
@@ -54,7 +59,7 @@ class TestAgainstTheLoop:
         for mode in ("pure", "cpm"):
             circuit = _line_with_a_vanishing_part(mode)
             assert_matches_the_oracle(circuit, Slice([]))
-            assert _accessible_by_insertion(circuit, Slice([])).shape == ()
+            assert one_run(circuit, Slice([])).shape == ()
             assert_matches_the_oracle(CircuitBuilder(mode).build(), Slice([]))
 
     def test_a_vanishing_part_off_the_slice(self):
@@ -62,7 +67,7 @@ class TestAgainstTheLoop:
             circuit = _line_with_a_vanishing_part(mode)
             for wires in (["A1"], ["A0", "A2"], ["B1", "A1"]):
                 assert_matches_the_oracle(circuit, Slice(wires))
-                assert not _accessible_by_insertion(circuit, Slice(wires)).any()
+                assert not one_run(circuit, Slice(wires)).any()
 
     def test_one_sector_wires(self):
         """A state on a one-sector wire and a two-sector wire; the one-sector
@@ -80,7 +85,7 @@ class TestAgainstTheLoop:
         circuit = builder.box("s", [], ["n", "w"], state).outputs("n", "w").build()
         for wires in (["n"], ["w"], ["w", "n"]):
             assert_matches_the_oracle(circuit, Slice(wires))
-        assert _accessible_by_insertion(circuit, Slice(["n", "w"])).tolist() == [[False, True]]
+        assert one_run(circuit, Slice(["n", "w"])).tolist() == [[False, True]]
 
 
 def one_particle_lines(lines: int, layers: int, rng):
@@ -119,7 +124,7 @@ def traced_insertion(lines: int, rng):
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        allowed = _accessible_by_insertion(circuit, cut)
+        allowed = one_run(circuit, cut)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:

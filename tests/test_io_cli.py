@@ -19,6 +19,7 @@ from routedcircuits.io import (
     FORMAT_VERSION,
     CircuitDocument,
     bundled_path,
+    default_tolerance,
     load_bundled,
     parse,
     routed_cpm_from_json,
@@ -29,7 +30,7 @@ from routedcircuits.io import (
 )
 from routedcircuits.relations import IndexSet, Relation, full_coherence
 from routedcircuits.routed_cpms import RoutedCPM, lift_pure
-from routedcircuits.routed_maps import RoutedMap
+from routedcircuits.routed_maps import DEFAULT_TOLERANCE, RoutedMap
 from routedcircuits.spaces import PartitionedSpace
 
 from conftest import child_env
@@ -445,6 +446,12 @@ class TestGoldenOutputs:
 
 
 class TestToleranceVariable:
+    def test_the_default_is_the_library_default(self, monkeypatch):
+        """``io`` spells its default apart from ``routed_maps``, so as not to
+        load NumPy for a bare indexed graph; the two must agree."""
+        monkeypatch.delenv("ROUTED_TOLERANCE", raising=False)
+        assert default_tolerance() == DEFAULT_TOLERANCE
+
     @pytest.mark.parametrize("value", ["nan", "inf", "abc", "-1"])
     def test_invalid_value_exits_two_naming_the_variable(self, value):
         result = run_cli(

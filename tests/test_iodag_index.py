@@ -41,11 +41,13 @@ def graphs(draw, upstream: IODAG | None = None):
 
     def wire(base: str, copied: str | None = None) -> str:
         """A new wire with up to two names, or with one copy of each name of
-        ``copied`` in that name's class."""
+        ``copied`` in that name's class, paired in a drawn order: an empty
+        node between the two wires may then cross classes."""
         made = fresh(base)
         count = draw(st.integers(0, 2)) if copied is None else len(names[copied])
         names[made] = [fresh(f"{made}.{j}") for j in range(count)]
-        for original, name in zip(names.get(copied, ()), names[made]):
+        originals = () if copied is None else draw(st.permutations(names[copied]))
+        for original, name in zip(originals, names[made]):
             label[name] = ("copy", original)
         return made
 

@@ -2,10 +2,14 @@
 shape, behind one bounded cache.  The cached path against a build of
 every program and plan afresh, circuits of one shape with their own
 arrays, shapes that differ in one Kraus count or one sector dimension,
-nothing mutable inside a program, and repeated calls that compile
-nothing.  Also the diagonal view that CPM route tables are read from."""
+nothing mutable inside a program, repeated calls that compile nothing,
+and one runner for every kind.  Also the diagonal view that CPM route
+tables are read from."""
 
 from __future__ import annotations
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -182,6 +186,20 @@ def test_an_unknown_kind_compiles_nothing():
     circuit = line_circuit()
     with pytest.raises(KeyError):
         _program(circuit, "check", circuit.input_wires, ["u0"], ["x1"])
+
+
+def test_one_runner_runs_every_program():
+    """Only ``_run`` names the plan runners in ``circuits``, so a new program
+    kind gets a branch in ``_tables`` and ``_run``, not a runner of its own."""
+    tree = ast.parse(pathlib.Path(circuits.__file__).read_text(encoding="utf-8"))
+    runners = {"_run_plan", "_run_contraction"}
+    named = {
+        (getattr(node, "name", None), name.id)
+        for node in tree.body
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id in runners
+    }
+    assert named == {("_run", runner) for runner in runners}
 
 
 def test_programs_are_the_only_plan_cache():

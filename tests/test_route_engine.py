@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import _contracted_route, check_circuit
+from routedcircuits.circuits import _run, check_circuit
 from routedcircuits.relations import Relation
 from routedcircuits.routed_cpms import lift_pure
 from routedcircuits.routed_maps import RoutedMap
@@ -95,7 +95,7 @@ def test_contracted_route_holds_little_beyond_its_result():
     circuit = builder.inputs(*lines).outputs("y", *lines[1:]).build()
     tracemalloc.start()
     try:
-        route = _contracted_route(circuit, lines, ["u"], ["y", *lines[1:]], copies=2)
+        route = _run(circuit, "coherence", lines, ["u"], ["y", *lines[1:]])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from routedcircuits import CircuitBuilder
-from routedcircuits.circuits import _contracted, _contracted_route, _interface_space
+from routedcircuits.circuits import _contracted, _interface_space, _run
 from routedcircuits.errors import RouteViolation, UnknownLabel
 from routedcircuits.relations import CPRelation, Relation
 from routedcircuits.routed_cpms import RoutedCPM, _choi_block_excess, choi_matrix, follows_cp
@@ -284,7 +284,7 @@ class TestPermutations:
         got = op.matrix if mode == "pure" else op.kraus[0]
         assert got.dtype == matrix.dtype and got.tobytes() == matrix.tobytes()
         domain, codomain = (_interface_space(circuit, w).sector_labels for w in (wires, target))
-        relation = Relation(domain, codomain, _contracted_route(circuit, wires, (), target, 1))
+        relation = Relation(domain, codomain, _run(circuit, "routes", wires, (), target))
         assert np.array_equal(relation.matrix, route)
         assert relation.domain == tensor_many(factors).sector_labels
         assert relation.codomain == tensor_many([factors[p] for p in positions]).sector_labels

@@ -19,9 +19,9 @@ from hypothesis import example, given, settings
 from routedcircuits import CircuitBuilder, PartitionedSpace, circuits
 from routedcircuits.circuits import (
     _foliation_layers,
-    _operator_tables,
     _program,
     _run_contraction,
+    _tables,
     evaluate,
 )
 from routedcircuits.routed_cpms import is_practically_trace_preserving
@@ -43,7 +43,7 @@ def without_workspace(circuit, box_order=None) -> np.ndarray:
     """The operator stack of ``evaluate`` by the contraction without a
     workspace, each product and load in an array of its own."""
     program, order = operator_program(circuit, box_order)
-    result = _run_contraction(program.plan, _operator_tables(circuit, program, order))
+    result = _run_contraction(program.plan, _tables(circuit, program, order))
     return result.reshape(-1)[program.take]
 
 
@@ -75,7 +75,7 @@ def assert_regions_apart(program) -> None:
 
 def assert_copies_are_reshape_copies(circuit, program, order) -> None:
     """The workspace copies exactly the loads that ``reshape`` copies."""
-    slots = _operator_tables(circuit, program, order)
+    slots = _tables(circuit, program, order)
     for (a, b, order_a, order_b, shape_a, shape_b, shape), (at_a, at_b, _) in zip(
         program.plan.steps, program.workspace.steps
     ):
@@ -218,7 +218,7 @@ def test_a_thread_keeps_its_planned_workspace_up_to_the_cap(monkeypatch):
     bytes; over it, the workspace lives for the call only, and the result
     is the same to the bit."""
     circuit = channel_chain(boxes=3, count=2)
-    planned = _program(circuit, "operators", ("x0",), ("u2", "u1", "u0"), ("x3",))
+    planned, _ = operator_program(circuit)
     assert planned.workspace.nbytes > 0
     stack, kept = in_new_thread(lambda: evaluate(circuit).kraus_stack)
     assert kept.nbytes == planned.workspace.nbytes
