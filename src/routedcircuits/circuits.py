@@ -103,11 +103,6 @@ class RoutedCircuit(_WireGraph, Record):
             _shape=_shape_of(self),
         )
 
-    def __reduce__(self):
-        """Rebuild through the constructor, which derives the rest again."""
-        wires, boxes = dict(self.wires), dict(self.boxes)
-        return type(self), (wires, boxes, self.input_wires, self.output_wires, self.mode)
-
     def wire_ancestors(self, wire: str) -> set[str]:
         """All wires strictly upstream of ``wire``."""
         seen: set[str] = set()

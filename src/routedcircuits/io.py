@@ -137,7 +137,18 @@ def _matrix(rows, location: str):
                     "matrix entry must be a [re, im] pair of numbers", f"{location}/{i}/{j}"
                 )
     np, _, _ = _arrays()
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except OverflowError:  # an integer beyond every float: report the first
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                for k, number in enumerate(entry):
+                    try:
+                        float(number)
+                    except OverflowError:
+                        pointer = f"{location}/{i}/{j}/{k}"
+                        raise SchemaError("number is too large for a float", pointer) from None
+        raise
 
 
 def matrix_to_json(matrix) -> list:

@@ -158,15 +158,20 @@ def _shape_values(shape: tuple[int, ...]) -> tuple[IndexSet, np.ndarray]:
     """The index set and value table (row ``r``: the names' values in label
     ``r``) of every family whose lengths, in sorted-name order, are ``shape``."""
     np, rel, _ = _arrays()
-    table = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    try:
+        table = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    except ValueError:  # more entries than an array can have
+        raise InvariantViolation(f"index lengths {shape} give too many values to list") from None
     table.setflags(write=False)
     labels = tuple(map(tuple, table.tolist())) if shape else (rel.TRIVIAL_LABEL,)
     return rel.IndexSet(labels), table
 
 
-class IndexFamily(Frozen):
+class IndexFamily(Record):
     """A finite set of index names, each with the number of values it takes:
     ``lengths`` is read-only and ``names`` holds the names sorted."""
+
+    _fields = ("lengths",)
 
     def __init__(self, lengths: Mapping[str, int]):
         lengths = dict(lengths)
@@ -174,9 +179,6 @@ class IndexFamily(Frozen):
             if operator.index(length) < 1:  # a float would share an int's cached shape
                 raise InvariantViolation(f"index {name!r} has length {length} < 1")
         self.__dict__.update(lengths=MappingProxyType(lengths), names=tuple(sorted(lengths)))
-
-    def __reduce__(self):
-        return type(self), (dict(self.lengths),)
 
     def length(self, name: str) -> int:
         return self.lengths[name]
@@ -191,9 +193,6 @@ class IndexFamily(Frozen):
     def _values(self) -> tuple[IndexSet, np.ndarray]:
         return _shape_values(tuple(map(self.lengths.__getitem__, self.names)))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IndexFamily) and dict(self.lengths) == dict(other.lengths)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{self.lengths[n]}" for n in self.names)
         return f"IndexFamily({inner})"
@@ -203,12 +202,14 @@ def _tag(side: str, names: Iterable[str]) -> list[tuple[str, str]]:
     return [(side, name) for name in names]
 
 
-class Corelation(Frozen):
+class Corelation(Record):
     """An equivalence relation on the disjoint union of two index families.
 
     Related names must have equal lengths; the blocks say which indices are
     matched (forced to carry the same value).
     """
+
+    _fields = ("domain", "codomain", "partition")
 
     def __init__(self, domain: IndexFamily, codomain: IndexFamily, partition: Partition):
         universe = frozenset(_tag("in", domain.names)) | frozenset(_tag("out", codomain.names))
@@ -243,14 +244,6 @@ class Corelation(Frozen):
     def identity(cls, family: IndexFamily) -> "Corelation":
         pairs = [(("in", name), ("out", name)) for name in family.names]
         return cls.from_pairs(family, family, pairs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Corelation)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.partition == other.partition
-        )
 
     def __repr__(self) -> str:
         return f"Corelation({self.domain!r} -> {self.codomain!r}, {self.partition!r})"
@@ -421,7 +414,7 @@ class IONode(Record):
         self.__dict__.update(inputs=tuple(inputs), outputs=tuple(outputs))
 
 
-class IODAG(_WireGraph, Frozen):
+class IODAG(_WireGraph, Record):
     """An indexed open DAG: wires, nodes, index placements, matched classes.
 
     Every index name sits on exactly one wire; the equivalence relation over
@@ -431,6 +424,10 @@ class IODAG(_WireGraph, Frozen):
     projector, and only :func:`lint` and the ``explain`` command remove
     them, by :func:`normalize`.
     """
+
+    _fields = (
+        "inputs", "outputs", "inner_edges", "nodes", "placement", "equivalence", "empty_nodes"
+    )
 
     def __init__(
         self,
@@ -458,11 +455,6 @@ class IODAG(_WireGraph, Frozen):
         )
         producers, consumers, layers = _validate_iodag(self)
         self.__dict__.update(_producers=producers, _consumers=consumers, _layers=layers)
-
-    def __reduce__(self):
-        """Rebuild through the constructor, which derives the rest again."""
-        fields = (self.inputs, self.outputs, self.inner_edges, dict(self.nodes))
-        return type(self), (*fields, dict(self.placement), self.equivalence, self.empty_nodes)
 
     # -- lookups --------------------------------------------------------
 
@@ -748,16 +740,15 @@ def seq_compose_iodag(second: IODAG, first: IODAG) -> IODAG:
         )
     second = _avoid_collisions(second, first, interface, first_names)
     placement = {**first.placement, **second.placement}
-    equivalence = nonforgetting_compose(
-        first.equivalence, second.equivalence, first_names
-    )
     return IODAG(
         inputs=first.inputs,
         outputs=second.outputs,
         inner_edges=first.inner_edges + tuple(first.outputs) + second.inner_edges,
         nodes={**first.nodes, **second.nodes},
         placement=placement,
-        equivalence=equivalence,
+        equivalence=Partition(
+            placement, first.equivalence.blocks() + second.equivalence.blocks()
+        ),
         empty_nodes=first.empty_nodes | second.empty_nodes,
     )
 
@@ -878,9 +869,6 @@ class Interpretation(Record):
             spaces=MappingProxyType(dict(spaces)),
             morphs=MappingProxyType(dict(morphs)),
         )
-
-    def __reduce__(self):
-        return type(self), (dict(self.lengths), dict(self.spaces), dict(self.morphs))
 
 
 def expected_wire_labels(g: IODAG, wire: str, lengths: Mapping[str, int]) -> tuple:

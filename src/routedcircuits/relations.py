@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import DomainMismatch, InvariantViolation, ShapeMismatch, UnknownLabel
-from .frozen import Frozen
+from .frozen import Record
 
 # Atomic sector labels: strings, ints, or (nested) tuples of those.
 Label = Union[str, int, tuple]
@@ -33,8 +33,10 @@ def _route_matrix(matrix, domain: IndexSet, codomain: IndexSet, copies: int) -> 
     return matrix
 
 
-class IndexSet(Frozen):
+class IndexSet(Record):
     """An ordered finite set of distinct sector labels."""
+
+    _fields = ("labels",)
 
     def __init__(self, labels: Iterable[Label]):
         labels = tuple(labels)
@@ -82,13 +84,14 @@ class IndexSet(Frozen):
         return IndexSet(tuple((k, l) for k in self.labels for l in other.labels))
 
 
-class Relation(Frozen):
+class Relation(Record):
     """A boolean relation, stored as a matrix indexed (input, output).
 
     ``matrix[k, l]`` is True when input label ``k`` may connect to output
     label ``l``.
     """
 
+    _fields = ("domain", "codomain", "matrix")
     #: sector axes per side of ``matrix``, which the algebra below flattens
     copies = 1
 
@@ -120,9 +123,6 @@ class Relation(Frozen):
         return cls(domain, codomain, matrix)
 
     # -- basic protocol -----------------------------------------------
-
-    def __reduce__(self):
-        return type(self), (self.domain, self.codomain, self.matrix)
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,7 +258,7 @@ def is_proper_for_unitaries(first: Routes, second: Routes) -> bool:
 # -- completely positive relations ------------------------------------
 
 
-class CPRelation(Frozen):
+class CPRelation(Record):
     """A symmetric, diagonally dominant relation between doubled index sets.
 
     ``matrix[k, k2, l, l2]`` says whether the (k -> l) connection may be
@@ -268,6 +268,7 @@ class CPRelation(Frozen):
     two sector axes per side; ``domain`` and ``codomain`` name the base sets.
     """
 
+    _fields = ("base_domain", "base_codomain", "matrix")
     copies = 2
     domain = property(lambda self: self.base_domain)
     codomain = property(lambda self: self.base_codomain)
@@ -283,7 +284,7 @@ class CPRelation(Frozen):
             )
         self.__dict__.update(base_domain=base_domain, base_codomain=base_codomain, matrix=matrix)
 
-    __eq__, __reduce__ = Relation.__eq__, Relation.__reduce__
+    __eq__ = Relation.__eq__
 
     def __repr__(self) -> str:
         return (

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import relations as rel
 from .errors import NotFullDecoherence, RouteViolation, ShapeMismatch
-from .frozen import Frozen
+from .frozen import Record
 from .relations import CPRelation, Label
 from .routed_maps import (
     DEFAULT_TOLERANCE,
@@ -136,7 +136,7 @@ def follows_cp(
     return _choi_block_excess(kraus, route, domain, codomain) <= tol
 
 
-class RoutedCPM(Frozen):
+class RoutedCPM(Record):
     """A CP map (as a Kraus list) together with the coherence route it follows.
 
     ``kraus`` may be given as a sequence of operators or as one stacked
@@ -145,6 +145,7 @@ class RoutedCPM(Frozen):
     (:func:`routed_maps._stored`).
     """
 
+    _fields = ("route", "kraus", "domain", "codomain", "tolerance")
     _kind = "channels"
 
     def __init__(
@@ -197,7 +198,6 @@ class RoutedCPM(Frozen):
 
     # the pairwise algebra of routed maps, which reads only ``kraus_stack``
     __eq__, tensor, relabel = RoutedMap.__eq__, RoutedMap.tensor, RoutedMap.relabel
-    __reduce__ = RoutedMap.__reduce__
 
 
 def lift_pure(routed: RoutedMap) -> RoutedCPM:

@@ -23,7 +23,7 @@ from .errors import (
     RouteViolation,
     ShapeMismatch,
 )
-from .frozen import Frozen
+from .frozen import Record
 from .relations import Relation
 from .spaces import PartitionedSpace, block_maxima, tensor, tensor_matrix
 
@@ -102,7 +102,7 @@ def follows(
     return _forbidden_block_excess(matrix, route, domain, codomain) <= tol
 
 
-class RoutedMap(Frozen):
+class RoutedMap(Record):
     """A linear map together with the route it follows.
 
     ``kraus_stack`` is a read-only ``(1, d_out, d_in)`` view of ``matrix``:
@@ -110,6 +110,7 @@ class RoutedMap(Frozen):
     ``matrix`` is stored by the rule of :func:`_stored`.
     """
 
+    _fields = ("route", "matrix", "domain", "codomain", "tolerance")
     _kind = "maps"  # in messages
 
     def __init__(
@@ -153,12 +154,6 @@ class RoutedMap(Frozen):
         """The map whose ``kraus_stack`` is ``stack``, of one operator."""
         (matrix,) = stack
         return cls(route, matrix, domain, codomain, tolerance)
-
-    def __reduce__(self):
-        """Rebuild through the constructor, so that a copy's arrays are
-        read-only views of one another, as the original's are."""
-        stack = self.kraus_stack
-        return self.from_stack, (self.route, stack, self.domain, self.codomain, self.tolerance)
 
     def __repr__(self) -> str:
         return (

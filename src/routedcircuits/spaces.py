@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, UnknownLabel
-from .frozen import Frozen, Record
+from .frozen import Record
 from .relations import IndexSet, Label
 
 
@@ -30,9 +30,11 @@ class SectorRange(Record):
         self.__dict__.update(label=label, offset=offset, dim=dim)
 
 
-class PartitionedSpace(Frozen):
+class PartitionedSpace(Record):
     """A Hilbert space with a hardcoded ordered orthogonal sector split:
     ``sector_offsets`` holds the first coordinate of each sector."""
+
+    _fields = ("sector_labels", "sector_dims")
 
     def __init__(self, sector_labels: IndexSet, sector_dims: Iterable[int]):
         sector_dims = tuple(map(operator.index, sector_dims))  # no float or str

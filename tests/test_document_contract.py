@@ -16,8 +16,9 @@ import random
 import pytest
 
 from routedcircuits import cli
-from routedcircuits.errors import RoutedError, SchemaError
+from routedcircuits.errors import InvariantViolation, RoutedError, SchemaError
 from routedcircuits.io import bundled_path, parse
+from routedcircuits.iodag import IndexFamily
 
 DATA = os.path.dirname(bundled_path("x"))
 DOCUMENTS = sorted(name for name in os.listdir(DATA) if name.endswith(".json"))
@@ -112,3 +113,46 @@ def test_a_pointer_past_the_document_does_not_resolve():
     assert resolves(data, "/spaces/a~1b~0c/sectors/0/dim")
     assert not resolves(data, "/spaces/a/b~c")
     assert not resolves(data, "/spaces/a~1b~0c/sectors/1")
+
+
+
+@pytest.mark.parametrize(
+    "name, path, number, code, kind, pointer",
+    [
+        ("two_trajectories.json", ["boxes", 0, "map", "matrix", 0, 0], [10**400, 0], 2,
+         "SchemaError", "/boxes/0/map/matrix/0/0/0"),
+        ("diamond.json", ["interpretation", "morphs", "u2", "matrix", 1, 0], [0, -10**400], 2,
+         "SchemaError", "/interpretation/morphs/u2/matrix/1/0/1"),
+        ("diamond.json", ["interpretation", "lengths", "kL"], 10**30, 1,
+         "InvariantViolation", ""),
+    ],
+    ids=["matrix-entry", "morph-entry", "index-length"],
+)
+def test_a_number_no_array_can_hold_is_a_json_error(
+    name, path, number, code, kind, pointer, tmp_path
+):
+    """A valid JSON number too large for a float, or index lengths with too
+    many value tuples for an array, end in a JSON error, not a traceback."""
+    with open(bundled_path(name), encoding="utf-8") as handle:
+        data = json.load(handle)
+    place = data
+    for key in path[:-1]:
+        place = place[key]
+    place[path[-1]] = number
+    target = str(tmp_path / name)
+    with open(target, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+    for command in ("validate", "eval"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([command, target]) == code
+        report = json.loads(stdout.getvalue())
+        assert report["kind"] == kind
+        assert report["error"].startswith(f"{pointer}: ") == bool(pointer)
+    if pointer:
+        assert resolves(data, pointer)
+
+
+def test_an_index_family_too_large_to_list_raises_a_routed_error():
+    with pytest.raises(InvariantViolation, match="too many values"):
+        IndexFamily({"k": 10**30}).index_set()
