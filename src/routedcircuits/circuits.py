@@ -27,7 +27,11 @@ nothing of the circuit's matrices, routes or labels.  Every program,
 whatever its kind, runs through one runner, which reads the boxes' own
 arrays as the kind says and runs the plan; an operator program also
 lays out where its products go, in one buffer that each thread keeps, so
-a warm evaluation allocates little beyond its result.
+a warm evaluation allocates little beyond its result.  A contraction
+step whose product is larger than its two operands sums only the live
+coordinates, those where both operands are nonzero: the routes leave
+most sector tuples of a multi-wire interface empty, and a dropped term
+is an exact zero, so no tolerance comes in.
 """
 
 from __future__ import annotations
@@ -435,12 +439,21 @@ def _run_contraction(
 ) -> np.ndarray:
     """Carry out ``plan`` on tables of the signatures it was made for: each
     step reshapes its two tables to matrices and multiplies them with one
-    ``np.dot``, the calls NumPy's tensor dot product makes, so the products
-    are the same to the bit.
+    ``np.dot``, the calls NumPy's tensor dot product makes.
+
+    A step whose product, ``rows x columns``, is larger than its two
+    operands together, ``(rows + columns) x inner``, sums only the live
+    coordinates: those where a column of the left matrix and the row of
+    the right are both nonzero.  If some are dead, it multiplies the live
+    columns by the live rows, into a product of the same shape.  Every
+    dropped term is the exact zero product of finite entries, so each
+    entry sums the same nonzero terms, in the same order, and no tolerance
+    comes in.  The rule reads only the step's shapes and its operands.
 
     With a ``workspace`` planned for the tables, the products and the
     copied loads are written into this thread's arena (see :func:`_arena`),
     and the result is a view of it, valid until the next run on the thread.
+    The products are those of the run without one, to the bit.
     """
     slots = list(tables) or [np.ones(())]
     arena = None if workspace is None else _arena(workspace.nbytes)
@@ -465,6 +478,11 @@ def _run_contraction(
         left = operand(slots[a], order_a, shape_a, at_a)
         right = operand(slots[b], order_b, shape_b, at_b)
         slots[a] = slots[b] = None
+        (rows, inner), columns = shape_a, shape_b[1]
+        if rows * columns > (rows + columns) * inner:
+            live = left.any(0) & right.any(1)
+            if not live.all():
+                left, right = left.compress(live, 1), right.compress(live, 0)
         slots.append(np.dot(left, right, out=region(at)).reshape(shape))
     return slots[-1].transpose(plan.result)
 

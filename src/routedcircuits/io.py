@@ -421,7 +421,7 @@ def _iodag_to_json(g: IODAG) -> dict:
 
 
 def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpretation:
-    from .iodag import IndexFamily, Interpretation, expected_wire_labels, node_route
+    from .iodag import IndexFamily, Interpretation, _labels_text, expected_wire_labels, node_route
     from .routed_maps import RoutedMap
     from .spaces import tensor_many
 
@@ -447,7 +447,9 @@ def _interpretation_from_json(data: dict, g: IODAG, tolerance: float) -> Interpr
         space = _space_from_json(sectors, location)
         expected = expected_wire_labels(g, wire, lengths)
         if space.sector_labels.labels != expected:
-            raise SchemaError(f"wire {wire!r} must carry sector labels {expected!r}", location)
+            raise SchemaError(
+                f"wire {wire!r} must carry sector labels {_labels_text(expected)}", location
+            )
         spaces[wire] = space
     morphs: dict[str, RoutedMap] = {}
     pre_interp = Interpretation(lengths, spaces, {})

@@ -876,6 +876,19 @@ def expected_wire_labels(g: IODAG, wire: str, lengths: Mapping[str, int]) -> tup
     return _family(g, g.indices_on(wire), lengths).value_labels()
 
 
+#: the most sector labels a message lists; a longer list gives its count
+_LISTED_LABELS = 8
+
+
+def _labels_text(labels: tuple) -> str:
+    """``labels`` for an error message: all of them if there are at most
+    ``_LISTED_LABELS``, else their count and the first few."""
+    if len(labels) <= _LISTED_LABELS:
+        return repr(labels)
+    first = ", ".join(map(repr, labels[: _LISTED_LABELS // 2]))
+    return f"({len(labels)} labels: {first}, ...)"
+
+
 def wire_space(
     g: IODAG, wire: str, lengths: Mapping[str, int], dims: Mapping | int = 1
 ) -> PartitionedSpace:
@@ -996,8 +1009,8 @@ def interpret(g: IODAG, interp: Interpretation, mode: str = "iso") -> RoutedMap:
         expected = expected_wire_labels(g, wire, interp.lengths)
         if interp.spaces[wire].sector_labels.labels != expected:
             raise InvariantViolation(
-                f"wire {wire!r} must carry sector labels {expected!r}, got "
-                f"{interp.spaces[wire].sector_labels.labels!r}"
+                f"wire {wire!r} must carry sector labels {_labels_text(expected)}, got "
+                f"{_labels_text(interp.spaces[wire].sector_labels.labels)}"
             )
 
     strands = {}
