@@ -26,12 +26,14 @@ and shapes of its tables, its plan, its gathers and fixed tables, and
 nothing of the circuit's matrices, routes or labels.  Every program,
 whatever its kind, runs through one runner, which reads the boxes' own
 arrays as the kind says and runs the plan; an operator program also
-lays out where its products go, in one buffer that each thread keeps, so
-a warm evaluation allocates little beyond its result.  A contraction
-step whose product is larger than its two operands sums only the live
-coordinates, those where both operands are nonzero: the routes leave
-most sector tuples of a multi-wire interface empty, and a dropped term
-is an exact zero, so no tolerance comes in.
+lays out where its intermediate products go, in one buffer that each
+thread keeps, so a warm evaluation allocates little beyond its result.
+A contraction step whose product is larger than its two operands sums
+only the live coordinates, those where both operands are nonzero: the
+routes leave most sector tuples of a multi-wire interface empty, and a
+dropped term is an exact zero, so no tolerance comes in.  The last such
+step also drops its dead rows and columns, and puts only its live block
+into the result.
 """
 
 from __future__ import annotations
@@ -269,6 +271,7 @@ class _Contraction(NamedTuple):
     steps: list  # (slot, slot, their axis orders, their matrix shapes, result shape)
     result: list  # the axis order taking the last slot to the result
     batch: list  # the batch labels of the result's first axis, outermost first
+    sides: tuple  # the labels the last slot's rows run over, then its columns'
 
 
 def _contraction_plan(
@@ -286,7 +289,9 @@ def _contraction_plan(
     outer products in table order.  Each pair is laid out for one matrix
     product (free axes, batch axis, summed axes against summed axes, batch
     axis, free axes), whose two matrix shapes a step records, so merging
-    batch axes is a reshape.
+    batch axes is a reshape.  ``sides`` names, row-major, the labels that the
+    rows and the columns of the last product run over, a batch axis as the
+    labels merged into it; a lone table is read as one row.
     """
     signatures = list(signatures) or [[]]  # no table: the scalar 1
     holders: dict = {}
@@ -298,6 +303,7 @@ def _contraction_plan(
     batches = [[label for label in s if label in batch] for s in signatures]
     labels = [set(s) for s in signatures]
     steps, alive = [], set(range(len(signatures)))
+    sides = [[], signatures[0]]  # a lone table's
     size_of = sizes.__getitem__
 
     def size(a, b):
@@ -320,6 +326,7 @@ def _contraction_plan(
         shape = tuple([count if x is _KRAUS else sizes[x] for x in axes[-1]])
         orders = [*map(axes[a].index, order_a)], [*map(axes[b].index, order_b)]
         steps.append((a, b, *orders, (rows, inner), (inner, columns), shape))
+        sides[:] = free_a + batches[a], batches[b] + free_b
         alive.difference_update((a, b))
         alive.add(len(axes) - 1)
         return len(axes) - 1
@@ -340,7 +347,7 @@ def _contraction_plan(
                 heapq.heappush(heap, (size(other, slot), other, slot))
     last = reduce(join, sorted(alive))
     result = [_KRAUS] * bool(batches[last]) + list(open_labels)
-    return _Contraction(steps, [axes[last].index(x) for x in result], batches[last])
+    return _Contraction(steps, [axes[last].index(x) for x in result], batches[last], sides)
 
 
 def _frozen(value):
@@ -373,7 +380,8 @@ def _workspace(plan: _Contraction, tables: Sequence) -> _Workspace:
     overlaps no region in use.  A step's product is placed first, and may
     take the place of a table that a load copies, since the copies are made
     before it is written; then the copies.  A region is free again once the
-    step reading it is done.
+    step reading it is done.  The last product's region is empty (``start
+    == end``): it goes straight into the result.
     """
     slots = [(tuple(positions), np.dtype(dtype), tuple(shape)) for positions, dtype, shape in tables]
     busy: dict = {}  # slot, or 'left'/'right' for a step's loads -> (start, end)
@@ -402,11 +410,13 @@ def _workspace(plan: _Contraction, tables: Sequence) -> _Workspace:
         return tuple(shape[i] for i in order)
 
     steps = []
-    for a, b, order_a, order_b, shape_a, shape_b, shape in plan.steps:
+    for index, (a, b, order_a, order_b, shape_a, shape_b, shape) in enumerate(plan.steps, 1):
         loads = ("left", a, copied(a, order_a, shape_a)), ("right", b, copied(b, order_b, shape_b))
         read = {slot: busy.pop(slot) for _, slot, copy in loads if copy and slot in busy}
         dtype = np.result_type(slots[a][1], slots[b][1])
-        product = place(len(slots), dtype, (shape_a[0], shape_b[1]))
+        matrix = shape_a[0], shape_b[1]
+        last = index == len(plan.steps)
+        product = (0, 0, dtype, matrix) if last else place(len(slots), dtype, matrix)
         busy.update(read)
         at_a, at_b = (copy and place(key, slots[slot][1], copy) for key, slot, copy in loads)
         steps.append((at_a, at_b, product))
@@ -434,8 +444,37 @@ def _arena(nbytes: int) -> np.ndarray:
     return arena
 
 
+class _Placement(NamedTuple):
+    """Where each entry of the last product of a contraction goes in its
+    result: entry ``(r, c)`` goes to the flat offset ``rows[r] +
+    columns[c]``, plus ``order[row_shares[r] + column_shares[c]]`` for each
+    ``(order, row_shares, column_shares)`` in ``split``.  Those are the
+    coordinates, of the outputs or of the inputs, whose wires lie on both
+    the rows and the columns: their shares add up to a Kronecker coordinate,
+    which ``order`` takes to its canonical offset.  The order of a
+    coordinate on one side only is folded into that side's offsets."""
+
+    shape: tuple  # the result's, (count, d_out, d_in)
+    rows: np.ndarray  # per row of the last product: its offset
+    columns: np.ndarray  # the same per column
+    split: tuple = ()  # (order, row_shares, column_shares) per coordinate on both sides
+
+
+def _matrix_placement(rows: int, columns: int) -> _Placement:
+    """The placement of a product into one matrix of its own shape."""
+    return _Placement((1, rows, columns), np.arange(rows) * columns, np.arange(columns))
+
+
+#: the most entries of the last product put into the result at once: a
+#: dense part and its flat index stay near 100 KiB beside the result
+_PART = 1 << 12
+
+
 def _run_contraction(
-    plan: _Contraction, tables: Sequence[np.ndarray], workspace: _Workspace | None = None
+    plan: _Contraction,
+    tables: Sequence[np.ndarray],
+    workspace: _Workspace | None = None,
+    placement: _Placement | None = None,
 ) -> np.ndarray:
     """Carry out ``plan`` on tables of the signatures it was made for: each
     step reshapes its two tables to matrices and multiplies them with one
@@ -450,10 +489,16 @@ def _run_contraction(
     entry sums the same nonzero terms, in the same order, and no tolerance
     comes in.  The rule reads only the step's shapes and its operands.
 
-    With a ``workspace`` planned for the tables, the products and the
-    copied loads are written into this thread's arena (see :func:`_arena`),
-    and the result is a view of it, valid until the next run on the thread.
-    The products are those of the run without one, to the bit.
+    The last product is never written whole.  If its step outgrows its
+    operands, it also drops the all-zero rows of the left matrix and
+    columns of the right; the live rows are multiplied, at most
+    :data:`_PART` entries at a time, and put into a result of zeros through
+    ``placement`` (a lone table as one row), or, without one, into the
+    last product's own shape, in the plan's result order.
+
+    With a ``workspace`` planned for the tables, the intermediate products
+    and the copied loads are written into this thread's arena (see
+    :func:`_arena`); the result is that of the run without one, to the bit.
     """
     slots = list(tables) or [np.ones(())]
     arena = None if workspace is None else _arena(workspace.nbytes)
@@ -472,19 +517,43 @@ def _run_contraction(
         np.copyto(copy, table.transpose(order))
         return copy.reshape(shape)
 
-    for (a, b, order_a, order_b, shape_a, shape_b, shape), (at_a, at_b, at) in zip(
-        plan.steps, regions
+    for index, ((a, b, order_a, order_b, shape_a, shape_b, shape), (at_a, at_b, at)) in enumerate(
+        zip(plan.steps, regions), 1
     ):
         left = operand(slots[a], order_a, shape_a, at_a)
         right = operand(slots[b], order_b, shape_b, at_b)
         slots[a] = slots[b] = None
         (rows, inner), columns = shape_a, shape_b[1]
-        if rows * columns > (rows + columns) * inner:
+        outgrows = rows * columns > (rows + columns) * inner
+        if outgrows:
             live = left.any(0) & right.any(1)
             if not live.all():
                 left, right = left.compress(live, 1), right.compress(live, 0)
-        slots.append(np.dot(left, right, out=region(at)).reshape(shape))
-    return slots[-1].transpose(plan.result)
+        if index < len(plan.steps):
+            slots.append(np.dot(left, right, out=region(at)).reshape(shape))
+    live_rows, live_columns = None, slice(None)  # every row, every column
+    if plan.steps:  # the last step's matrices, as the loop left them
+        matrix = rows, columns
+        if outgrows:
+            live_rows, live_columns = np.flatnonzero(left.any(1)), np.flatnonzero(right.any(0))
+            right = right[:, live_columns]
+
+        def part(at):
+            return np.dot(left[at], right)
+    else:  # a lone table, as one row
+        left = right = slots[0].reshape(1, -1)
+        matrix, shape, part = right.shape, slots[0].shape, right.__getitem__
+    into = placement or _matrix_placement(*matrix)
+    result = np.zeros(into.shape, np.result_type(left, right))
+    step = _PART // max(right.shape[1], 1) or 1
+    count = matrix[0] if live_rows is None else len(live_rows)
+    for start in range(0, count or 1, step):  # one np.dot even with no live row
+        at = slice(start, start + step) if live_rows is None else live_rows[start : start + step]
+        flat = into.rows[at, None] + into.columns[live_columns]
+        for order, row_shares, column_shares in into.split:
+            flat += order[row_shares[at, None] + column_shares[live_columns]]
+        result.reshape(-1)[flat] = part(at)
+    return result if placement else result.reshape(shape).transpose(plan.result)
 
 
 class _Plan(NamedTuple):
@@ -620,7 +689,7 @@ class _Program(NamedTuple):
     plan: Union[_Plan, _Contraction]
     shape: tuple  # the result's
     gathers: tuple = ()  # operators: per box, None or its index into its wires' Kronecker bases
-    take: np.ndarray | None = None  # operators: each entry's offset into the plan's last slot
+    placement: _Placement | None = None  # operators: where the last product goes in the result
     workspace: _Workspace | None = None  # operators: where the contraction writes
 
 
@@ -661,7 +730,8 @@ def _network_program(
 ) -> _Program:
     """A route network, planned for :func:`_elimination_plan`, or the
     operator network, planned for :func:`_contraction_plan`, with the
-    Kronecker gathers of its boxes and of its result."""
+    Kronecker gathers of its boxes, the placement of its last product and
+    its workspace."""
     dims, boxes = dict(shape.wires), dict(shape.boxes)
     network = [boxes[b] for b in box_ids]
     if kind == "operators":
@@ -691,17 +761,38 @@ def _network_program(
         if len(box.inputs) > 1 or len(box.outputs) > 1 else None
         for box in network
     )
-    # the plan's Kraus index of each operator, the last box's index outermost
-    kraus = np.arange(math.prod(sizes[x] for x in plan.batch))
-    kraus = kraus.reshape([sizes[x] for x in plan.batch])
-    order = kraus.transpose([plan.batch.index(x) for x in sorted(plan.batch, reverse=True)])
-    entry = np.argsort(to_kron(targets))[:, None] + count_out * np.argsort(to_kron(sources))
-    # that gather as flat offsets into the plan's last slot, which it then hands over untransposed
-    axes = [kraus.size] * bool(plan.batch) + [sizes[x] for x in keep]
-    last = np.arange(math.prod(axes)).reshape([axes[i] for i in np.argsort(plan.result)])
-    take = last.transpose(plan.result).reshape(kraus.size, -1)[order.reshape(-1, 1), entry.ravel()]
-    take = _read_only(take.reshape(kraus.size, count_out, count_in))
-    plan = plan._replace(result=tuple(range(len(axes))))
+    # each label's weight, row-major, in the Kraus offset (the last box's
+    # index outermost) and in the Kronecker coordinates of outputs and
+    # inputs, which kron_to_canonical takes to their offsets: per row or per
+    # column, or when the step runs if the wires lie on both sides
+    inputs = sum(sizes[w] > 1 for w in sources)
+    groups = sorted(plan.batch, reverse=True), keep[inputs:], keep[:inputs]
+    weight = {}
+    for index, (labels, stride) in enumerate(zip(groups, (count_out * count_in, 1, 1))):
+        for label in reversed(labels):
+            weight[label] = tuple(stride * (i == index) for i in range(3))
+            stride *= sizes[label]
+
+    def shares(labels):
+        """Per row-major position over ``labels``, its share of each index."""
+        dims = [sizes[x] for x in labels]
+        grid = np.indices(dims).reshape(len(dims), math.prod(dims))
+        return np.array([weight[x] for x in labels], np.intp).reshape(-1, 3).T @ grid
+
+    (rows, *row_shares), (columns, *column_shares) = map(shares, plan.sides)
+    orders = to_kron(targets) * count_in, to_kron(sources)
+    split = []
+    for order, on_rows, on_columns in zip(orders, row_shares, column_shares):
+        if on_rows.any() and on_columns.any():  # the order does not split over the two
+            split.append(tuple(map(_read_only, (order, on_rows, on_columns))))
+        elif on_columns.any():
+            columns = columns + order[on_columns]
+        else:
+            rows = rows + order[on_rows]
+    count = math.prod(sizes[x] for x in plan.batch)
+    placement = _Placement(
+        (count, count_out, count_in), _read_only(rows), _read_only(columns), tuple(split)
+    )
 
     def positions(box, gather, shape):
         # each axis's rank by stride in a table read as _tables reads
@@ -714,7 +805,7 @@ def _network_program(
     tables = [(positions(*box), complex, box[2]) for box in zip(network, gathers, shapes)]
     tables += [((0, 1), bool, s) for s in shapes[len(network) :]]
     return program._replace(
-        plan=plan, shape=take.shape, gathers=gathers, take=take,
+        shape=placement.shape, gathers=gathers, placement=placement,
         workspace=_workspace(plan, tables),
     )
 
@@ -777,20 +868,17 @@ def _run(
     axis for plain routes, indexed ``[k, l]``, or two for coherence routes,
     indexed ``[k, k', l, l']``; insertion returns one axis per slice wire.
     The operator kind returns the ``(count, d_out, d_in)`` operator stack:
-    one gather through the program's compiled index takes the last product
-    to the canonical bases and the Kraus order of composing the boxes one
-    at a time, the last box's index outermost, whatever order the plan
-    contracts them in.  The stack is read-only and owns its data, so a
-    routed CP map keeps it without a copy.
+    the last step puts its live block through the program's placement, in
+    the canonical bases and the Kraus order of composing the boxes one at a
+    time, the last box's index outermost, whatever order the plan contracts
+    them in.  The stack is read-only and owns its data, so a routed CP map
+    keeps it without a copy.
     """
     program = _program(circuit, kind, sources, box_ids, targets)
     tables = _tables(circuit, program, box_ids)
     if program.kind != "operators":
         return _run_plan(program.plan, tables).reshape(program.shape)
-    result = _run_contraction(program.plan, tables, program.workspace)
-    # an index, unlike np.take, reads the read-only offsets without a copy;
-    # it writes a fresh array, so nothing returned shares the workspace
-    return _read_only(result.reshape(-1)[program.take])
+    return _read_only(_run_contraction(program.plan, tables, program.workspace, program.placement))
 
 
 def _contracted(

@@ -41,10 +41,10 @@ def operator_program(circuit, box_order=None):
 
 def without_workspace(circuit, box_order=None) -> np.ndarray:
     """The operator stack of ``evaluate`` by the contraction without a
-    workspace, each product and load in an array of its own."""
+    workspace, each product and load in an array of its own, put into the
+    result through the program's placement."""
     program, order = operator_program(circuit, box_order)
-    result = _run_contraction(program.plan, _tables(circuit, program, order))
-    return result.reshape(-1)[program.take]
+    return _run_contraction(program.plan, _tables(circuit, program, order), None, program.placement)
 
 
 def apart(regions) -> bool:
